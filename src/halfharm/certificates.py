@@ -26,8 +26,6 @@ the certificate notes rather than silently resolved.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,9 +34,11 @@ import numpy as np
 from .conformal import cayley_inv
 from .errors import DomainViolation, InvalidArgument, NumericalFailure
 from .quadrature import (
+    IntegrationResult,
     QuadRule,
     Tolerance,
     adaptive_integrate,
+    adaptive_integrate_many,
     circle_rule,
     disc_rule,
     gamma_fn,
@@ -75,15 +75,6 @@ __all__ = [
     "standard_certificates",
     "certificate_tables",
 ]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HALFHARM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _check_range(x: float, name: str, lo: float, hi: float, *, open_lo: bool = False, open_hi: bool = True) -> float:
@@ -393,10 +384,19 @@ def _kernel_numerator(u, v):
     )
 
 
-def _J_from_uv(a: float, u, v):
-    den = u + v - u * v  # equals 1 - lam^2 t^2, positive on the admissible range
+def _J_params(a: float) -> tuple[float, float]:
+    """Scale (1+t)^4/16 and v = 1 - t^2 of J_closed at a, where t = (1-a)/(1+a)."""
     t = (1.0 - a) / (1.0 + a)
-    return ((1.0 + t) ** 4 / 16.0) * _kernel_numerator(u, v) / den**3
+    return (1.0 + t) ** 4 / 16.0, 4.0 * a / (1.0 + a) ** 2
+
+
+def _J_scaled(scale: float, u, v):
+    den = u + v - u * v  # equals 1 - lam^2 t^2, positive on the admissible range
+    return scale * _kernel_numerator(u, v) / den**3
+
+
+def _J_from_uv(a: float, u, v):
+    return _J_scaled(_J_params(a)[0], u, v)
 
 
 def J_closed(a: float, lam: float) -> float:
@@ -476,6 +476,12 @@ _INNER_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_refinements=120)
 _OUTER_TOL = Tolerance(abs_tol=1e-9, rel_tol=1e-9, max_refinements=400)
 
 
+def _f1_integrand(r, scale, v):
+    om = _one_minus_lam(r)
+    u = om * (2.0 - om)
+    return _J_scaled(scale, u, v) * r / (1.0 + r * r) ** 2
+
+
 def F1_closed_or_quad(a: float) -> float:
     """Radial quadrature int_0^1 J_closed(a, ((3r+1)/(r+3))^2) r/(1+r^2)^2 dr.
 
@@ -484,14 +490,9 @@ def F1_closed_or_quad(a: float) -> float:
     divergence as a -> 0 coming from the kernel's mass at lam = 1.
     """
     a = _check_range(a, "a", 0.0, 1.0, open_lo=True, open_hi=False)
-    v = 4.0 * a / (1.0 + a) ** 2
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        om = _one_minus_lam(r)
-        u = om * (2.0 - om)
-        return _J_from_uv(a, u, v) * r / (1.0 + r * r) ** 2
-
-    res = adaptive_integrate(integrand, 0.0, 1.0, _INNER_TOL, singular=(1.0,), grade_levels=40)
+    scale, v = _J_params(a)
+    res = adaptive_integrate(lambda r: _f1_integrand(r, scale, v), 0.0, 1.0, _INNER_TOL,
+                             singular=(1.0,), grade_levels=40)
     return res.value
 
 
@@ -507,6 +508,14 @@ def _f1_gauss(a: float, n: int = 400) -> float:
     return float(np.sum(w * vals))
 
 
+def _f2_integrand(r, v):
+    """Integrand of F2 at v = 1 - t^2; see _f2_profile."""
+    om = _one_minus_lam(r)
+    u = om * (2.0 - om)
+    den = u + v - u * v
+    return (_kernel_numerator(u, v) / den**3) * r / (1.0 + r * r) ** 2
+
+
 def _f2_profile(t: float) -> float:
     """Inner integral of the degree-two competitor-energy bound at parameter t.
 
@@ -519,48 +528,98 @@ def _f2_profile(t: float) -> float:
     corner of the direct evaluation.
     """
     v = (1.0 - t) * (1.0 + t)
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        om = _one_minus_lam(r)
-        u = om * (2.0 - om)
-        den = u + v - u * v
-        return (_kernel_numerator(u, v) / den**3) * r / (1.0 + r * r) ** 2
-
-    res = adaptive_integrate(integrand, 0.0, 1.0, _INNER_TOL, singular=(1.0,), grade_levels=40)
+    res = adaptive_integrate(lambda r: _f2_integrand(r, v), 0.0, 1.0, _INNER_TOL,
+                             singular=(1.0,), grade_levels=40)
     return res.value
 
 
-def _vectorize_scalar(f):
-    def g(arr):
-        arr = np.atleast_1d(np.asarray(arr, dtype=float))
-        return np.array([f(x) for x in arr])
+def _f2_many(ts) -> list[IntegrationResult]:
+    """_f2_profile at every t of ts, batched; the same values bit for bit."""
+    return adaptive_integrate_many(_f2_integrand, [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
+                                   _INNER_TOL, singular=(1.0,), grade_levels=40)
 
-    return g
+
+def _f1_many(avals) -> list[IntegrationResult]:
+    """F1_closed_or_quad at every a of avals in (0, 1), batched; the same values bit for bit."""
+    return adaptive_integrate_many(lambda r, p: _f1_integrand(r, p[:, 0], p[:, 1]),
+                                   [_J_params(a) for a in avals], 0.0, 1.0,
+                                   _INNER_TOL, singular=(1.0,), grade_levels=40)
+
+
+class _InnerIntegrals:
+    """Vectorized outer integrand whose values are inner integrals, each
+    computed once per distinct node: the nodes of one call are batched."""
+
+    def __init__(self, integrate_many) -> None:
+        self._integrate_many = integrate_many
+        self.results: dict[float, IntegrationResult] = {}
+
+    def __call__(self, nodes) -> np.ndarray:
+        keys = np.asarray(nodes, dtype=float).ravel().tolist()
+        todo = [x for x in dict.fromkeys(keys) if x not in self.results]
+        if todo:
+            self.results.update(zip(todo, self._integrate_many(todo)))
+        return np.array([self.results[x].value for x in keys])
+
+    def errors(self, nodes) -> np.ndarray:
+        return np.array([self.results[x].error for x in np.asarray(nodes, dtype=float).tolist()])
+
+
+@dataclass(frozen=True)
+class _InnerSummary:
+    """How the inner integrals of one outer integrand ended."""
+
+    count: int
+    unconverged: int
+    worst_error: float  # largest error estimate among the unconverged, 0 if none
+
+    @classmethod
+    def of(cls, results) -> "_InnerSummary":
+        bad = [r.error for r in results if not r.converged]
+        return cls(len(results), len(bad), max(bad, default=0.0))
+
+    def __str__(self) -> str:
+        return f"{self.unconverged} of {self.count} unconverged (worst error estimate {self.worst_error:.2e})"
+
+
+@dataclass(frozen=True)
+class _F2Block:
+    """The three outer integrals behind the deficit verdict, with what the
+    nested inner integrals contributed."""
+
+    main: IntegrationResult  # int_0^1 F2
+    sqrt_f1: IntegrationResult  # int_0^1 sqrt(F1)
+    sqrt_f2: IntegrationResult  # int_0^1 sqrt(F2)
+    f2_inner: _InnerSummary
+    f1_inner: _InnerSummary
+    nested_error: float  # inner error estimates of F2 under the outer weights of main
 
 
 @lru_cache(maxsize=1)
-def _f2_block():
-    """Outer quadratures shared by F2_certificate and the substitution check."""
-    main = adaptive_integrate(
-        _vectorize_scalar(_f2_profile), 0.0, 1.0, _OUTER_TOL, singular=(1.0,), grade_levels=40
-    )
-    sqrt_f2 = adaptive_integrate(
-        _vectorize_scalar(lambda t: math.sqrt(_f2_profile(t))),
-        0.0,
-        1.0,
-        _OUTER_TOL,
-        singular=(1.0,),
-        grade_levels=40,
-    )
-    sqrt_f1 = adaptive_integrate(
-        _vectorize_scalar(lambda a: math.sqrt(F1_closed_or_quad(a))),
-        0.0,
-        1.0,
-        _OUTER_TOL,
-        singular=(0.0,),
-        grade_levels=40,
-    )
-    return main, sqrt_f1, sqrt_f2
+def _f2_block() -> _F2Block:
+    """Outer quadratures shared by F2_certificate and the substitution check.
+
+    int F2 and int sqrt(F2) share one set of inner integrals; F1 has its own.
+    Inner results reaching the outer sums unconverged are counted, not
+    raised on (they are a known defect of the inner tolerance).
+    """
+    f2 = _InnerIntegrals(_f2_many)
+    f1 = _InnerIntegrals(_f1_many)
+    main = adaptive_integrate(f2, 0.0, 1.0, _OUTER_TOL, singular=(1.0,), grade_levels=40)
+    sqrt_f2 = adaptive_integrate(lambda t: np.sqrt(f2(t)), 0.0, 1.0, _OUTER_TOL,
+                                 singular=(1.0,), grade_levels=40)
+    sqrt_f1 = adaptive_integrate(lambda a: np.sqrt(f1(a)), 0.0, 1.0, _OUTER_TOL,
+                                 singular=(0.0,), grade_levels=40)
+    # the outer rule on its seed panels, applied to the inner error estimates;
+    # these are main's weights as long as main converged without bisecting
+    nested = adaptive_integrate_many(lambda t, _: f2.errors(t), [0.0], 0.0, 1.0,
+                                     Tolerance(max_refinements=0), singular=(1.0,),
+                                     grade_levels=40)[0]
+    if nested.panels != main.panels:
+        raise NumericalFailure("int F2 bisected its seed panels, so the inner error "
+                               "estimates cannot be weighted into its error bar")
+    return _F2Block(main, sqrt_f1, sqrt_f2, _InnerSummary.of(list(f2.results.values())),
+                    _InnerSummary.of(list(f1.results.values())), nested.value)
 
 
 def F2_certificate() -> CertificateReport:
@@ -571,14 +630,18 @@ def F2_certificate() -> CertificateReport:
     the critical threshold 2 even at the upper error bar), cross-checks the
     substitution identity ``4 int sqrt(F1) = 2 int sqrt(F2)`` to 1e-4, and
     records the concavity chain ``2 int sqrt(F2) <= 2 sqrt(int F2)``.
-    Raises NumericalFailure if any of the quadratures fails to converge or
-    the cross-checks disagree.
+    The upper error bar adds to the outer error estimate the inner error
+    estimates under the outer weights.  The notes count the inner integrals
+    of F2 and of F1 that did not converge and give their worst error
+    estimates; these do not fail the certificate.  Raises NumericalFailure if any of the outer
+    quadratures fails to converge or the cross-checks disagree.
     """
-    main, sqrt_f1, sqrt_f2 = _f2_block()
+    block = _f2_block()
+    main, sqrt_f1, sqrt_f2 = block.main, block.sqrt_f1, block.sqrt_f2
     if not (main.converged and sqrt_f1.converged and sqrt_f2.converged):
         raise NumericalFailure("competitor-energy quadrature did not converge")
     value = 4.0 * main.value
-    err = 4.0 * main.error
+    err = 4.0 * (main.error + block.nested_error)
     lhs = 4.0 * sqrt_f1.value
     rhs = 2.0 * sqrt_f2.value
     sub_diff = abs(lhs - rhs)
@@ -592,7 +655,8 @@ def F2_certificate() -> CertificateReport:
     notes = (
         f"upper error bar {value + err:.9f} stays below 2; "
         f"substitution cross-check |4*int sqrt(F1) - 2*int sqrt(F2)| = {sub_diff:.2e}; "
-        f"concavity chain 2*int sqrt(F2) = {rhs:.8f} <= 2*sqrt(int F2) = {cs_rhs:.8f}"
+        f"concavity chain 2*int sqrt(F2) = {rhs:.8f} <= 2*sqrt(int F2) = {cs_rhs:.8f}; "
+        f"inner integrals: F2 {block.f2_inner}, F1 {block.f1_inner}"
     )
     return CertificateReport.from_values("higher-degree-energy-deficit", value, 1.93, 0.03, notes)
 
@@ -885,11 +949,11 @@ def _profile_reports() -> list[CertificateReport]:
 
 def _deficit_reports() -> list[CertificateReport]:
     main_report = F2_certificate()
-    _main, sqrt_f1, sqrt_f2 = _f2_block()
+    block = _f2_block()
     substitution = CertificateReport.from_values(
         "substitution-identity",
-        4.0 * sqrt_f1.value,
-        2.0 * sqrt_f2.value,
+        4.0 * block.sqrt_f1.value,
+        2.0 * block.sqrt_f2.value,
         1e-4,
         "the two parameterizations of the competitor-energy profile integrate identically",
     )
@@ -953,13 +1017,6 @@ def standard_certificates() -> list[CertificateReport]:
     Every closed form is compared with its independent oracle on its
     published grid (the worst grid point is reported; per-point rows are in
     certificate_tables()), and the three decisive verdicts are included.
-    Builders are independent and run in a thread pool when HALFHARM_THREADS
-    is set above 1; the assembled order is fixed either way.
+    The builders run in a fixed order, in the calling thread.
     """
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda build: build(), _REPORT_BUILDERS))
-    else:
-        chunks = [build() for build in _REPORT_BUILDERS]
-    return [report for chunk in chunks for report in chunk]
+    return [report for build in _REPORT_BUILDERS for report in build()]

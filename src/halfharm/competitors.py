@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,13 +26,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .blaschke import BlaschkeProduct, CircleSample, eval_product, winding_number
-from .certificates import _check_range, _F_arr, _thread_count
+from .certificates import _check_range, _F_arr
 from .errors import (
     DomainViolation,
     InvalidArgument,
     NumericalFailure,
     PreconditionViolation,
 )
+from .parallel import map_ordered
 from .quadrature import Tolerance, adaptive_integrate
 
 __all__ = [
@@ -68,16 +68,6 @@ _XI_CAP = math.log(1e7)
 _XI_NODES = 128
 
 _QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=300)
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items, threaded when HALFHARM_THREADS > 1, order preserved."""
-    n = _thread_count()
-    items = list(items)
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _ensure_converged(result, what: str) -> float:
@@ -485,7 +475,7 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
         return float(((base / quad) @ pw) @ rw)
 
     xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
-    vals = np.array(_map_ordered(lambda x: node(-math.expm1(-x)), xi))
+    vals = np.array(map_ordered(lambda x: node(-math.expm1(-x)), xi))
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
 
@@ -515,7 +505,7 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
         return float(((top / den) @ pw) @ rw)
 
     xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
-    vals = np.array(_map_ordered(lambda x: node(-math.expm1(-x)), xi))
+    vals = np.array(map_ordered(lambda x: node(-math.expm1(-x)), xi))
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
 
@@ -916,7 +906,7 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
             return circle_energy_numeric(trace), winding_number(trace)
 
         worst = 0.0
-        for r, (energy, wind) in zip(radii, _map_ordered(check, radii)):
+        for r, (energy, wind) in zip(radii, map_ordered(check, radii)):
             if wind != d:
                 raise NumericalFailure(
                     f"shell at r = {r:.6f} winds {wind}, expected {d}"

@@ -16,8 +16,6 @@ unit-degree data at pi.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +30,7 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
+from .parallel import map_ordered
 from .quadrature import disc_rule, gauss_legendre, hemisphere_rule
 
 __all__ = [
@@ -63,15 +62,6 @@ MIN_ATOM_SEPARATION = 1e-9
 #: Atoms with less rim clearance than this cannot be circled for a winding
 #: check, so the data is rejected rather than left unvalidated.
 MIN_RIM_CLEARANCE = 1e-6
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HALFHARM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -841,12 +831,7 @@ def energy_lower_bound_check(v, atoms=None, *,
         return pairing_volume(v, test, atoms, n_r=n_r, n_hr=n_hr,
                               n_ht=n_ht, n_s=n_s)
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairings = list(pool.map(one, dictionary))
-    else:
-        pairings = [one(test) for test in dictionary]
+    pairings = map_ordered(one, dictionary)
     best = int(np.argmax(np.abs(pairings)))
     sup_pairing = abs(pairings[best])
     lower = 0.5 * sup_pairing

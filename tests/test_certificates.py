@@ -35,7 +35,7 @@ from halfharm.certificates import (
     sphere_destabilization_margin,
     standard_certificates,
 )
-from halfharm.certificates import _f1_gauss
+from halfharm.certificates import _f1_gauss, _f1_many, _f2_block, _f2_many, _f2_profile
 
 # Frozen oracle pins.  Each was computed by an independent quadrature route
 # (escalating tensor disc rules, graded adaptive panels, or a 4096-node
@@ -337,6 +337,43 @@ def test_energy_deficit_certificate():
     assert "concavity" in report.notes
 
 
+def test_energy_deficit_notes_report_inner_integrals():
+    block = _f2_block()
+    notes = F2_certificate().notes
+    for inner in (block.f2_inner, block.f1_inner):
+        assert inner.count == 861  # one per distinct outer node
+        assert 0 < inner.unconverged < inner.count  # the known defect, reported
+        assert f"{inner.unconverged} of {inner.count} unconverged" in notes
+    # the nested error estimates widen the error bar without moving the verdict
+    assert 0.0 < block.nested_error < 1e-10
+    upper = 4.0 * (block.main.value + block.main.error + block.nested_error)
+    assert f"upper error bar {upper:.9f}" in notes
+    assert upper < 2.0
+
+
+# (value, panels) of int F2, int sqrt(F1) and int sqrt(F2) in _f2_block
+PIN_F2_BLOCK = (
+    (0.4827617859576733, 41),
+    (0.337515280473143, 41),
+    (0.6750305609462861, 41),
+)
+
+
+def test_f2_block_pins():
+    block = _f2_block()
+    for res, (value, panels) in zip((block.main, block.sqrt_f1, block.sqrt_f2), PIN_F2_BLOCK):
+        assert res.converged
+        assert res.panels == panels
+        assert abs(res.value - value) <= 1e-12 * value
+
+
+def test_batched_inner_integrals_equal_single_ones():
+    ts = [0.05, 0.3, 0.7, 0.95, 1.0 - 2.0**-20, 1.0 - 2.0**-35]
+    assert [r.value for r in _f2_many(ts)] == [_f2_profile(t) for t in ts]
+    avals = [2.0**-35, 2.0**-20, 1e-3, 0.2, 0.5, 0.999]
+    assert [r.value for r in _f1_many(avals)] == [F1_closed_or_quad(a) for a in avals]
+
+
 def test_substitution_identity_pin(battery):
     by_name = {r.name: r for r in battery}
     report = by_name["substitution-identity"]
@@ -469,6 +506,7 @@ def test_battery_deterministic(battery):
 
 
 def test_battery_threaded_matches_serial(battery, monkeypatch):
+    # the battery runs serially; the worker count must not change it
     monkeypatch.setenv("HALFHARM_THREADS", "4")
     threaded = standard_certificates()
     assert threaded == battery

@@ -1,9 +1,14 @@
 """Tests for the quadrature core: rules, gamma, inversion, adaptive integration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfharm import quadrature
 
 from halfharm.errors import (
     InvalidArgument,
@@ -15,6 +20,7 @@ from halfharm.quadrature import (
     IntegrationResult,
     Tolerance,
     adaptive_integrate,
+    adaptive_integrate_many,
     circle_rule,
     disc_rule,
     gamma_fn,
@@ -224,3 +230,100 @@ def test_halfline_polar_kernel_identity():
     for c in (0.0, 0.3, -0.45, 0.8):
         v, _ = integrate_halfline(lambda r: r * (1.0 - 2.0 * r * c + r * r) ** -1.5)
         assert abs(v - 1.0 / (1.0 - c)) <= 1e-9 / (1.0 - c)
+
+
+# ---------------------------------------------------------------- engine pins
+
+# (value, error, converged, panels) of each case, recorded from the adaptive
+# engine as it was before the heap worklist replaced re-sorting every panel
+# on every split; the rewrite must reproduce them exactly.
+ENGINE_PINS = {
+    "smooth": (2.5693643843610996, 5.412337245047638e-15, True, 8),
+    "endpoint_sqrt": (1.9999999998520177, 1.6648588708585718e-10, True, 58),
+    "endpoint_log": (-0.9999999999999976, 2.02942538159695e-12, True, 41),
+    "interior": (2.7687651184391924, 5.5965218642233306e-08, False, 122),
+    "exhausted": (0.9986285921353346, 0.0025113009154481766, False, 13),
+    "frozen": (0.6666666666666629, 1.0390073853139286e-14, False, 208),
+    "tie": (1.0, 1.1102230246251565e-16, False, 20),
+    "line": (1.7724538509055159, 1.3610429873404456e-10, True, 95),
+    "line_singular": (3.216272635826094, 2.131285888094624e-08, False, 220),
+    "halfline": (1.3293403881788628, 9.304636068477424e-11, True, 53),
+    "halfline_zero": (1.7724538507743701, 1.529093491014599e-10, True, 103),
+}
+
+ENGINE_CASES = {
+    "smooth": lambda: adaptive_integrate(lambda x: np.exp(np.sin(3.0 * x)), 0.0, 2.0),
+    "endpoint_sqrt": lambda: adaptive_integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular=(0.0,)),
+    "endpoint_log": lambda: adaptive_integrate(np.log, 0.0, 1.0, singular=(0.0,)),
+    # 40 refinements do not reach the tolerance here
+    "interior": lambda: adaptive_integrate(
+        lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, singular=(0.3,)
+    ),
+    "exhausted": lambda: adaptive_integrate(
+        lambda x: np.sin(40.0 * x) ** 2, 0.0, 2.0, Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_refinements=5)
+    ),
+    # an undeclared jump: its panel is bisected until frozen at machine resolution
+    "frozen": lambda: adaptive_integrate(
+        lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0,
+        Tolerance(abs_tol=1e-20, rel_tol=1e-20, max_refinements=200),
+    ),
+    # all eight seed panels carry the same error; ties go to the smallest lo
+    "tie": lambda: adaptive_integrate(
+        lambda x: np.ones_like(x), 0.0, 1.0, Tolerance(abs_tol=1e-30, rel_tol=1e-30, max_refinements=12)
+    ),
+    "line": lambda: integrate_line(lambda x: np.exp(-(x**2))),
+    "line_singular": lambda: integrate_line(
+        lambda x: np.exp(-(x**2)) / np.sqrt(np.abs(x - 0.5)), singular=(0.5,)
+    ),
+    "halfline": lambda: integrate_halfline(lambda x: x**1.5 * np.exp(-x)),
+    "halfline_zero": lambda: integrate_halfline(lambda x: np.exp(-x) / np.sqrt(x), singular=(0.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_adaptive_engine_pins(case):
+    res = ENGINE_CASES[case]()
+    assert (res.value, res.error, res.converged, res.panels) == ENGINE_PINS[case]
+
+
+def test_adaptive_raises_on_nonfinite_in_refined_panel():
+    # finite on the seed panels; the kink at 0.3 draws bisection into the hole
+    def f(x):
+        return np.where(np.abs(x - 0.3) < 1e-5, np.nan, np.abs(x - 0.3))
+
+    with pytest.raises(NumericalFailure, match="refined panel"):
+        adaptive_integrate(f, 0.0, 1.0)
+    with pytest.raises(NumericalFailure, match="refined panel"):
+        adaptive_integrate_many(lambda x, p: p * f(x), [1.0, 2.0], 0.0, 1.0)
+
+
+def _peaked(x, p):
+    """Elementwise integrand with a parameterised near-singular peak."""
+    return p[:, 0] / ((x - p[:, 1]) ** 2 + p[:, 2] ** 2) + np.sqrt(x * p[:, 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.lists(
+        st.tuples(
+            st.floats(-2.0, 2.0),
+            st.floats(0.0, 1.0),
+            st.floats(1e-4, 1.0),
+            st.floats(0.0, 3.0),
+        ),
+        min_size=1,
+        max_size=9,
+    ),
+    in_flight=st.integers(1, 10),
+    max_refinements=st.integers(0, 60),
+)
+def test_batched_results_equal_single_runs(params, in_flight, max_refinements):
+    tol = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_refinements=max_refinements)
+    with mock.patch.object(quadrature, "_MAX_IN_FLIGHT", in_flight):
+        batched = adaptive_integrate_many(_peaked, params, 0.0, 1.0, tol, singular=(0.0,))
+    assert len(batched) == len(params)
+    for p, got in zip(params, batched):
+        row = np.array([p])
+        alone = adaptive_integrate(lambda x: _peaked(x, np.broadcast_to(row, (len(x), 4))), 0.0, 1.0, tol,
+                                   singular=(0.0,))
+        assert got == alone
