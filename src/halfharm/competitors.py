@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .parallel import map_ordered
-from .quadrature import Tolerance, adaptive_integrate
+from .quadrature import Tolerance, _leggauss, adaptive_integrate
 
 __all__ = [
     "Profile",
@@ -247,7 +247,7 @@ def _budget_tables() -> tuple[np.ndarray, np.ndarray]:
     endpoint) is redone adaptively with grading toward 1.
     """
     s_grid = np.linspace(0.0, 1.0, _BUDGET_GRID_N + 1)
-    gx, gw = np.polynomial.legendre.leggauss(15)
+    gx, gw = _leggauss(15)
     lo = s_grid[:-1]
     hi = s_grid[1:]
     mid = 0.5 * (lo + hi)[:, None]
@@ -390,7 +390,7 @@ def _disc_rule_graded(crit_angles: tuple[float, ...], n_gl: int = 7, levels: int
     geometrically toward s = 0); angular panels cover the segments between
     consecutive critical angles, graded toward each.  Gauss(n_gl) per panel.
     """
-    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx, gw = _leggauss(n_gl)
     angs = sorted(a % (2.0 * math.pi) for a in crit_angles) or [0.0]
     segs = []
     for i, a in enumerate(angs):

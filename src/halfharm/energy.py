@@ -23,10 +23,10 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import disc_rule, gamma_fn, gauss_legendre, hemisphere_rule
+from .quadrature import _leggauss, disc_rule, gamma_fn, hemisphere_rule
 
 __all__ = [
-    "EnergyConstants",
+    "gamma_n",
     "GAMMA_1",
     "GAMMA_2",
     "PlaneMap",
@@ -51,19 +51,16 @@ __all__ = [
 ]
 
 
-class EnergyConstants:
-    """Normalization constants of the nonlocal energy kernel."""
-
-    @staticmethod
-    def gamma_n(n: int) -> float:
-        """pi^(-(n+1)/2) * Gamma((n+1)/2); 1/pi on the line, 1/(2 pi) in the plane."""
-        if n not in (1, 2):
-            raise InvalidArgument("supported dimensions are 1 and 2")
-        return math.pi ** (-(n + 1) / 2.0) * gamma_fn((n + 1) / 2.0)
+def gamma_n(n: int) -> float:
+    """Normalization constant of the nonlocal energy kernel in dimension n:
+    pi^(-(n+1)/2) * Gamma((n+1)/2); 1/pi on the line, 1/(2 pi) in the plane."""
+    if n not in (1, 2):
+        raise InvalidArgument("supported dimensions are 1 and 2")
+    return math.pi ** (-(n + 1) / 2.0) * gamma_fn((n + 1) / 2.0)
 
 
-GAMMA_1 = EnergyConstants.gamma_n(1)
-GAMMA_2 = EnergyConstants.gamma_n(2)
+GAMMA_1 = gamma_n(1)
+GAMMA_2 = gamma_n(2)
 
 
 # ----------------------------------------------------------------- plane maps
@@ -159,7 +156,7 @@ def _kernel_panels(t_stop: float, extra_breaks=(), n_gl: int = 24):
         edges.append(edges[-1] * 2.0)
     edges = sorted(set(e for e in edges if e < t_stop) | {t_stop} | set(
         b for b in extra_breaks if 0.0 < b < t_stop))
-    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx, gw = _leggauss(n_gl)
     lo = np.array(edges[:-1])
     hi = np.array(edges[1:])
     mid = 0.5 * (lo + hi)[:, None]
@@ -173,28 +170,54 @@ def _poisson_tail_mass(T: float) -> float:
     return 1.0 / math.sqrt(1.0 + T * T)
 
 
-def _extend_setup(u: PlaneMap, X, n_gl: int):
+def _halfspace_point(X) -> tuple[complex, float]:
     Xa = np.asarray(X, dtype=float)
     if Xa.shape != (3,):
         raise DomainViolation("expected one 3-vector")
     if Xa[2] <= 0.0:
         raise DomainViolation("the half-space extension needs x3 > 0")
-    x = complex(Xa[0], Xa[1])
-    h = float(Xa[2])
-    if u.far_field in ("zero", "constant"):
-        t_stop = (abs(x) + u.far_radius) / h + 3.0
+    return complex(Xa[0], Xa[1]), float(Xa[2])
+
+
+def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
+    """Radial panels (t, wt, t_stop) shared by the Poisson rays from plane
+    points of one radius at height h, and the slice `band` of t whose rays
+    can meet the support disc: max(0, rad - far_radius)/h <= t <=
+    (rad + far_radius)/h.  Outside it a far_field == "zero" map is exactly
+    zero; for the other far fields the band is all of t.
+    """
+    rad = float(abs(centers.flat[0])) if centers.size else 0.0
+    compact = u.far_field in ("zero", "constant")
+    if compact:
+        t_stop = (rad + u.far_radius) / h + 3.0
     else:
-        t_stop = max(3.0 * 2.0**12, 16.0 * (abs(x) / h + 1.0))
-    breaks = [abs(s - x) / h for s in u.singular_points]
-    if u.far_field in ("zero", "constant") and u.far_radius > 0:
+        t_stop = max(3.0 * 2.0**12, 16.0 * (rad / h + 1.0))
+    breaks = [abs(s_pt - c) / h for s_pt in u.singular_points for c in centers.flat]
+    t_in = max(0.0, rad - u.far_radius) / h
+    t_out = (rad + u.far_radius) / h
+    if compact and u.far_radius > 0:
         # rays enter/leave the far-field disc in this radial band; panel
         # edges there keep the Gauss panels clear of the support boundary
-        breaks += [max(0.0, abs(x) - u.far_radius) / h,
-                   (abs(x) + u.far_radius) / h,
-                   math.hypot(abs(x), u.far_radius) / h]
+        breaks += [t_in, t_out, math.hypot(rad, u.far_radius) / h]
     t, wt = _kernel_panels(t_stop, extra_breaks=breaks, n_gl=n_gl)
-    kern = t * (1.0 + t * t) ** -1.5
-    return x, h, t, wt, kern, t_stop
+    band = slice(None)
+    if u.far_field == "zero":
+        band = slice(np.searchsorted(t, t_in), np.searchsorted(t, t_out, "right"))
+    return t, wt, t_stop, band
+
+
+def _ray_values(u: PlaneMap, centers: np.ndarray, h: float, t, what) -> np.ndarray:
+    """u at centers + h t w, shape (centers, directions w, nodes t).  A
+    far_field == "zero" map is called only on the samples inside its support
+    disc; the others are written as exact zeros."""
+    pts = centers[:, None, None] + h * t[None, None, :] * what[None, :, None]
+    if u.far_field != "zero":
+        return u(pts)
+    inside = np.abs(pts) <= u.far_radius
+    sub = np.asarray(u(pts[inside]))
+    vals = np.zeros(pts.shape, dtype=sub.dtype)
+    vals[inside] = sub
+    return vals
 
 
 def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
@@ -205,15 +228,8 @@ def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
     at each declared singular point's radius).  The numeric kernel mass is
     renormalized to 1, so |output| <= sup|u| holds exactly.
     """
-    x, h, t, wt, kern, t_stop = _extend_setup(u, X, n_gl)
-    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    pts = x + h * t[None, :] * what[:, None]
-    vals = u(pts)
-    tail_mass = _poisson_tail_mass(t_stop)
-    far = np.asarray(u.far_value(what), dtype=complex)
-    num = np.mean(vals @ (kern * wt)) + tail_mass * np.mean(far)
-    total_mass = float(np.sum(kern * wt)) + tail_mass
-    return complex(num / total_mass)
+    x, h = _halfspace_point(X)
+    return complex(_extension_value_ring(u, np.array([x]), h, n_omega, n_gl)[0])
 
 
 def disc_extend(g: CircleSample, z):
@@ -282,7 +298,7 @@ _XI_EDGES = (0.0, 0.02, 0.06, 0.14, 0.3, 0.55, 1.0)
 
 
 def _xi_nodes(n_gl: int):
-    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx, gw = _leggauss(n_gl)
     lo = np.array(_XI_EDGES[:-1])
     hi = np.array(_XI_EDGES[1:])
     mid = 0.5 * (lo + hi)[:, None]
@@ -514,7 +530,7 @@ def monotone_density(B: BlaschkeProduct, radii, n_s: int = 12,
         raise DomainViolation("radii must lie in (0, 1]")
     rule = hemisphere_rule(n_r, n_t)
     p = rule.nodes
-    gx, gw = np.polynomial.legendre.leggauss(n_s)
+    gx, gw = _leggauss(n_s)
 
     def shell_density(s: float) -> float:
         """integral over the hemisphere of |grad v|^2 at radius s."""
@@ -561,8 +577,8 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
     # Gauss rule across the break converges slowly with oscillating sign
     s = min(u.far_radius, 0.5 * R) if u.far_radius > 0 else R / 6.0
     r_edges = [0.0, s, min(2.0 * s, 0.75 * R), R]
-    gr, wr = np.polynomial.legendre.leggauss(n_r)
-    gr_c, wr_c = np.polynomial.legendre.leggauss(max(8, n_r // 2))
+    gr, wr = _leggauss(n_r)
+    gr_c, wr_c = _leggauss(max(8, n_r // 2))
     rads_l, wrads_l = [], []
     for i, (lo, hi) in enumerate(zip(r_edges[:-1], r_edges[1:])):
         g, w = (gr, wr) if i == 0 else (gr_c, wr_c)
@@ -580,8 +596,8 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
         wall *= 0.3
         t_edges.append(half_pi - wall)
     t_edges.append(half_pi)
-    gt, wt = np.polynomial.legendre.leggauss(n_theta)
-    gt_c, wt_c = np.polynomial.legendre.leggauss(4)
+    gt, wt = _leggauss(n_theta)
+    gt_c, wt_c = _leggauss(4)
     th_l, wth_l = [], []
     for i, (lo, hi) in enumerate(zip(t_edges[:-1], t_edges[1:])):
         g, w = (gt, wt) if i == 0 else (gt_c, wt_c)
@@ -610,32 +626,19 @@ def _extension_value_ring(u: PlaneMap, centers, h: float,
                           n_omega: int = 128, n_gl: int = 16):
     """Poisson extension values for a ring of plane points at one height.
 
-    Same mass renormalization as the pointwise form; all ring points share
-    the plane radius so the radial panels are built once.
+    All ring points share the plane radius so the radial panels are built
+    once.  The kernel mass is renormalized over all panels; the values are
+    summed over the support band only.
     """
     centers = np.asarray(centers, dtype=complex)
-    rad = float(abs(centers.flat[0])) if centers.size else 0.0
-    if u.far_field in ("zero", "constant"):
-        t_stop = (rad + u.far_radius) / h + 3.0
-    else:
-        t_stop = max(3.0 * 2.0**12, 16.0 * (rad / h + 1.0))
-    breaks = []
-    for s_pt in u.singular_points:
-        for c in centers:
-            breaks.append(abs(s_pt - c) / h)
-    if u.far_field in ("zero", "constant") and u.far_radius > 0:
-        breaks += [max(0.0, rad - u.far_radius) / h,
-                   (rad + u.far_radius) / h,
-                   math.hypot(rad, u.far_radius) / h]
-    t, wt = _kernel_panels(t_stop, extra_breaks=breaks, n_gl=n_gl)
-    kern = t * (1.0 + t * t) ** -1.5
+    t, wt, t_stop, band = _ray_setup(u, centers, h, n_gl)
+    kern_w = t * (1.0 + t * t) ** -1.5 * wt
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    pts = centers[:, None, None] + h * t[None, None, :] * what[None, :, None]
-    vals = u(pts)
+    vals = _ray_values(u, centers, h, t[band], what)
     tail_mass = _poisson_tail_mass(t_stop)
     far = np.asarray(u.far_value(what), dtype=complex)
-    num = np.mean(vals @ (kern * wt), axis=1) + tail_mass * np.mean(far)
-    total_mass = float(np.sum(kern * wt)) + tail_mass
+    num = np.mean(vals @ kern_w[band], axis=1) + tail_mass * np.mean(far)
+    total_mass = float(np.sum(kern_w)) + tail_mass
     return num / total_mass
 
 
@@ -668,34 +671,27 @@ def _ring_mean_density(u: PlaneMap, r_plane: float, h: float, n0: int,
     return mean
 
 
+def _gradient_rays(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_gl: int):
+    """Directions, band samples of u and the weighted horizontal/vertical
+    derivative kernels (times x3) for rays from plane points of one radius."""
+    t, wt, _, band = _ray_setup(u, centers, h, n_gl)
+    t, wt = t[band], wt[band]
+    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
+    base = (1.0 + t * t) ** -2.5
+    return (what, _ray_values(u, centers, h, t, what),
+            (3.0 * t * t * base) * wt, ((t * t - 2.0) * t * base) * wt)
+
+
 def _gradient_ring_density(u: PlaneMap, centers, h: float,
                            n_omega: int = 128, n_gl: int = 16):
     """|grad of the extension|^2 for a ring of plane points at one height.
 
     All ring points share the plane radius, so the scaled radial panels are
-    identical and the kernel sums batch into single tensor contractions.
+    identical and the kernel sums batch into single tensor contractions,
+    taken over the support band only.
     """
-    centers = np.asarray(centers, dtype=complex)
-    rad = float(abs(centers.flat[0])) if centers.size else 0.0
-    if u.far_field in ("zero", "constant"):
-        t_stop = (rad + u.far_radius) / h + 3.0
-    else:
-        t_stop = max(3.0 * 2.0**12, 16.0 * (rad / h + 1.0))
-    breaks = []
-    for s_pt in u.singular_points:
-        for c in centers:
-            breaks.append(abs(s_pt - c) / h)
-    if u.far_field in ("zero", "constant") and u.far_radius > 0:
-        breaks += [max(0.0, rad - u.far_radius) / h,
-                   (rad + u.far_radius) / h,
-                   math.hypot(rad, u.far_radius) / h]
-    t, wt = _kernel_panels(t_stop, extra_breaks=breaks, n_gl=n_gl)
-    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    pts = centers[:, None, None] + h * t[None, None, :] * what[None, :, None]
-    vals = u(pts)
-    base = (1.0 + t * t) ** -2.5
-    k_h = (3.0 * t * t * base) * wt
-    k_v = ((t * t - 2.0) * t * base) * wt
+    what, vals, k_h, k_v = _gradient_rays(u, np.asarray(centers, dtype=complex),
+                                          h, n_omega, n_gl)
     proj_h = vals @ k_h
     gh = np.mean(proj_h * np.real(what)[None, :], axis=1)
     gh2 = np.mean(proj_h * np.imag(what)[None, :], axis=1)
@@ -711,13 +707,9 @@ def poisson_extend_gradient(u: PlaneMap, X, n_omega: int = 128, n_gl: int = 16):
     (t^2 - 2) t (1+t^2)^(-5/2) / x3 vertically; both have zero total mass, so
     compactly supported maps need no tail terms once the rays leave the support.
     """
-    x, h, t, wt, kern, t_stop = _extend_setup(u, X, n_gl)
-    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    pts = x + h * t[None, :] * what[:, None]
-    vals = u(pts)
-    base = (1.0 + t * t) ** -2.5
-    k_h = (3.0 * t * t * base) * wt
-    k_v = ((t * t - 2.0) * t * base) * wt
+    x, h = _halfspace_point(X)
+    what, vals, k_h, k_v = _gradient_rays(u, np.array([x]), h, n_omega, n_gl)
+    vals = vals[0]
     gh = np.mean((vals * np.real(what)[:, None]) @ k_h)
     gh2 = np.mean((vals * np.imag(what)[:, None]) @ k_h)
     gv = np.mean(vals @ k_v)

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .conformal import stereo, stereo_density
 from .errors import (
     InvalidArgument,
     NumericalFailure,
@@ -140,20 +141,11 @@ def disc_rule(n_r: int, n_t: int) -> QuadRule:
     return QuadRule("disc", z, w)
 
 
-def stereo_points(z: np.ndarray) -> np.ndarray:
-    """Unit 3-vectors (2x, 2y, 1-|z|^2)/(1+|z|^2) for complex z (|z| <= 1)."""
-    x, y = np.real(z), np.imag(z)
-    s = 1.0 + x * x + y * y
-    return np.stack([2.0 * x / s, 2.0 * y / s, (2.0 - s) / s], axis=-1)
-
-
 def hemisphere_rule(n_r: int, n_t: int) -> QuadRule:
     """Rule on the upper unit hemisphere, pulled back through the conformal
     disc chart with area density 4/(1+|z|^2)^2; weights sum to 2*pi."""
     base = disc_rule(n_r, n_t)
-    z = base.nodes
-    density = 4.0 / (1.0 + np.abs(z) ** 2) ** 2
-    return QuadRule("hemisphere", stereo_points(z), base.weights * density)
+    return QuadRule("hemisphere", stereo(base.nodes), base.weights * stereo_density(base.nodes))
 
 
 def integrate(rule: QuadRule, f) -> float | complex | np.ndarray:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfharm.blaschke import (
     BlaschkeProduct,
@@ -13,10 +15,10 @@ from halfharm.blaschke import (
     eval_product,
     homogeneous_extension,
 )
+from halfharm import energy
 from halfharm.energy import (
     GAMMA_1,
     GAMMA_2,
-    EnergyConstants,
     PlaneMap,
     bump_map,
     circle_energy_numeric,
@@ -25,6 +27,7 @@ from halfharm.energy import (
     disc_extend,
     extension_l2_bounds_check,
     frac_energy_plane,
+    gamma_n,
     half_laplacian_pairing,
     halfspace_dirichlet_oracle,
     hemisphere_tangential_energy,
@@ -42,10 +45,10 @@ from halfharm.quadrature import disc_rule
 
 
 def test_energy_constants():
-    assert abs(EnergyConstants.gamma_n(1) - 1.0 / math.pi) <= 1e-14
-    assert abs(EnergyConstants.gamma_n(2) - 1.0 / (2.0 * math.pi)) <= 1e-14
-    assert GAMMA_1 == EnergyConstants.gamma_n(1)
-    assert GAMMA_2 == EnergyConstants.gamma_n(2)
+    assert abs(gamma_n(1) - 1.0 / math.pi) <= 1e-14
+    assert abs(gamma_n(2) - 1.0 / (2.0 * math.pi)) <= 1e-14
+    assert GAMMA_1 == gamma_n(1)
+    assert GAMMA_2 == gamma_n(2)
 
 
 # ------------------------------------------------------------- extension
@@ -377,6 +380,148 @@ def test_extension_l2_bounds_and_decay():
 def test_extension_l2_rejects_noncompact():
     with pytest.raises(PreconditionViolation):
         extension_l2_bounds_check(vortex_map(), (0.5, 1.0))
+
+
+# ------------------------------------------------- Poisson rays on the support
+
+# Values recorded before the rays were cut to the support band and masked
+# to the support disc; samples outside it were exact zeros there too, so
+# every value must come back bit for bit.
+_PIN_POINTS = [(0.0, 0.0, 0.5), (0.3, -0.2, 0.05), (1.4, 0.3, 0.2), (2.5, -1.0, 0.7)]
+_PIN_RING = 2.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
+POISSON_PINS = {
+    ("poisson_extend", "bump"): [
+        (0.14525240929374364 - 0.054469653485153854j),
+        (0.5315527688417689 - 0.19933228831566335j),
+        (0.006001127360626282 - 0.0022504227602348557j),
+        (0.00225090267941375 - 0.0008440885047801562j)],
+    ("poisson_extend", "sum"): [
+        (0.2138109400971825 - 0.0801791025364434j),
+        (0.5417389234819494 - 0.20315209630573097j),
+        (0.007408746908089838 - 0.0027782800905336888j),
+        (0.0029820001527889896 - 0.001118250057295871j)],
+    ("poisson_extend", "constant"): [
+        (0.32020815280171305 - 0.11920310216782978j),
+        (0.22924541815066257 + 0.04667011984290945j),
+        (0.36839193167835715 - 0.20706764011935663j),
+        (0.36928478817235266 - 0.20869579019664347j)],
+    ("poisson_extend", "vortex"): [
+        (-4.517509037063796e-21 + 5.551115123125784e-17j),
+        (0.7246293425072877 - 0.48308317197177736j),
+        (0.8507108560783668 + 0.18229337306407165j),
+        (0.7179605695785578 - 0.28718411902962043j)],
+    ("poisson_extend_gradient", "bump"): [
+        ((0.10928738028218385 - 0.04098276760581894j), 0j,
+         (-0.38430567517007463 + 0.144114628188778j)),
+        ((-0.6923575830142764 + 0.25963409363035395j), (0.9231434440481001 - 0.34617879151803727j),
+         (-2.0679797474010564 + 0.7754924052753962j)),
+        ((-0.014452636308767645 + 0.0054197386157878655j),
+         (-0.003468911182977368 + 0.0013008416936165128j),
+         (0.02731406763480283 - 0.01024277536305106j)),
+        ((-0.002297610399524057 + 0.0008616038998215213j),
+         (0.0009783404323269892 - 0.0003668776621226209j),
+         (0.0025063560416483987 - 0.0009398835156181495j))],
+    ("poisson_extend_gradient", "sum"): [
+        ((0.027692084114868388 - 0.010384531543075648j), (0.06119647237140703 - 0.022948677139277632j),
+         (-0.5625422287201416 + 0.2109533357700531j)),
+        ((-0.751221658387913 + 0.2817081218954675j), (0.964348292702798 - 0.3616306097635491j),
+         (-1.8752592198379343 + 0.7032222074392253j)),
+        ((-0.01712639858570845 + 0.006422399469640669j),
+         (-0.003719714317729102 + 0.0013948928691484132j),
+         (0.03399735504444868 - 0.012749008141668256j)),
+        ((-0.002953175583181836 + 0.0011074408436931883j),
+         (0.0012574493016374504 - 0.00047154348811404375j),
+         (0.0033763407506067146 - 0.001266127781477518j))],
+    ("_extension_value_ring", "sum"): [
+        (0.003031102249614678 - 0.0011366633436055039j),
+        (0.0030200039120626037 - 0.0011325014670234763j),
+        (0.002980011372022526 - 0.001117504264508447j),
+        (0.0029074929799903465 - 0.0010903098674963799j),
+        (0.002750534726250051 - 0.001031450522343769j),
+        (0.002658415196208578 - 0.0009969056985782167j),
+        (0.002733301436742998 - 0.0010249880387786243j),
+        (0.0029144120011767487 - 0.0010929045004412809j)],
+}
+ORACLE_PINS = {"bump": 0.4385209856395811, "sum": 0.7779657209388295}
+
+
+def _pin_maps():
+    u1 = bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
+    u2 = bump_map(center=-0.2 + 0.15j, radius=0.5, amplitude=0.56 - 0.21j)
+    c = 0.37 - 0.21j
+    constant = PlaneMap(func=lambda z: np.where(np.abs(z) < 0.5, 0.2 + 0.1j, c),
+                        bound=1.0, far_field="constant", far_constant=c, far_radius=0.5)
+    return {"bump": u1, "sum": _sum_map(u1, u2), "constant": constant, "vortex": vortex_map()}
+
+
+@pytest.mark.parametrize("case", sorted(POISSON_PINS), ids="-".join)
+def test_poisson_path_pins(case):
+    name, map_name = case
+    u = _pin_maps()[map_name]
+    if name == "_extension_value_ring":
+        got = list(energy._extension_value_ring(u, _PIN_RING, 0.7))
+    else:
+        got = [getattr(energy, name)(u, X) for X in _PIN_POINTS]
+    assert got == POISSON_PINS[case]
+
+
+@pytest.mark.parametrize("map_name", sorted(ORACLE_PINS))
+def test_halfspace_oracle_pins(map_name):
+    u = _pin_maps()[map_name]
+    assert halfspace_dirichlet_oracle(u, n_omega=32, n_gl=8) == ORACLE_PINS[map_name]
+
+
+def _full_grid_ring_density(u, centers, h, n_omega, n_gl):
+    """|grad u^e|^2 on a ring with every ray sample evaluated and contracted."""
+    rad = float(abs(centers[0]))
+    R = u.far_radius
+    breaks = [max(0.0, rad - R) / h, (rad + R) / h, math.hypot(rad, R) / h]
+    t, wt = energy._kernel_panels((rad + R) / h + 3.0, extra_breaks=breaks, n_gl=n_gl)
+    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
+    pts = centers[:, None, None] + h * t[None, None, :] * what[None, :, None]
+    vals = u(pts)
+    base = (1.0 + t * t) ** -2.5
+    proj_h = vals @ ((3.0 * t * t * base) * wt)
+    gh = np.mean(proj_h * np.real(what)[None, :], axis=1)
+    gh2 = np.mean(proj_h * np.imag(what)[None, :], axis=1)
+    gv = np.mean(vals @ (((t * t - 2.0) * t * base) * wt), axis=1)
+    dens = (np.abs(gh) ** 2 + np.abs(gh2) ** 2 + np.abs(gv) ** 2) / (h * h)
+    support = ((t >= breaks[0]) & (t <= breaks[1]))[None, None, :] & (np.abs(pts) <= R)
+    return dens, pts, support
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    center=st.complex_numbers(max_magnitude=0.6),
+    radius=st.floats(0.05, 1.0),
+    ring=st.floats(0.0, 4.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    h=st.floats(0.005, 3.0),
+    n_centers=st.integers(1, 9),
+    n_omega=st.integers(3, 40),
+    n_gl=st.integers(2, 20),
+)
+def test_ring_density_skips_only_zero_samples(center, radius, ring, phase, h,
+                                              n_centers, n_omega, n_gl):
+    bump = bump_map(center=center, radius=radius, amplitude=0.6 + 0.8j)
+    seen = []
+
+    def recorded(z):
+        seen.append(np.array(z))
+        return bump(z)
+
+    u = PlaneMap(func=recorded, bound=bump.bound, far_field="zero",
+                 far_radius=bump.far_radius)
+    centers = ring * np.exp(1j * (phase + 2.0 * np.pi * np.arange(n_centers) / n_centers))
+    got = energy._gradient_ring_density(u, centers, h, n_omega, n_gl)
+    evaluated = np.concatenate([z.ravel() for z in seen])
+    want, pts, support = _full_grid_ring_density(bump, centers, h, n_omega, n_gl)
+    # u is called on the support samples only, and every other sample is 0
+    np.testing.assert_array_equal(evaluated, pts[support])
+    assert np.all(bump(pts[~support]) == 0)
+    # the reference adds the same products plus exact zeros; BLAS may group
+    # the partial sums differently when the band starts mid-vector
+    assert np.all(np.abs(got - want) <= 1e-14 * np.max(want, initial=0.0))
 
 
 # ------------------------------------------------------------- CSV dump
