@@ -128,15 +128,14 @@ def eval_product(B: BlaschkeProduct, z):
     """Evaluate the product at z (|z| <= 1), factor by factor in zero order."""
     zz = np.asarray(z, dtype=complex)
     _check_closed_disc(zz)
-    acc = np.full(zz.shape, np.exp(1j * B.theta), dtype=complex)
-    for a in B.zeros:
-        acc = acc * ((zz - a) / (1.0 - np.conj(a) * zz))
+    acc = _underlying_value(B, zz)
     if B.conjugated:
         acc = np.conj(acc)
     return complex(acc) if acc.ndim == 0 else acc
 
 
 def _underlying_value(B: BlaschkeProduct, zz: np.ndarray) -> np.ndarray:
+    """The un-conjugated product at the points zz."""
     acc = np.full(zz.shape, np.exp(1j * B.theta), dtype=complex)
     for a in B.zeros:
         acc = acc * ((zz - a) / (1.0 - np.conj(a) * zz))

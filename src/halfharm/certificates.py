@@ -490,10 +490,7 @@ def F1_closed_or_quad(a: float) -> float:
     divergence as a -> 0 coming from the kernel's mass at lam = 1.
     """
     a = _check_range(a, "a", 0.0, 1.0, open_lo=True, open_hi=False)
-    scale, v = _J_params(a)
-    res = adaptive_integrate(lambda r: _f1_integrand(r, scale, v), 0.0, 1.0, _INNER_TOL,
-                             singular=(1.0,), grade_levels=40)
-    return res.value
+    return _f1_many([a])[0].value
 
 
 def _f1_gauss(a: float, n: int = 400) -> float:
@@ -527,20 +524,17 @@ def _f2_profile(t: float) -> float:
     agree to machine precision away from the ill-conditioned (r, t) = (1, 1)
     corner of the direct evaluation.
     """
-    v = (1.0 - t) * (1.0 + t)
-    res = adaptive_integrate(lambda r: _f2_integrand(r, v), 0.0, 1.0, _INNER_TOL,
-                             singular=(1.0,), grade_levels=40)
-    return res.value
+    return _f2_many([t])[0].value
 
 
 def _f2_many(ts) -> list[IntegrationResult]:
-    """_f2_profile at every t of ts, batched; the same values bit for bit."""
+    """The F2 inner integral at every t of ts, batched."""
     return adaptive_integrate_many(_f2_integrand, [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
                                    _INNER_TOL, singular=(1.0,), grade_levels=40)
 
 
 def _f1_many(avals) -> list[IntegrationResult]:
-    """F1_closed_or_quad at every a of avals in (0, 1), batched; the same values bit for bit."""
+    """The F1 radial integral at every a of avals in (0, 1], batched."""
     return adaptive_integrate_many(lambda r, p: _f1_integrand(r, p[:, 0], p[:, 1]),
                                    [_J_params(a) for a in avals], 0.0, 1.0,
                                    _INNER_TOL, singular=(1.0,), grade_levels=40)

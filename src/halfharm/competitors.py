@@ -33,7 +33,6 @@ from .errors import (
     NumericalFailure,
     PreconditionViolation,
 )
-from .parallel import map_ordered
 from .quadrature import Tolerance, _leggauss, adaptive_integrate
 
 __all__ = [
@@ -446,6 +445,15 @@ def _zero_pull_rule_angles(w_tilde: BlaschkeProduct) -> tuple[float, ...]:
     return tuple(sorted({a % (2.0 * math.pi) for a in angles}))
 
 
+def _xi_table(node):
+    """Spline of node(b) in xi = -log(1-b) on [0, _XI_CAP], with the end
+    value and end slope that continue it linearly beyond the cap."""
+    xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
+    vals = np.array([node(-math.expm1(-x)) for x in xi])
+    spline = CubicSpline(xi, vals)
+    return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
+
+
 @lru_cache(maxsize=8)
 def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     """xi-spline of the zero-pulling radial kernel of a base product.
@@ -474,10 +482,7 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
         quad = (re * re + im * im) ** 2
         return float(((base / quad) @ pw) @ rw)
 
-    xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
-    vals = np.array(map_ordered(lambda x: node(-math.expm1(-x)), xi))
-    spline = CubicSpline(xi, vals)
-    return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
+    return _xi_table(node)
 
 
 @lru_cache(maxsize=8)
@@ -504,10 +509,7 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
         den = ((1.0 + m * wr) ** 2 + (m * wi) ** 2) ** 2
         return float(((top / den) @ pw) @ rw)
 
-    xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
-    vals = np.array(map_ordered(lambda x: node(-math.expm1(-x)), xi))
-    spline = CubicSpline(xi, vals)
-    return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
+    return _xi_table(node)
 
 
 def _table_eval(table, x):
@@ -901,12 +903,10 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
     if radii:
         from .energy import circle_energy_numeric
 
-        def check(r):
-            trace = U.shell_map(r, shell_samples)
-            return circle_energy_numeric(trace), winding_number(trace)
-
         worst = 0.0
-        for r, (energy, wind) in zip(radii, map_ordered(check, radii)):
+        for r in radii:
+            trace = U.shell_map(r, shell_samples)
+            energy, wind = circle_energy_numeric(trace), winding_number(trace)
             if wind != d:
                 raise NumericalFailure(
                     f"shell at r = {r:.6f} winds {wind}, expected {d}"

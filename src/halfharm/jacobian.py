@@ -30,7 +30,6 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .parallel import map_ordered
 from .quadrature import disc_rule, gauss_legendre, hemisphere_rule
 
 __all__ = [
@@ -397,6 +396,12 @@ def _complex_gradient(v, X: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
     return grads
 
 
+def _wedge(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
+    """2 (g2 ^ g3, g3 ^ g1, g1 ^ g2) as (m, 3), with a ^ b = Im(conj(a) * b)."""
+    return 2.0 * np.stack([np.imag(np.conj(g2) * g3), np.imag(np.conj(g3) * g1),
+                           np.imag(np.conj(g1) * g2)], axis=1)
+
+
 def wedge_field(v, atoms=None, step_frac: float = 1e-3,
                 step_floor: float = 1e-3) -> Callable[[np.ndarray], np.ndarray]:
     """The 3-vector field H(v) = 2 (d2v ^ d3v, d3v ^ d1v, d1v ^ d2v) of a
@@ -411,14 +416,7 @@ def wedge_field(v, atoms=None, step_frac: float = 1e-3,
 
     def H(pts: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(pts, dtype=float))
-        h = _fd_steps(X, sing, step_frac, step_floor)
-        g1, g2, g3 = _complex_gradient(v, X, h)
-
-        def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.imag(np.conj(a) * b)
-
-        return 2.0 * np.stack(
-            [wedge(g2, g3), wedge(g3, g1), wedge(g1, g2)], axis=1)
+        return _wedge(*_complex_gradient(v, X, _fd_steps(X, sing, step_frac, step_floor)))
 
     return H
 
@@ -446,10 +444,11 @@ def _patch_radii(sing: np.ndarray, skip_radius: float) -> list[tuple[np.ndarray,
     return patches
 
 
-def _halfball_quadrature(f, sing: np.ndarray, n_r: int, n_hr: int,
-                         n_ht: int, n_s: int,
-                         skip_radius: float = 0.05) -> float:
-    """Integrate f over the upper half unit ball with vortex-adapted cells.
+def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
+                     n_s: int, skip_radius: float = 0.05
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Vortex-adapted rule for the upper half unit ball, as (nodes (m, 3),
+    weight * cutoff (m,)) blocks whose weighted sums add up to the integral.
 
     A global polar rule covers the bulk; around each flat-face singular
     point away from the origin a locally centered polar patch takes over
@@ -471,7 +470,7 @@ def _halfball_quadrature(f, sing: np.ndarray, n_r: int, n_hr: int,
     hem = hemisphere_rule(n_hr, n_ht)
     X = (r[:, None, None] * hem.nodes[None, :, :]).reshape(-1, 3)
     W = (wr[:, None] * r[:, None] ** 2 * hem.weights[None, :]).ravel()
-    total = float(np.sum(W * (1.0 - chi_sum(X)) * f(X)))
+    blocks = [(X, W * (1.0 - chi_sum(X)))]
 
     gs = gauss_legendre(n_s)
     for a, rho in patches:
@@ -481,9 +480,36 @@ def _halfball_quadrature(f, sing: np.ndarray, n_r: int, n_hr: int,
         Xa = Xa.reshape(-1, 3)
         Wa = (ws[:, None] * s[:, None] ** 2 * hem.weights[None, :]).ravel()
         sa = np.linalg.norm(Xa - a[None, :], axis=1)
-        total += float(np.sum(Wa * _smooth_step_down(2.0 * sa / rho - 1.0)
-                              * f(Xa)))
-    return total
+        blocks.append((Xa, Wa * _smooth_step_down(2.0 * sa / rho - 1.0)))
+    return blocks
+
+
+def _halfball_pass(v, tests, atoms, n_r: int, n_hr: int, n_ht: int,
+                   n_s: int, phi_step: float = 1e-6) -> tuple[float, np.ndarray]:
+    """The discrete energy of v and its volume pairing with each test.
+
+    One rule and one difference gradient of v per block serve them all:
+    (1/2) sum w |grad v|^2 and sum w H(v) . grad(phi), where grad(phi) is a
+    central difference of step phi_step.  Returns (energy, pairings).
+    """
+    sing = _singular_positions(atoms)
+    pevals = [_phi_eval(phi) for phi in tests]
+    totals = None
+    for X, w in _halfball_blocks(sing, n_r, n_hr, n_ht, n_s):
+        g = _complex_gradient(v, X, _fd_steps(X, sing, 1e-3, 1e-3))
+        H = _wedge(*g)
+        sums = [np.sum(w * sum(np.abs(gi) ** 2 for gi in g))]
+        for peval in pevals:
+            grads = []
+            for i in range(3):
+                e = np.zeros(3)
+                e[i] = 1.0
+                grads.append((peval(X + phi_step * e) - peval(X - phi_step * e))
+                             / (2.0 * phi_step))
+            sums.append(np.sum(w * np.sum(H * np.stack(grads, axis=1), axis=1)))
+        # block by block in rule order, as one running float per output
+        totals = np.array(sums) if totals is None else totals + np.array(sums)
+    return 0.5 * float(totals[0]), totals[1:]
 
 
 def pairing_volume(v, phi, atoms=None, *, n_r: int = 24, n_hr: int = 24,
@@ -499,22 +525,8 @@ def pairing_volume(v, phi, atoms=None, *, n_r: int = 24, n_hr: int = 24,
     adapt; omit it for smooth extensions.  A constant phi gives exactly 0
     because its central differences vanish identically.
     """
-    sing = _singular_positions(atoms)
-    H = wedge_field(v, atoms)
-    peval = _phi_eval(phi)
-
-    def integrand(X: np.ndarray) -> np.ndarray:
-        Hx = H(X)
-        grads = []
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            grads.append((peval(X + phi_step * e) - peval(X - phi_step * e))
-                         / (2.0 * phi_step))
-        G = np.stack(grads, axis=1)
-        return np.sum(Hx * G, axis=1)
-
-    return _halfball_quadrature(integrand, sing, n_r, n_hr, n_ht, n_s)
+    _, pairings = _halfball_pass(v, [phi], atoms, n_r, n_hr, n_ht, n_s, phi_step)
+    return float(pairings[0])
 
 
 def halfball_energy_fd(v, atoms=None, *, n_r: int = 24, n_hr: int = 24,
@@ -522,14 +534,7 @@ def halfball_energy_fd(v, atoms=None, *, n_r: int = 24, n_hr: int = 24,
     """Discrete Dirichlet energy (1/2) integral of |grad v|^2 over the
     upper half unit ball, with the same vortex-adapted quadrature and
     difference steps as pairing_volume."""
-    sing = _singular_positions(atoms)
-
-    def integrand(X: np.ndarray) -> np.ndarray:
-        h = _fd_steps(X, sing, 1e-3, 1e-3)
-        g = _complex_gradient(v, X, h)
-        return sum(np.abs(gi) ** 2 for gi in g)
-
-    return 0.5 * _halfball_quadrature(integrand, sing, n_r, n_hr, n_ht, n_s)
+    return _halfball_pass(v, [], atoms, n_r, n_hr, n_ht, n_s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +814,8 @@ def energy_lower_bound_check(v, atoms=None, *,
     Both signs of every test are available (negating a test negates the
     pairing), so the supremum is taken over absolute values.  The energy
     must weakly dominate half the supremum; for the canonical unit vortex
-    the two agree and both equal pi.  The dictionary sweep runs on
-    HALFHARM_THREADS workers (default 1) in a deterministic order.
+    the two agree and both equal pi.  The energy and every pairing come
+    from one pass over the rule with one difference gradient of v.
     """
     if dictionary is None:
         dictionary = default_test_dictionary()
@@ -824,16 +829,9 @@ def energy_lower_bound_check(v, atoms=None, *,
                 f"dictionary entry '{entry.name}' declares constant "
                 f"{entry.lip} > 1"
             )
-    energy = halfball_energy_fd(v, atoms, n_r=n_r, n_hr=n_hr, n_ht=n_ht,
-                                n_s=n_s)
-
-    def one(test: LipschitzTest) -> float:
-        return pairing_volume(v, test, atoms, n_r=n_r, n_hr=n_hr,
-                              n_ht=n_ht, n_s=n_s)
-
-    pairings = map_ordered(one, dictionary)
+    energy, pairings = _halfball_pass(v, dictionary, atoms, n_r, n_hr, n_ht, n_s)
     best = int(np.argmax(np.abs(pairings)))
-    sup_pairing = abs(pairings[best])
+    sup_pairing = abs(float(pairings[best]))
     lower = 0.5 * sup_pairing
     margin = energy - lower
     return EnergyBoundReport(

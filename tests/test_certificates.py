@@ -505,13 +505,6 @@ def test_battery_deterministic(battery):
     assert again == battery
 
 
-def test_battery_threaded_matches_serial(battery, monkeypatch):
-    # the battery runs serially; the worker count must not change it
-    monkeypatch.setenv("HALFHARM_THREADS", "4")
-    threaded = standard_certificates()
-    assert threaded == battery
-
-
 def test_tables_families_and_grids(tables):
     expected = {
         "disc_integral": 10,

@@ -10,6 +10,7 @@ from halfharm.errors import InvalidArgument, PreconditionViolation
 from halfharm.jacobian import (
     AtomMeasure,
     BoundaryField,
+    EnergyBoundReport,
     LipschitzTest,
     bcl_lower_bound,
     bcl_potential,
@@ -467,3 +468,102 @@ def test_jacobian_report_omits_bound_off_unit_degree():
 def test_halfball_energy_matches_known_vortex_value():
     _, ext = product_vortex_field(VORTEX)
     assert abs(halfball_energy_fd(ext, VORTEX) - math.pi) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# exact pins of the half-ball pass
+# ---------------------------------------------------------------------------
+
+THREE_ATOMS = AtomMeasure(((0.5 + 0j, 1), (-0.3 + 0.2j, 1), (0.1 - 0.4j, -1)))
+
+# Recorded at the default rules when the energy and each dictionary pairing
+# were separate quadratures, each with its own difference gradient of v;
+# the shared pass must reproduce every one of them bit for bit.
+HALFBALL_PINS = {
+    "vortex": (VORTEX, {
+        "report": dict(energy=3.1415927844896947, lower_bound=3.1415927837812156,
+                       sup_pairing=6.283185567562431, sup_test_name="dist(0,0)",
+                       margin=7.084790532019269e-10, ok=True, tests_evaluated=16),
+        "pairings": {
+            "dist(-1,0)": 1.9908893069439686,
+            "dist(-0.5,-0.5)": 2.8188303391295357,
+            "dist(-0.5,0)": 3.6270287196946365,
+            "dist(-0.5,0.5)": 2.8188303391301974,
+            "dist(0,-1)": 1.9908893069428981,
+            "dist(0,-0.5)": 3.627028719692715,
+            "dist(0,0)": 6.283185567562431,
+            "dist(0,0.5)": 3.6270287196919133,
+            "dist(0,1)": 1.9908893069412972,
+            "dist(0.5,-0.5)": 2.8188303391287066,
+            "dist(0.5,0)": 3.6270287196904434,
+            "dist(0.5,0.5)": 2.818830339127392,
+            "dist(1,0)": 1.990889306943827,
+            "x1": -4.150806607472078e-16,
+            "x2": 1.0620548020136462e-15,
+            "x3": 2.4271598394287617,
+        },
+        "energy": 3.1415927844896947,
+        "jacobian_report": {"pairing_volume": 2.4271598394287617,
+                            "pairing_surface": 2.4271590539138295,
+                            "abs_gap": 7.855149322111288e-07,
+                            "bcl_bound": 3.1415926535897927,
+                            "sup_test_name": "dist(0,0)"},
+    }),
+    "three_atoms": (THREE_ATOMS, {
+        "report": dict(energy=5.959796121469224, lower_bound=2.289846095751608,
+                       sup_pairing=4.579692191503216, sup_test_name="dist(0.5,0)",
+                       margin=3.669950025717616, ok=True, tests_evaluated=16),
+        "pairings": {
+            "dist(-1,0)": 1.5652171931850092,
+            "dist(-0.5,-0.5)": 1.3931181284151304,
+            "dist(-0.5,0)": 3.3160370691713394,
+            "dist(-0.5,0.5)": 3.138559462019581,
+            "dist(0,-1)": 0.7116153954894454,
+            "dist(0,-0.5)": 0.34895110496165505,
+            "dist(0,0)": 3.46671212978395,
+            "dist(0,0.5)": 3.648581146304886,
+            "dist(0,1)": 1.8662622689362292,
+            "dist(0.5,-0.5)": 1.3568774547993068,
+            "dist(0.5,0)": 4.579692191503216,
+            "dist(0.5,0.5)": 2.8653715375628437,
+            "dist(1,0)": 1.745171243291056,
+            "x1": -0.010296752213982366,
+            "x2": -0.007631298833866013,
+            "x3": 1.0319187322726153,
+        },
+        "energy": 5.959796121469224,
+        "jacobian_report": {"pairing_volume": 1.0319187322726153,
+                            "pairing_surface": 1.0319260435725002,
+                            "abs_gap": 7.311299884849021e-06,
+                            "bcl_bound": 3.1415926535897927,
+                            "sup_test_name": "dist(0.5,0)"},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALFBALL_PINS))
+def test_halfball_pins(case):
+    nu, pins = HALFBALL_PINS[case]
+    field, ext = product_vortex_field(nu)
+    assert energy_lower_bound_check(ext, nu) == EnergyBoundReport(**pins["report"])
+    assert {t.name: pairing_volume(ext, t, nu)
+            for t in default_test_dictionary()} == pins["pairings"]
+    assert halfball_energy_fd(ext, nu) == pins["energy"]
+    assert jacobian_report(field, ext, coordinate_tests()[2]) == pins["jacobian_report"]
+
+
+@pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
+def test_energy_check_differentiates_once_per_block(nu, blocks):
+    # one bulk block, plus one patch block per atom away from the origin;
+    # each block needs the six central-difference evaluations of v, shared
+    # by the energy and all 16 dictionary pairings
+    _, ext = product_vortex_field(nu)
+    calls = []
+
+    def counted(X):
+        calls.append(1)
+        return ext(X)
+
+    rep = energy_lower_bound_check(counted, nu, n_r=6, n_hr=6, n_ht=12, n_s=6)
+    assert rep.tests_evaluated == 16
+    assert len(calls) == 6 * blocks
