@@ -1,4 +1,4 @@
-"""halfharm: energies, certificates, and solvers for half-harmonic maps
+"""halfharm: energies and certificates for half-harmonic maps
 of the circle into the circle and their free-boundary harmonic extensions."""
 
 __version__ = "0.1.0"
@@ -10,7 +10,6 @@ from .errors import (
     NumericalFailure,
     OutOfRange,
     PreconditionViolation,
-    RefineNeeded,
     Undersampled,
 )
 
@@ -23,5 +22,4 @@ __all__ = [
     "PreconditionViolation",
     "NumericalFailure",
     "Undersampled",
-    "RefineNeeded",
 ]

@@ -25,6 +25,7 @@ the certificate notes rather than silently resolved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,14 +36,13 @@ from .conformal import cayley_inv
 from .errors import DomainViolation, InvalidArgument, NumericalFailure
 from .quadrature import (
     IntegrationResult,
-    QuadRule,
     Tolerance,
+    _panel_rule,
     adaptive_integrate,
     adaptive_integrate_many,
     circle_rule,
     disc_rule,
     gamma_fn,
-    gauss_legendre,
     integrate_halfline,
     integrate_line,
 )
@@ -334,29 +334,27 @@ def U_oracle(t: float) -> float:
 # rational line integral
 
 
+def _ratint_args(A: float, B: float) -> tuple[float, float]:
+    A, B = float(A), float(B)
+    for name, x in (("A", A), ("B", B)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainViolation(f"{name} must be positive, got {x!r}")
+    return A, B
+
+
 def ratint_closed(A: float, B: float) -> float:
     """Closed form of (1/pi) * int_R (x^4+Bx^2+1)/((1+x^2)(x^2+A^2)^2) dx.
 
     Equals ``(1+A^2)/(2A^3) + (B-2)/(2A(A+1)^2)`` for A, B > 0; collapses to
     1 at (A, B) = (1, 2), where the integrand reduces to 1/(1+x^2).
     """
-    A = float(A)
-    B = float(B)
-    if not (math.isfinite(A) and A > 0.0):
-        raise DomainViolation(f"A must be positive, got {A!r}")
-    if not (math.isfinite(B) and B > 0.0):
-        raise DomainViolation(f"B must be positive, got {B!r}")
+    A, B = _ratint_args(A, B)
     return (1.0 + A * A) / (2.0 * A**3) + (B - 2.0) / (2.0 * A * (A + 1.0) ** 2)
 
 
 def ratint_oracle(A: float, B: float) -> float:
     """Tan-substitution line quadrature of the integral behind ratint_closed."""
-    A = float(A)
-    B = float(B)
-    if not (math.isfinite(A) and A > 0.0):
-        raise DomainViolation(f"A must be positive, got {A!r}")
-    if not (math.isfinite(B) and B > 0.0):
-        raise DomainViolation(f"B must be positive, got {B!r}")
+    A, B = _ratint_args(A, B)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         x2 = x * x
@@ -395,10 +393,6 @@ def _J_scaled(scale: float, u, v):
     return scale * _kernel_numerator(u, v) / den**3
 
 
-def _J_from_uv(a: float, u, v):
-    return _J_scaled(_J_params(a)[0], u, v)
-
-
 def J_closed(a: float, lam: float) -> float:
     """Closed form of the circle average of the kernel in J_oracle.
 
@@ -414,7 +408,7 @@ def J_closed(a: float, lam: float) -> float:
         raise DomainViolation(f"need lam*t < 1, got lam*t = {lam * t!r}")
     u = (1.0 - lam) * (1.0 + lam)
     v = 4.0 * a / (1.0 + a) ** 2  # exact form of 1 - t^2
-    return float(_J_from_uv(a, u, v))
+    return float(_J_scaled(_J_params(a)[0], u, v))
 
 
 def J_oracle(a: float, lam: float, n: int = 4096) -> float:
@@ -477,6 +471,8 @@ _OUTER_TOL = Tolerance(abs_tol=1e-9, rel_tol=1e-9, max_refinements=400)
 
 
 def _f1_integrand(r, scale, v):
+    """Integrand of F1 at J_closed's (scale, v); at scale 1 and v = 1 - t^2
+    it is the integrand of F2 (see _f2_profile)."""
     om = _one_minus_lam(r)
     u = om * (2.0 - om)
     return _J_scaled(scale, u, v) * r / (1.0 + r * r) ** 2
@@ -495,22 +491,8 @@ def F1_closed_or_quad(a: float) -> float:
 
 def _f1_gauss(a: float, n: int = 400) -> float:
     """Fixed-rule (Gauss-Legendre) evaluation of the F1 integral, as a cross-rule check."""
-    rule = gauss_legendre(n)
-    r = 0.5 * (rule.nodes + 1.0)
-    w = 0.5 * rule.weights
-    v = 4.0 * a / (1.0 + a) ** 2
-    om = _one_minus_lam(r)
-    u = om * (2.0 - om)
-    vals = _J_from_uv(a, u, v) * r / (1.0 + r * r) ** 2
-    return float(np.sum(w * vals))
-
-
-def _f2_integrand(r, v):
-    """Integrand of F2 at v = 1 - t^2; see _f2_profile."""
-    om = _one_minus_lam(r)
-    u = om * (2.0 - om)
-    den = u + v - u * v
-    return (_kernel_numerator(u, v) / den**3) * r / (1.0 + r * r) ** 2
+    r, w = _panel_rule((0.0, 1.0), n)
+    return float(np.sum(w * _f1_integrand(r, *_J_params(a))))
 
 
 def _f2_profile(t: float) -> float:
@@ -529,7 +511,8 @@ def _f2_profile(t: float) -> float:
 
 def _f2_many(ts) -> list[IntegrationResult]:
     """The F2 inner integral at every t of ts, batched."""
-    return adaptive_integrate_many(_f2_integrand, [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
+    return adaptive_integrate_many(lambda r, v: _f1_integrand(r, 1.0, v),
+                                   [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
                                    _INNER_TOL, singular=(1.0,), grade_levels=40)
 
 
@@ -689,15 +672,18 @@ def sphere_destabilization_margin(d: int) -> float:
 # polar resolvent identity
 
 
+def _polar_oracle(c: float) -> float:
+    """Half-line quadrature of int_0^inf rho (1 - 2 rho c + rho^2)^(-3/2) drho."""
+    return integrate_halfline(lambda rho: rho * (1.0 - 2.0 * rho * c + rho * rho) ** -1.5).value
+
+
 def polar_kernel_identity(c: float) -> CertificateReport:
     """Certify int_0^inf rho (1 - 2 rho c + rho^2)^(-3/2) drho = 1/(1-c) on (-1, 1)."""
     c = float(c)
     if not (math.isfinite(c) and -1.0 < c < 1.0):
         raise DomainViolation(f"c must lie in (-1, 1), got {c!r}")
-    closed = 1.0 / (1.0 - c)
-    res = integrate_halfline(lambda rho: rho * (1.0 - 2.0 * rho * c + rho * rho) ** -1.5)
     return CertificateReport.from_values(
-        f"radial-resolvent-identity[c={c:g}]", closed, res.value, 1e-8
+        f"radial-resolvent-identity[c={c:g}]", 1.0 / (1.0 - c), _polar_oracle(c), 1e-8
     )
 
 
@@ -706,32 +692,25 @@ def polar_kernel_identity(c: float) -> CertificateReport:
 
 
 _GAMMA_GRID = tuple(round(0.1 * k, 10) for k in range(10))
-_ANGULAR_GRID = _GAMMA_GRID
-_RADIAL_GRID = _GAMMA_GRID
 _RATINT_A_GRID = tuple(float(x) for x in np.linspace(0.25, 3.0, 10))
 _RATINT_B_GRID = tuple(float(x) for x in np.linspace(0.25, 10.0, 10))
 _KERNEL_A_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
-_KERNEL_LAM_GRID = _GAMMA_GRID
-_KERNEL_RIM_GRID = (0.1, 0.3, 0.5, 1.0)
 _POLAR_GRID = tuple(round(-0.9 + 0.2 * k, 10) for k in range(10))
 
-_TOL_DISC = 1e-7
-_TOL_ANGULAR = 1e-9
-_TOL_RADIAL = 1e-9
-_TOL_IDENTITY = 1e-12
-_TOL_RATINT = 1e-9
-_TOL_KERNEL = 1e-8
-_TOL_F1 = 1e-9
-_TOL_HARDY = 1e-10
-_TOL_POLAR = 1e-8
 
+def _paired_rows(points, label: str, closed, oracle):
+    """(argument, closed, oracle, |closed - oracle|) rows, closed first at each point.
 
-def _paired_rows(grid, label: str, closed_fn, oracle_fn):
+    A point is one argument or a tuple of arguments; label names them,
+    comma-separated.
+    """
+    names = label.split(",")
     rows = []
-    for x in grid:
-        closed = closed_fn(x)
-        oracle = oracle_fn(x)
-        rows.append((f"{label}={x:g}", closed, oracle, abs(closed - oracle)))
+    for point in points:
+        args = point if isinstance(point, tuple) else (point,)
+        c = closed(*args)
+        o = oracle(*args)
+        rows.append((",".join(f"{n}={x:g}" for n, x in zip(names, args)), c, o, abs(c - o)))
     return tuple(rows)
 
 
@@ -747,84 +726,88 @@ def _mass_rows():
 
 @lru_cache(maxsize=1)
 def _m_rows():
-    return _paired_rows(_ANGULAR_GRID, "a", M_closed, M_oracle)
+    return _paired_rows(_GAMMA_GRID, "a", M_closed, M_oracle)
 
 
 @lru_cache(maxsize=1)
 def _n_rows():
-    return _paired_rows(_ANGULAR_GRID, "a", N_closed, N_oracle)
+    return _paired_rows(_GAMMA_GRID, "a", N_closed, N_oracle)
 
 
 @lru_cache(maxsize=1)
 def _v_rows():
-    return _paired_rows(_RADIAL_GRID, "t", V_closed, V_oracle)
+    return _paired_rows(_GAMMA_GRID, "t", V_closed, V_oracle)
 
 
 @lru_cache(maxsize=1)
 def _u_rows():
-    return _paired_rows(_RADIAL_GRID, "t", U_closed, U_oracle)
+    return _paired_rows(_GAMMA_GRID, "t", U_closed, U_oracle)
 
 
 @lru_cache(maxsize=1)
 def _partial_fraction_rows():
-    rows = []
-    for t in np.linspace(0.0, 0.95, 20):
-        t = float(t)
-        lhs = P_closed(t) + 1.0 / (4.0 * (1.0 + t))
-        rhs = (t * t + 11.0 * t - 2.0) / (4.0 * (1.0 + t) ** 3)
-        rows.append((f"t={t:g}", lhs, rhs, abs(lhs - rhs)))
-    return tuple(rows)
+    return _paired_rows(tuple(float(t) for t in np.linspace(0.0, 0.95, 20)), "t",
+                        lambda t: P_closed(t) + 1.0 / (4.0 * (1.0 + t)),
+                        lambda t: (t * t + 11.0 * t - 2.0) / (4.0 * (1.0 + t) ** 3))
 
 
 @lru_cache(maxsize=1)
 def _ratint_rows():
-    rows = []
-    for A in _RATINT_A_GRID:
-        for B in _RATINT_B_GRID:
-            closed = ratint_closed(A, B)
-            oracle = ratint_oracle(A, B)
-            rows.append((f"A={A:g},B={B:g}", closed, oracle, abs(closed - oracle)))
-    return tuple(rows)
+    return _paired_rows(tuple(itertools.product(_RATINT_A_GRID, _RATINT_B_GRID)), "A,B",
+                        ratint_closed, ratint_oracle)
 
 
 @lru_cache(maxsize=1)
 def _kernel_rows():
-    rows = []
-    for a in _KERNEL_A_GRID:
-        for lam in _KERNEL_LAM_GRID:
-            closed = J_closed(a, lam)
-            oracle = J_oracle(a, lam)
-            rows.append((f"a={a:g},lam={lam:g}", closed, oracle, abs(closed - oracle)))
-    return tuple(rows)
+    return _paired_rows(tuple(itertools.product(_KERNEL_A_GRID, _GAMMA_GRID)), "a,lam",
+                        J_closed, J_oracle)
 
 
 @lru_cache(maxsize=1)
 def _kernel_rim_rows():
-    rows = []
-    for a in _KERNEL_RIM_GRID:
-        closed = J_closed(a, 1.0)
-        oracle = J_oracle(a, 1.0)
-        rows.append((f"a={a:g},lam=1", closed, oracle, abs(closed - oracle)))
-    return tuple(rows)
+    return _paired_rows(tuple((a, 1.0) for a in (0.1, 0.3, 0.5, 1.0)), "a,lam", J_closed, J_oracle)
 
 
 @lru_cache(maxsize=1)
 def _f1_rows():
-    rows = []
-    for a in _KERNEL_A_GRID:
-        adaptive = F1_closed_or_quad(a)
-        fixed = _f1_gauss(a)
-        rows.append((f"a={a:g}", adaptive, fixed, abs(adaptive - fixed)))
-    return tuple(rows)
+    return _paired_rows(_KERNEL_A_GRID, "a", F1_closed_or_quad, _f1_gauss)
 
 
 @lru_cache(maxsize=1)
 def _polar_rows():
-    rows = []
-    for c in _POLAR_GRID:
-        rep = polar_kernel_identity(c)
-        rows.append((f"c={c:g}", rep.closed_value, rep.oracle_value, rep.abs_diff))
-    return tuple(rows)
+    return _paired_rows(_POLAR_GRID, "c", lambda c: 1.0 / (1.0 - c), _polar_oracle)
+
+
+# Every family of closed-form-versus-oracle rows: its certificate_tables()
+# key -> (report name, rows, tolerance, note).  The battery reports the
+# family's worst row.
+_FAMILIES = {
+    "disc_integral": ("disc-integral-closed-form", _disc_rows, 1e-7,
+                      f"worst point of a {len(_GAMMA_GRID)}-point gamma grid"),
+    "disc_kernel_mass": ("disc-kernel-mass", _mass_rows, 1e-7, ""),
+    "angular_moment_flat": ("angular-moment-flat", _m_rows, 1e-9, ""),
+    "angular_moment_cos2": ("angular-moment-cos2", _n_rows, 1e-9, ""),
+    "radial_log_first_power": ("radial-log-first-power", _v_rows, 1e-9, ""),
+    "radial_log_cubed": ("radial-log-cubed", _u_rows, 1e-9, ""),
+    "partial_fraction_identity": (
+        "partial-fraction-identity", _partial_fraction_rows, 1e-12,
+        "rational identity for the non-logarithmic remainder, 20-point grid"),
+    "rational_line_integral": (
+        "rational-line-integral", _ratint_rows, 1e-9,
+        f"worst point of a {len(_RATINT_A_GRID)}x{len(_RATINT_B_GRID)} (A, B) grid"),
+    "mobius_kernel_average": (
+        "mobius-kernel-average", _kernel_rows, 1e-8,
+        f"worst point of a {len(_KERNEL_A_GRID)}x{len(_GAMMA_GRID)} (a, lam) grid"),
+    "mobius_kernel_rim": (
+        "mobius-kernel-rim", _kernel_rim_rows, 1e-8,
+        "lam=1 column; quadrature nodes shifted half a step off the rim pole"),
+    "unwound_kernel_profile": (
+        "unwound-kernel-profile", _f1_rows, 1e-9,
+        "adaptive quadrature cross-checked against a fixed 400-point Gauss rule"),
+    "radial_resolvent_identity": (
+        "radial-resolvent-identity", _polar_rows, 1e-8,
+        f"worst point of a {len(_POLAR_GRID)}-point grid on (-1, 1)"),
+}
 
 
 def certificate_tables() -> dict[str, list[tuple[str, float, float, float]]]:
@@ -833,34 +816,16 @@ def certificate_tables() -> dict[str, list[tuple[str, float, float, float]]]:
     This is the detail behind standard_certificates(), intended for CSV dumps
     and plots; each family covers at least ten points per scalar parameter.
     """
-    return {
-        "disc_integral": list(_disc_rows()),
-        "disc_kernel_mass": list(_mass_rows()),
-        "angular_moment_flat": list(_m_rows()),
-        "angular_moment_cos2": list(_n_rows()),
-        "radial_log_first_power": list(_v_rows()),
-        "radial_log_cubed": list(_u_rows()),
-        "partial_fraction_identity": list(_partial_fraction_rows()),
-        "rational_line_integral": list(_ratint_rows()),
-        "mobius_kernel_average": list(_kernel_rows()),
-        "mobius_kernel_rim": list(_kernel_rim_rows()),
-        "unwound_kernel_profile": list(_f1_rows()),
-        "radial_resolvent_identity": list(_polar_rows()),
-    }
+    return {key: list(rows()) for key, (_name, rows, _tol, _notes) in _FAMILIES.items()}
 
 
-def _worst_report(name: str, rows, tolerance: float, notes: str = "") -> CertificateReport:
-    arg, closed, oracle, _diff = max(rows, key=lambda row: row[3])
+def _worst(key: str) -> CertificateReport:
+    name, rows, tolerance, notes = _FAMILIES[key]
+    arg, closed, oracle, _diff = max(rows(), key=lambda row: row[3])
     return CertificateReport.from_values(f"{name}[{arg}]", closed, oracle, tolerance, notes)
 
 
-def _disc_reports() -> list[CertificateReport]:
-    family = _worst_report(
-        "disc-integral-closed-form",
-        _disc_rows(),
-        _TOL_DISC,
-        f"worst point of a {len(_GAMMA_GRID)}-point gamma grid",
-    )
+def _adjudication() -> CertificateReport:
     closed = math.pi * F_closed(0.25)
     squared = I_oracle(0.5, squared=True)
     first = I_oracle(0.5, squared=False)
@@ -869,79 +834,17 @@ def _disc_reports() -> list[CertificateReport]:
         f"and the first-power variant by {abs(first - closed):.2e}; the squared variant is the "
         "one matching pi*F_closed(gamma^2) and is canonical"
     )
-    adjudication = CertificateReport.from_values(
-        "quadratic-power-adjudication", closed, squared, _TOL_DISC, notes
-    )
-    return [family, adjudication]
+    return CertificateReport.from_values("quadratic-power-adjudication", closed, squared,
+                                         _FAMILIES["disc_integral"][2], notes)
 
 
-def _mass_reports() -> list[CertificateReport]:
-    return [_worst_report("disc-kernel-mass", _mass_rows(), _TOL_DISC)]
-
-
-def _angular_reports() -> list[CertificateReport]:
-    return [
-        _worst_report("angular-moment-flat", _m_rows(), _TOL_ANGULAR),
-        _worst_report("angular-moment-cos2", _n_rows(), _TOL_ANGULAR),
-    ]
-
-
-def _radial_reports() -> list[CertificateReport]:
-    return [
-        _worst_report("radial-log-first-power", _v_rows(), _TOL_RADIAL),
-        _worst_report("radial-log-cubed", _u_rows(), _TOL_RADIAL),
-        _worst_report(
-            "partial-fraction-identity",
-            _partial_fraction_rows(),
-            _TOL_IDENTITY,
-            "rational identity for the non-logarithmic remainder, 20-point grid",
-        ),
-    ]
-
-
-def _ratint_reports() -> list[CertificateReport]:
-    return [
-        _worst_report(
-            "rational-line-integral",
-            _ratint_rows(),
-            _TOL_RATINT,
-            f"worst point of a {len(_RATINT_A_GRID)}x{len(_RATINT_B_GRID)} (A, B) grid",
-        )
-    ]
-
-
-def _kernel_reports() -> list[CertificateReport]:
-    return [
-        _worst_report(
-            "mobius-kernel-average",
-            _kernel_rows(),
-            _TOL_KERNEL,
-            f"worst point of a {len(_KERNEL_A_GRID)}x{len(_KERNEL_LAM_GRID)} (a, lam) grid",
-        ),
-        _worst_report(
-            "mobius-kernel-rim",
-            _kernel_rim_rows(),
-            _TOL_KERNEL,
-            "lam=1 column; quadrature nodes shifted half a step off the rim pole",
-        ),
-    ]
-
-
-def _profile_reports() -> list[CertificateReport]:
+def _zero_radius() -> CertificateReport:
     value = delta_certificate(1.0 / 3.0)
     notes = f"value {value:.9f} < 1 certifies that minimizing fields keep interior zeros inside radius 1/3"
-    return [
-        CertificateReport.from_values("zero-radius-certificate", value, 0.971, 0.005, notes),
-        _worst_report(
-            "unwound-kernel-profile",
-            _f1_rows(),
-            _TOL_F1,
-            "adaptive quadrature cross-checked against a fixed 400-point Gauss rule",
-        ),
-    ]
+    return CertificateReport.from_values("zero-radius-certificate", value, 0.971, 0.005, notes)
 
 
-def _deficit_reports() -> list[CertificateReport]:
+def _deficit() -> list[CertificateReport]:
     main_report = F2_certificate()
     block = _f2_block()
     substitution = CertificateReport.from_values(
@@ -954,55 +857,18 @@ def _deficit_reports() -> list[CertificateReport]:
     return [main_report, substitution]
 
 
-def _hardy_reports() -> list[CertificateReport]:
+def _hardy() -> list[CertificateReport]:
     frozen = 8.0 * math.pi * (_GAMMA_THREE_QUARTER / _GAMMA_QUARTER) ** 2
     value = hardy_constant()
-    reports = [
-        CertificateReport.from_values(
-            "hardy-sharp-constant",
-            value,
-            frozen,
-            _TOL_HARDY,
-            f"ratio to 4*pi is {value / (4.0 * math.pi):.6f} < 1",
-        )
-    ]
-    for d in (1, 2, 3):
-        margin = sphere_destabilization_margin(d)
-        reports.append(
-            CertificateReport.from_values(
-                f"destabilization-margin[d={d}]",
-                margin,
-                4.0 * math.pi * d - frozen,
-                _TOL_HARDY,
-                "positive margin rules out degree-%d homogeneous minimizers into higher spheres" % d,
-            )
-        )
-    return reports
-
-
-def _polar_reports() -> list[CertificateReport]:
     return [
-        _worst_report(
-            "radial-resolvent-identity",
-            _polar_rows(),
-            _TOL_POLAR,
-            f"worst point of a {len(_POLAR_GRID)}-point grid on (-1, 1)",
-        )
+        CertificateReport.from_values("hardy-sharp-constant", value, frozen, 1e-10,
+                                      f"ratio to 4*pi is {value / (4.0 * math.pi):.6f} < 1"),
+        *(CertificateReport.from_values(
+            f"destabilization-margin[d={d}]", sphere_destabilization_margin(d),
+            4.0 * math.pi * d - frozen, 1e-10,
+            f"positive margin rules out degree-{d} homogeneous minimizers into higher spheres")
+          for d in (1, 2, 3)),
     ]
-
-
-_REPORT_BUILDERS = (
-    _disc_reports,
-    _mass_reports,
-    _angular_reports,
-    _radial_reports,
-    _ratint_reports,
-    _kernel_reports,
-    _profile_reports,
-    _deficit_reports,
-    _hardy_reports,
-    _polar_reports,
-)
 
 
 def standard_certificates() -> list[CertificateReport]:
@@ -1011,6 +877,23 @@ def standard_certificates() -> list[CertificateReport]:
     Every closed form is compared with its independent oracle on its
     published grid (the worst grid point is reported; per-point rows are in
     certificate_tables()), and the three decisive verdicts are included.
-    The builders run in a fixed order, in the calling thread.
+    The reports are built in this fixed order, in the calling thread.
     """
-    return [report for build in _REPORT_BUILDERS for report in build()]
+    return [
+        _worst("disc_integral"),
+        _adjudication(),
+        _worst("disc_kernel_mass"),
+        _worst("angular_moment_flat"),
+        _worst("angular_moment_cos2"),
+        _worst("radial_log_first_power"),
+        _worst("radial_log_cubed"),
+        _worst("partial_fraction_identity"),
+        _worst("rational_line_integral"),
+        _worst("mobius_kernel_average"),
+        _worst("mobius_kernel_rim"),
+        _zero_radius(),
+        _worst("unwound_kernel_profile"),
+        *_deficit(),
+        *_hardy(),
+        _worst("radial_resolvent_identity"),
+    ]

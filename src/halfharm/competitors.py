@@ -33,7 +33,7 @@ from .errors import (
     NumericalFailure,
     PreconditionViolation,
 )
-from .quadrature import Tolerance, _leggauss, adaptive_integrate
+from .quadrature import Tolerance, _leggauss, _panel_rule, adaptive_integrate
 
 __all__ = [
     "Profile",
@@ -389,7 +389,6 @@ def _disc_rule_graded(crit_angles: tuple[float, ...], n_gl: int = 7, levels: int
     geometrically toward s = 0); angular panels cover the segments between
     consecutive critical angles, graded toward each.  Gauss(n_gl) per panel.
     """
-    gx, gw = _leggauss(n_gl)
     angs = sorted(a % (2.0 * math.pi) for a in crit_angles) or [0.0]
     segs = []
     for i, a in enumerate(angs):
@@ -398,24 +397,12 @@ def _disc_rule_graded(crit_angles: tuple[float, ...], n_gl: int = 7, levels: int
             b += 2.0 * math.pi
         if b > a:
             segs.append((a, b))
-    phi_nodes, phi_w = [], []
-    for a, b in segs:
-        edges = _graded_edges(a, b, window, levels, max_panel)
-        lo = np.array(edges[:-1])
-        hi = np.array(edges[1:])
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        phi_nodes.append((mid + half * gx[None, :]).ravel())
-        phi_w.append((half * gw[None, :]).ravel())
+    phi_nodes, phi_w = zip(*(_panel_rule(_graded_edges(a, b, window, levels, max_panel), n_gl)
+                             for a, b in segs))
     phi = np.concatenate(phi_nodes)
     pw = np.concatenate(phi_w)
     sedges = [0.0] + [2.0 ** (-k) for k in range(levels, 0, -1)] + [0.625, 0.75, 0.875, 1.0]
-    slo = np.array(sedges[:-1])
-    shi = np.array(sedges[1:])
-    smid = 0.5 * (slo + shi)[:, None]
-    shalf = 0.5 * (shi - slo)[:, None]
-    s = (smid + shalf * gx[None, :]).ravel()
-    sw = (shalf * gw[None, :]).ravel()
+    s, sw = _panel_rule(sedges, n_gl)
     return 1.0 - s, s, sw, phi, pw
 
 

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import _leggauss, disc_rule, gamma_fn, hemisphere_rule
+from .quadrature import _leggauss, _panel_rule, disc_rule, gamma_fn, hemisphere_rule
 
 __all__ = [
     "gamma_n",
@@ -156,14 +156,7 @@ def _kernel_panels(t_stop: float, extra_breaks=(), n_gl: int = 24):
         edges.append(edges[-1] * 2.0)
     edges = sorted(set(e for e in edges if e < t_stop) | {t_stop} | set(
         b for b in extra_breaks if 0.0 < b < t_stop))
-    gx, gw = _leggauss(n_gl)
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    t = (mid + half * gx[None, :]).ravel()
-    w = (half * gw[None, :]).ravel()
-    return t, w
+    return _panel_rule(edges, n_gl)
 
 
 def _poisson_tail_mass(T: float) -> float:
@@ -298,12 +291,7 @@ _XI_EDGES = (0.0, 0.02, 0.06, 0.14, 0.3, 0.55, 1.0)
 
 
 def _xi_nodes(n_gl: int):
-    gx, gw = _leggauss(n_gl)
-    lo = np.array(_XI_EDGES[:-1])
-    hi = np.array(_XI_EDGES[1:])
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return (mid + half * gx[None, :]).ravel(), (half * gw[None, :]).ravel()
+    return _panel_rule(_XI_EDGES, n_gl)
 
 
 def _ray_exit(x: complex, what: np.ndarray, radius: float) -> np.ndarray:
@@ -475,6 +463,16 @@ def _tangent_frames(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
+def _sphere_difference(v, p: np.ndarray, tau: np.ndarray, fd_h: float) -> np.ndarray:
+    """Central difference of v at unit vectors p along tangents tau, with
+    both displaced points renormalized back onto the unit sphere."""
+    plus = p + fd_h * tau
+    minus = p - fd_h * tau
+    plus /= np.linalg.norm(plus, axis=1)[:, None]
+    minus /= np.linalg.norm(minus, axis=1)[:, None]
+    return (np.asarray(v(plus)) - np.asarray(v(minus))) / (2.0 * fd_h)
+
+
 def hemisphere_tangential_energy(v, n_r: int = 128, n_t: int = 256,
                                  fd_h: float = 1e-5) -> float:
     """(1/2) * integral over the upper unit hemisphere of |grad_tau v|^2,
@@ -482,16 +480,8 @@ def hemisphere_tangential_energy(v, n_r: int = 128, n_t: int = 256,
     rule = hemisphere_rule(n_r, n_t)
     p = rule.nodes
     t1, t2 = _tangent_frames(p)
-
-    def tangential_sq(tau):
-        plus = p + fd_h * tau
-        minus = p - fd_h * tau
-        plus /= np.linalg.norm(plus, axis=1)[:, None]
-        minus /= np.linalg.norm(minus, axis=1)[:, None]
-        d = (np.asarray(v(plus)) - np.asarray(v(minus))) / (2.0 * fd_h)
-        return np.abs(d) ** 2
-
-    dens = tangential_sq(t1) + tangential_sq(t2)
+    dens = (np.abs(_sphere_difference(v, p, t1, fd_h)) ** 2
+            + np.abs(_sphere_difference(v, p, t2, fd_h)) ** 2)
     return 0.5 * float(dens @ rule.weights)
 
 

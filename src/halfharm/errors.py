@@ -29,7 +29,3 @@ class NumericalFailure(HalfharmError, ArithmeticError):
 
 class Undersampled(HalfharmError, ValueError):
     """Sampled data is too coarse to resolve the quantity (e.g. winding phase jumps)."""
-
-
-class RefineNeeded(HalfharmError, ValueError):
-    """A discrete detection is ambiguous at the current resolution."""

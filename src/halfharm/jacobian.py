@@ -23,14 +23,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .blaschke import CircleSample, winding_number
-from .energy import _tangent_frames
+from .energy import _sphere_difference, _tangent_frames
 from .errors import (
     InvalidArgument,
     NumericalFailure,
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import disc_rule, gauss_legendre, hemisphere_rule
+from .quadrature import _panel_rule, disc_rule, gauss_legendre, hemisphere_rule
 
 __all__ = [
     "AtomMeasure",
@@ -464,9 +464,7 @@ def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
             out += _smooth_step_down(2.0 * s / rho - 1.0)
         return out
 
-    gl = gauss_legendre(n_r)
-    r = 0.5 * (gl.nodes + 1.0)
-    wr = 0.5 * gl.weights
+    r, wr = _panel_rule((0.0, 1.0), n_r)
     hem = hemisphere_rule(n_hr, n_ht)
     X = (r[:, None, None] * hem.nodes[None, :, :]).reshape(-1, 3)
     W = (wr[:, None] * r[:, None] ** 2 * hem.weights[None, :]).ravel()
@@ -573,15 +571,8 @@ def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi, *,
     rule = hemisphere_rule(n_hr, n_ht)
     P, W = rule.nodes, rule.weights
     t1, t2 = _tangent_frames(P)
-
-    def tangential(tau: np.ndarray) -> np.ndarray:
-        plus = P + fd_h * tau
-        minus = P - fd_h * tau
-        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-        return (g.eval_sphere(plus) - g.eval_sphere(minus)) / (2.0 * fd_h)
-
-    det = np.imag(np.conj(tangential(t1)) * tangential(t2))
+    det = np.imag(np.conj(_sphere_difference(g.eval_sphere, P, t1, fd_h))
+                  * _sphere_difference(g.eval_sphere, P, t2, fd_h))
     surface = 2.0 * float(np.sum(W * det * peval(P)))
     if len(nu.atoms) == 0:
         return surface
@@ -699,6 +690,20 @@ def continuity_gap(g1: BoundaryField, g2: BoundaryField,
 # ---------------------------------------------------------------------------
 
 
+def _hemisphere_potential(n_hr: int, n_ht: int) -> Callable[[Sequence[float]], float]:
+    """V(c_xy) of bcl_potential on the hemisphere rule, with the weights
+    w / (1 + x3)^2 computed once."""
+    rule = hemisphere_rule(n_hr, n_ht)
+    nodes = rule.nodes
+    kernel = rule.weights / (1.0 + nodes[:, 2]) ** 2
+
+    def V(c_xy) -> float:
+        anchor = np.array([c_xy[0], c_xy[1], 0.0])
+        return float(np.sum(kernel * np.linalg.norm(nodes - anchor[None, :], axis=1)))
+
+    return V
+
+
 def bcl_potential(c: complex, *, n_hr: int = 48, n_ht: int = 96) -> float:
     """The convex hemisphere potential V(c) = integral over the upper unit
     hemisphere of |x - c| / (1 + x3)^2, for c on the flat face.
@@ -706,10 +711,7 @@ def bcl_potential(c: complex, *, n_hr: int = 48, n_ht: int = 96) -> float:
     V(0) = pi exactly, and 0 is the unique minimizer.
     """
     c = complex(c)
-    anchor = np.array([c.real, c.imag, 0.0])
-    rule = hemisphere_rule(n_hr, n_ht)
-    d = np.linalg.norm(rule.nodes - anchor[None, :], axis=1)
-    return float(np.sum(rule.weights * d / (1.0 + rule.nodes[:, 2]) ** 2))
+    return _hemisphere_potential(n_hr, n_ht)((c.real, c.imag))
 
 
 @dataclass(frozen=True)
@@ -745,15 +747,7 @@ def bcl_lower_bound(nu: AtomMeasure, *, grid_n: int = 9, n_hr: int = 48,
     if grid_n < 3 or grid_n % 2 == 0:
         raise InvalidArgument("grid_n must be an odd integer >= 3 so the "
                               "grid contains the origin")
-    rule = hemisphere_rule(n_hr, n_ht)
-    nodes, weights = rule.nodes, rule.weights
-    kernel = weights / (1.0 + nodes[:, 2]) ** 2
-
-    def V(c_xy: np.ndarray) -> float:
-        anchor = np.array([c_xy[0], c_xy[1], 0.0])
-        return float(np.sum(kernel * np.linalg.norm(
-            nodes - anchor[None, :], axis=1)))
-
+    V = _hemisphere_potential(n_hr, n_ht)
     ticks = np.linspace(-1.0, 1.0, grid_n)
     spacing = float(ticks[1] - ticks[0])
     best_c = None
@@ -817,6 +811,14 @@ def energy_lower_bound_check(v, atoms=None, *,
     the two agree and both equal pi.  The energy and every pairing come
     from one pass over the rule with one difference gradient of v.
     """
+    return _energy_bound(v, atoms, dictionary, (), n_r, n_hr, n_ht, n_s, tol)[0]
+
+
+def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
+                  n_ht: int, n_s: int, tol: float
+                  ) -> tuple[EnergyBoundReport, np.ndarray]:
+    """energy_lower_bound_check, with the volume pairings of extra_tests
+    taken in the same half-ball pass.  Returns (report, extra pairings)."""
     if dictionary is None:
         dictionary = default_test_dictionary()
     if not dictionary:
@@ -829,12 +831,14 @@ def energy_lower_bound_check(v, atoms=None, *,
                 f"dictionary entry '{entry.name}' declares constant "
                 f"{entry.lip} > 1"
             )
-    energy, pairings = _halfball_pass(v, dictionary, atoms, n_r, n_hr, n_ht, n_s)
-    best = int(np.argmax(np.abs(pairings)))
-    sup_pairing = abs(float(pairings[best]))
+    k = len(extra_tests)
+    energy, pairings = _halfball_pass(v, [*extra_tests, *dictionary], atoms,
+                                      n_r, n_hr, n_ht, n_s)
+    best = int(np.argmax(np.abs(pairings[k:])))
+    sup_pairing = abs(float(pairings[k + best]))
     lower = 0.5 * sup_pairing
     margin = energy - lower
-    return EnergyBoundReport(
+    report = EnergyBoundReport(
         energy=energy,
         lower_bound=lower,
         sup_pairing=sup_pairing,
@@ -843,6 +847,7 @@ def energy_lower_bound_check(v, atoms=None, *,
         ok=bool(margin >= -tol * max(1.0, abs(energy))),
         tests_evaluated=len(dictionary),
     )
+    return report, pairings[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -856,15 +861,15 @@ def jacobian_report(field: BoundaryField, extension, phi, *,
                     surface_n_ht: int = 96) -> dict:
     """JSON-ready summary: both pairing routes for one test function, their
     gap, the sharp unit-degree bound (when the total degree is one), and
-    the winning dictionary test for the energy bound."""
-    pv = pairing_volume(extension, phi, field.atoms, n_r=n_r, n_hr=n_hr,
-                        n_ht=n_ht, n_s=n_s)
+    the winning dictionary test for the energy bound.  The volume pairing
+    of phi rides along in the energy check's half-ball pass."""
+    check, (pv,) = _energy_bound(extension, field.atoms, None, (phi,),
+                                 n_r, n_hr, n_ht, n_s, 1e-3)
+    pv = float(pv)
     ps = pairing_surface(field, None, phi, n_hr=surface_n_hr,
                          n_ht=surface_n_ht)
     bcl = (float(bcl_lower_bound(field.atoms))
            if field.atoms.total_degree == 1 else None)
-    check = energy_lower_bound_check(extension, field.atoms, n_r=n_r,
-                                     n_hr=n_hr, n_ht=n_ht, n_s=n_s)
     return {
         "pairing_volume": pv,
         "pairing_surface": ps,

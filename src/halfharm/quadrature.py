@@ -120,10 +120,15 @@ def circle_rule(n: int) -> QuadRule:
     return QuadRule("circle", angles, weights)
 
 
-def _radial_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped from [-1,1] to (0,1)."""
-    x, w = _leggauss(int(n_r))
-    return 0.5 * (x + 1.0), 0.5 * w
+def _panel_rule(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss-Legendre rule on the panels between
+    consecutive edges, as flat (nodes, weights) in panel order."""
+    x, w = _leggauss(int(n))
+    lo = np.array(edges[:-1], dtype=float)
+    hi = np.array(edges[1:], dtype=float)
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
 
 
 def disc_rule(n_r: int, n_t: int) -> QuadRule:
@@ -134,7 +139,7 @@ def disc_rule(n_r: int, n_t: int) -> QuadRule:
     """
     if n_r < 1 or n_t < 2:
         raise InvalidArgument("disc_rule needs n_r >= 1 and n_t >= 2")
-    r, wr = _radial_rule(n_r)
+    r, wr = _panel_rule((0.0, 1.0), n_r)
     angles = 2.0 * np.pi * np.arange(n_t) / n_t
     z = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()
     w = ((wr * r)[:, None] * np.full(n_t, 2.0 * np.pi / n_t)[None, :]).ravel()

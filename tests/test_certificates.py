@@ -1,5 +1,6 @@
 """Tests for the closed-form certificates and their quadrature oracles."""
 
+import hashlib
 import json
 import math
 
@@ -549,3 +550,78 @@ def test_tables_diffs_within_report_tolerances(tables):
     for family, tol in tolerances.items():
         worst = max(row[3] for row in tables[family])
         assert worst <= tol, family
+
+
+# Snapshot of the whole battery and of every family's per-point rows,
+# recorded before the families were folded into one table and asserted
+# exactly: a refactor of the battery must not move a single bit.
+BATTERY_SNAPSHOT = (
+    ("disc-integral-closed-form[gamma=0.9]", 4.8711617878940885, 4.871161787894105, 1e-07, "pass",
+     "worst point of a 10-point gamma grid"),
+    ("quadratic-power-adjudication", 2.321714029076368, 2.3217140290763685, 1e-07, "pass",
+     "at gamma=0.5 the squared-denominator variant deviates by 4.44e-16 and the first-power "
+     "variant by 3.55e-01; the squared variant is the one matching pi*F_closed(gamma^2) and is "
+     "canonical"),
+    ("disc-kernel-mass[gamma=0.9]", 87.02472724625471, 87.02472724625939, 1e-07, "pass", ""),
+    ("angular-moment-flat[a=0.9]", 1658.0500664812741, 1658.0500664812644, 1e-09, "pass", ""),
+    ("angular-moment-cos2[a=0.9]", 1641.5153683044857, 1641.5153683044757, 1e-09, "pass", ""),
+    ("radial-log-first-power[t=0.4]", 0.12856449089947355, 0.12856449089947347, 1e-09, "pass", ""),
+    ("radial-log-cubed[t=0.9]", 12.387206944020479, 12.387206944020477, 1e-09, "pass", ""),
+    ("partial-fraction-identity[t=0.9]", 0.3174661029304552, 0.31746610293045635, 1e-12, "pass",
+     "rational identity for the non-logarithmic remainder, 20-point grid"),
+    ("rational-line-integral[A=0.25,B=1.33333]", 33.14666666666667, 33.14666666666666, 1e-09,
+     "pass", "worst point of a 10x10 (A, B) grid"),
+    ("mobius-kernel-average[a=0.1,lam=0.2]", 0.7572937694743763, 0.7572937694743758, 1e-08,
+     "pass", "worst point of a 10x10 (a, lam) grid"),
+    ("mobius-kernel-rim[a=0.3,lam=1]", 0.9861932938856015, 0.9861932938856017, 1e-08, "pass",
+     "lam=1 column; quadrature nodes shifted half a step off the rim pole"),
+    ("zero-radius-certificate", 0.9711169156049214, 0.971, 0.005, "pass",
+     "value 0.971116916 < 1 certifies that minimizing fields keep interior zeros inside radius 1/3"),
+    ("unwound-kernel-profile[a=0.1]", 0.40847489802561565, 0.40847489802561293, 1e-09, "pass",
+     "adaptive quadrature cross-checked against a fixed 400-point Gauss rule"),
+    ("higher-degree-energy-deficit", 1.931047143830693, 1.93, 0.03, "pass",
+     "upper error bar 1.931047144 stays below 2; substitution cross-check "
+     "|4*int sqrt(F1) - 2*int sqrt(F2)| = 2.22e-16; concavity chain 2*int sqrt(F2) = 1.35006112 "
+     "<= 2*sqrt(int F2) = 1.38962122; inner integrals: F2 203 of 861 unconverged (worst error "
+     "estimate 7.67e-02), F1 182 of 861 unconverged (worst error estimate 2.00e-02)"),
+    ("substitution-identity", 1.350061121892572, 1.3500611218925722, 0.0001, "pass",
+     "the two parameterizations of the competitor-energy profile integrate identically"),
+    ("hardy-sharp-constant", 2.8710800441845197, 2.8710800441845206, 1e-10, "pass",
+     "ratio to 4*pi is 0.228473 < 1"),
+    ("destabilization-margin[d=1]", 9.695290570174652, 9.695290570174652, 1e-10, "pass",
+     "positive margin rules out degree-1 homogeneous minimizers into higher spheres"),
+    ("destabilization-margin[d=2]", 22.261661184533825, 22.261661184533825, 1e-10, "pass",
+     "positive margin rules out degree-2 homogeneous minimizers into higher spheres"),
+    ("destabilization-margin[d=3]", 34.828031798893, 34.828031798892994, 1e-10, "pass",
+     "positive margin rules out degree-3 homogeneous minimizers into higher spheres"),
+    ("radial-resolvent-identity[c=0.7]", 3.333333333333333, 3.3333333333333326, 1e-08, "pass",
+     "worst point of a 10-point grid on (-1, 1)"),
+)
+
+# SHA-256 of repr(rows) for each family of certificate_tables()
+TABLE_DIGESTS = {
+    "disc_integral": "a8fa13c6da81b9f29e920903ca78c6125c76779510d0821b58d1caa7737f7227",
+    "disc_kernel_mass": "41ec763fcaa05f02bd14bd0dcf637b97552e4feb8e00b021ed2b2865f43527cc",
+    "angular_moment_flat": "8782745661b0c0765bfc3e0df20e9450c579e0d86871a83106f00d3cd18c0cbe",
+    "angular_moment_cos2": "4283a96c2cfd79066cd90d722533b414eed5d14253214a4b4c9f5ec5b704fab3",
+    "radial_log_first_power": "2d651f5fdda64cce8298c28423b268c18284d2d63264eba1df5af1080aaed4a4",
+    "radial_log_cubed": "a970183dee94390c3744ebc45cfd6fb23ca812e78272b4ea8ea250155dc0f1e2",
+    "partial_fraction_identity": "42098eb2dea7d01cecbcac738d240dc3d645a853a85773d8e23c942176edd3cf",
+    "rational_line_integral": "63ad86f1c5cf3210e01043c6de7782b46663abb6e29f03d03776a4e7084db4e6",
+    "mobius_kernel_average": "38d34b5c137f7b42d291b156f096a569d8687ecaba4347f49463263d8c57fbb5",
+    "mobius_kernel_rim": "2e68dc8dbffe3d9b8d7672934cd6467cae8d5a9cecd5051893728ee5eee3ffdf",
+    "unwound_kernel_profile": "23b2fef3bf2724ebdc1e84b586870f2066e85ba1c7cc1e36a72a177964476192",
+    "radial_resolvent_identity": "5fc1ec9b5d903e09d9a93bd83c88627d94eff982791c2ab571b5eef816e0cb2e",
+}
+
+
+def test_battery_snapshot(battery):
+    got = tuple((r.name, r.closed_value, r.oracle_value, r.tolerance, r.verdict, r.notes)
+                for r in battery)
+    assert got == BATTERY_SNAPSHOT
+
+
+def test_table_digests(tables):
+    assert list(tables) == list(TABLE_DIGESTS)
+    for family, digest in TABLE_DIGESTS.items():
+        assert hashlib.sha256(repr(tables[family]).encode()).hexdigest() == digest, family

@@ -567,3 +567,19 @@ def test_energy_check_differentiates_once_per_block(nu, blocks):
     rep = energy_lower_bound_check(counted, nu, n_r=6, n_hr=6, n_ht=12, n_s=6)
     assert rep.tests_evaluated == 16
     assert len(calls) == 6 * blocks
+
+
+@pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
+def test_jacobian_report_differentiates_once_per_block(nu, blocks):
+    # the volume pairing of phi rides along in the energy check's pass, so
+    # the extension is differenced once per block, not once per route
+    field, ext = product_vortex_field(nu)
+    calls = []
+
+    def counted(X):
+        calls.append(1)
+        return ext(X)
+
+    report = jacobian_report(field, counted, coordinate_tests()[2], n_r=6, n_hr=6, n_ht=12, n_s=6)
+    assert report["sup_test_name"]
+    assert len(calls) == 6 * blocks

@@ -1,9 +1,11 @@
-"""The functions the traced benchmark wraps must exist under their names.
+"""The names the benchmark reads off halfharm must exist under those names.
 
 bench/layers.py rebinds every name in its SPANNED table on the module
-that defines it; a refactor that renames or inlines one of them would
-break the traced run without failing any other test.  SPANNED is read
-from the source with ast, so this test does not import the benchmark.
+that defines it, and the other bench scripts read, call, rebind or clear
+module attributes directly; a refactor that renames or inlines one of
+them would break the benchmark without failing any other test, because
+the suite does not run the benchmark's own tests.  The bench sources are
+read with ast, so these tests do not import the benchmark.
 """
 
 import ast
@@ -11,7 +13,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERS = BENCH / "layers.py"
 
 
 def _spanned() -> dict[str, tuple[str, ...]]:
@@ -34,3 +37,83 @@ def test_spanned_names_are_module_level_callables():
             # defined there, not a re-export or a nested closure
             assert inspect.unwrap(fn).__module__ == module.__name__, (module_name, attr)
             assert "<locals>" not in inspect.unwrap(fn).__qualname__, (module_name, attr)
+
+
+def _chain(node: ast.AST) -> list[str] | None:
+    """['a', 'b', 'c'] for the expression a.b.c, None for anything else."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + names[::-1]
+
+
+def _bench_reads() -> set[tuple[str, tuple[str, ...], int | None]]:
+    """(file, halfharm dotted path, positional arity or None) for every
+    attribute of a halfharm module that a bench script reads.
+
+    Covered: ``from halfharm.m import x``, ``m.x`` and longer chains such
+    as ``m.f.cache_clear`` after ``from halfharm import m``, calls
+    ``m.f(...)`` (with their argument count, when it is plain), and
+    ``rebind(m.__name__, "x", ...)`` / ``setattr(m, "x", ...)`` forms.
+    """
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "halfharm":
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("halfharm."):
+                for a in node.names:
+                    reads.add((path.name, (node.module.split(".", 1)[1], a.name), None))
+
+        def rooted(chain):
+            if chain and chain[0] in modules and len(chain) > 1:
+                return (modules[chain[0]],) + tuple(chain[1:])
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                dotted = rooted(_chain(node))
+                if dotted:
+                    reads.add((path.name, dotted, None))
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = rooted(_chain(node.func))
+            plain = not node.keywords and not any(isinstance(a, ast.Starred) for a in node.args)
+            if dotted and plain:
+                reads.add((path.name, dotted, len(node.args)))
+            if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
+                    and isinstance(node.args[1].value, str):
+                target = _chain(node.args[0])
+                if target and target[-1] == "__name__":
+                    target = target[:-1]
+                if target and len(target) == 1 and target[0] in modules:
+                    reads.add((path.name, (modules[target[0]], node.args[1].value), None))
+    return reads
+
+
+def test_bench_reads_resolve():
+    reads = _bench_reads()
+    # the scan must see the attributes the cold-cache check relies on
+    assert ("test_bench.py", ("certificates", "_polar_rows", "cache_clear"), None) in reads
+    assert ("test_bench.py", ("certificates", "_polar_rows"), 0) in reads
+    for file, dotted, arity in sorted(reads, key=str):
+        obj = importlib.import_module(f"halfharm.{dotted[0]}")
+        for i, attr in enumerate(dotted[1:], start=2):
+            assert hasattr(obj, attr), f"{file} reads halfharm.{'.'.join(dotted[:i])}, which is missing"
+            obj = getattr(obj, attr)
+        if arity is None:
+            continue
+        try:
+            signature = inspect.signature(obj)
+        except ValueError:  # a builtin such as cache_clear carries none
+            continue
+        try:
+            signature.bind(*[None] * arity)
+        except TypeError as exc:
+            raise AssertionError(f"{file} calls halfharm.{'.'.join(dotted)} "
+                                 f"with {arity} positional arguments: {exc}") from None
