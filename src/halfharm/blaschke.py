@@ -66,10 +66,6 @@ class BlaschkeProduct:
     def zero_count(self) -> int:
         return len(self.zeros)
 
-    @property
-    def max_zero_modulus(self) -> float:
-        return max((abs(a) for a in self.zeros), default=0.0)
-
     def to_dict(self) -> dict:
         return {
             "theta": self.theta,

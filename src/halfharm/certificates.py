@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -139,15 +139,7 @@ class CertificateReport:
         return cls(name, closed_value, oracle_value, abs_diff, float(tolerance), verdict, notes)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "closed_value": self.closed_value,
-            "oracle_value": self.oracle_value,
-            "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

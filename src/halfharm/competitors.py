@@ -17,7 +17,6 @@ spherical grid for cross-checking the decomposition.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,15 +45,11 @@ __all__ = [
     "unwinding_family_energy",
     "zero_pull_profile",
     "unwinding_profile",
-    "random_zero_pull_profile",
-    "perturbed_profile",
     "radial_kernel_zero_pull",
     "radial_kernel_unwinding",
-    "zero_pull_shell_map",
     "zero_pull_grid_energy",
     "unwinding_grid_energy",
     "epsilon_sweep",
-    "write_shell_csv",
 ]
 
 PROFILE_GRID_SIZE = 1024
@@ -126,14 +121,6 @@ class Profile:
         return cls(np.full(PROFILE_GRID_SIZE, float(c)))
 
     @property
-    def grid(self) -> np.ndarray:
-        return _PROFILE_GRID
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        return float(self.values[0]), float(self.values[-1])
-
-    @property
     def derivative_samples(self) -> np.ndarray:
         return self._spline_d(_PROFILE_GRID)
 
@@ -187,45 +174,6 @@ def unwinding_profile(eps: float = 0.1) -> Profile:
     return Profile.from_function(f)
 
 
-def random_zero_pull_profile(seed: int, eps: float = 0.1) -> Profile:
-    """Seeded random admissible zero-pulling profile (pinned to 1 on [0, eps]).
-
-    Draws a terminal value, a descent length, and a sinusoidal wobble whose
-    envelope vanishes where the profile is pinned, so the result always stays
-    inside [0, 1] with the collar constraint intact.
-    """
-    rng = np.random.default_rng(seed)
-    delta = rng.uniform(0.1, 0.7)
-    length = rng.uniform(0.3, 0.7)
-    k = int(rng.integers(1, 4))
-    amp = rng.uniform(0.0, 0.1)
-
-    def f(r):
-        u = np.clip((np.asarray(r, float) - eps) / (1.0 - eps), 0.0, 1.0)
-        g = 1.0 - _smoothstep(u / length)
-        return delta + (1.0 - delta) * g + amp * np.sin(k * math.pi * u) * g * (1.0 - g) * (1.0 - delta)
-
-    return Profile.from_function(f)
-
-
-def perturbed_profile(base: Profile, seed: int, amplitude: float = 0.15) -> Profile:
-    """Bump the profile by a seeded perturbation vanishing at both endpoints.
-
-    The bump is scaled down wherever the profile is within 0.1 of the value 1,
-    so the perturbed samples stay in range and keep the endpoint values.
-    """
-    if amplitude <= 0 or amplitude > 0.3:
-        raise InvalidArgument("amplitude must lie in (0, 0.3]")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.01, amplitude)
-    k = int(rng.integers(1, 4))
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    t = _PROFILE_GRID
-    head = np.minimum(1.0, (1.0 - base.values) / 0.1)
-    bump = sign * a * np.sin(k * math.pi * t) * t * (1.0 - t) * head
-    return Profile(np.clip(base.values + bump, 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # rewinding budget and optimal profiles
 
@@ -256,7 +204,7 @@ def _budget_tables() -> tuple[np.ndarray, np.ndarray]:
     last = adaptive_integrate(
         _rewind_speed, s_grid[-2], 1.0, Tolerance(1e-13, 1e-13, 120), singular=(1.0,)
     )
-    incr[-1] = last.value
+    incr[-1] = _ensure_converged(last, "rewinding budget on the last grid interval")
     prefix = np.concatenate([[0.0], np.cumsum(incr)])
     s_grid.setflags(write=False)
     prefix.setflags(write=False)
@@ -291,7 +239,7 @@ def G_of(s: float) -> float:
     base = float(prefix[k])
     if s > s_grid[k]:
         rem = adaptive_integrate(_rewind_speed, float(s_grid[k]), s, Tolerance(1e-13, 1e-13, 80))
-        base += float(rem.value)
+        base += _ensure_converged(rem, "rewinding budget remainder")
     return base
 
 
@@ -432,11 +380,13 @@ def _zero_pull_rule_angles(w_tilde: BlaschkeProduct) -> tuple[float, ...]:
     return tuple(sorted({a % (2.0 * math.pi) for a in angles}))
 
 
-def _xi_table(node):
-    """Spline of node(b) in xi = -log(1-b) on [0, _XI_CAP], with the end
-    value and end slope that continue it linearly beyond the cap."""
+def _xi_table(rule, top, den):
+    """Spline in xi = -log(1-p) on [0, _XI_CAP] of the disc integral of
+    top / den(p) under the polar rule, with the end value and end slope
+    that continue it linearly beyond the cap."""
+    _, _, rw, _, pw = rule
     xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
-    vals = np.array([node(-math.expm1(-x)) for x in xi])
+    vals = np.array([float(((top / den(-math.expm1(-x))) @ pw) @ rw) for x in xi])
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
 
@@ -451,7 +401,8 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     and half-angle variables) so it stays accurate as b -> 1.  Returns
     (spline in xi = -log(1-b), end value, end slope) for the linear tail.
     """
-    rho, s, rw, phi, pw = _disc_rule_graded(_zero_pull_rule_angles(w_tilde))
+    rule = _disc_rule_graded(_zero_pull_rule_angles(w_tilde))
+    rho, s, _, phi, _ = rule
     R = rho[:, None]
     S = s[:, None]
     sin2h = np.sin(phi / 2.0) ** 2
@@ -460,16 +411,14 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     z = R * np.exp(1j * phi[None, :])
     w2 = np.abs(eval_product(w_tilde, z)) ** 2
     num = (S * S + 4.0 * R * sin2h[None, :]) * (S * S + 4.0 * R * cos2h[None, :])
-    base = w2 * num / (1.0 + R * R) ** 2 * R
+    top = w2 * num / (1.0 + R * R) ** 2 * R
 
-    def node(b: float) -> float:
-        u = 1.0 - b
-        re = (u + b * S) + 2.0 * b * R * sin2h[None, :]
+    def den(b: float) -> np.ndarray:
+        re = (1.0 - b + b * S) + 2.0 * b * R * sin2h[None, :]
         im = b * R * sinp[None, :]
-        quad = (re * re + im * im) ** 2
-        return float(((base / quad) @ pw) @ rw)
+        return (re * re + im * im) ** 2
 
-    return _xi_table(node)
+    return _xi_table(rule, top, den)
 
 
 @lru_cache(maxsize=8)
@@ -484,19 +433,16 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
     plus, minus = _pm_one_preimages(w)
     angles = tuple(sorted({float(np.angle(r)) % (2.0 * math.pi)
                            for r in np.concatenate([plus, minus])}))
-    rho, s, rw, phi, pw = _disc_rule_graded(angles)
+    rule = _disc_rule_graded(angles)
+    rho, _, _, phi, _ = rule
     R = rho[:, None]
-    z = R * np.exp(1j * phi[None, :])
-    wv = eval_product(w, z)
+    wv = eval_product(w, R * np.exp(1j * phi[None, :]))
     top = np.abs(1.0 - wv * wv) ** 2 / (1.0 + R * R) ** 2 * R
-    wr = wv.real
-    wi = wv.imag
 
-    def node(m: float) -> float:
-        den = ((1.0 + m * wr) ** 2 + (m * wi) ** 2) ** 2
-        return float(((top / den) @ pw) @ rw)
+    def den(m: float) -> np.ndarray:
+        return ((1.0 + m * wv.real) ** 2 + (m * wv.imag) ** 2) ** 2
 
-    return _xi_table(node)
+    return _xi_table(rule, top, den)
 
 
 def _table_eval(table, x):
@@ -575,10 +521,6 @@ class UnwindingFamily:
         th = self.theta(r)
         return (1.0 - th) / (1.0 + th)
 
-    def mixing_derivative(self, r):
-        th = self.theta(r)
-        return -2.0 * self.theta.derivative(r) / (1.0 + th) ** 2
-
     def shell_map(self, r: float, n: int = 4096) -> CircleSample:
         """Boundary trace of the shell map at radius r, n uniform samples.
 
@@ -595,42 +537,6 @@ class UnwindingFamily:
             wv = eval_product(self.w, zc)
             vals = (wv + m) / (1.0 + m * wv)
         return CircleSample(vals, unit_tolerance=1e-10)
-
-    def unit_modulus_defect(self, n_radii: int = 21, n: int = 512) -> float:
-        """max over sampled shells of max_|z|=1 ||shell_map| - 1|."""
-        worst = 0.0
-        for r in np.linspace(0.0, 1.0, n_radii):
-            vals = np.asarray(self.shell_map(float(r), n).values)
-            worst = max(worst, float(np.max(np.abs(np.abs(vals) - 1.0))))
-        return worst
-
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w.to_dict(),
-            "eps": self.eps,
-            "theta_endpoints": list(self.theta.endpoints),
-            "f_poles": [[z.real, z.imag] for z in self.f_poles],
-            "f_zeros": [[z.real, z.imag] for z in self.f_zeros],
-        }
-
-
-def zero_pull_shell_map(w_tilde: BlaschkeProduct, beta: Profile, r: float,
-                        n: int = 4096) -> CircleSample:
-    """Boundary trace of the zero-pulling shell map at radius r.
-
-    hat_w(z, r) = ((z - beta(r)) / (1 - beta(r) z)) * w~(z); pull values
-    within 1e-12 of 1 snap to the collapsed factor -1 (the limit map -w~),
-    whose winding is one less than for any pull value below 1.
-    """
-    ang = 2.0 * math.pi * np.arange(n) / n
-    zc = np.exp(1j * ang)
-    wv = eval_product(w_tilde, zc)
-    b = float(beta(r))
-    if b >= 1.0 - 1e-12:
-        mob = -np.ones(n, dtype=complex)
-    else:
-        mob = (zc - b) / (1.0 - b * zc)
-    return CircleSample(mob * wv, unit_tolerance=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -662,37 +568,30 @@ class FamilyReport:
     chain_constant: float | None = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "degree": self.degree,
-            "epsilon": self.epsilon,
-            "tangential_total": self.tangential_total,
-            "radial_total": self.radial_total,
-            "total": self.total,
-            "threshold": self.threshold,
-            "shells": [[r, t, d] for r, t, d in self.shells],
-            "windings": [[r, w] for r, w in self.windings],
-            "radial_bound": self.radial_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "chain_value": self.chain_value,
-            "chain_constant": self.chain_constant,
-            "notes": list(self.notes),
-        }
 
-
-def _shell_radii(eps: float) -> np.ndarray:
-    radii = np.linspace(0.025, 1.0, 40)
-    return np.unique(np.concatenate([radii, [eps]]))
-
-
-def write_shell_csv(report: FamilyReport, path: str) -> None:
-    """Write the report's (r, tangential, radial) shell rows as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "tangential", "radial"])
-        for r, tang, rad in report.shells:
-            writer.writerow([f"{r:.12g}", f"{tang:.12g}", f"{rad:.12g}"])
+def _family_report(family: str, d: int, eps: float, tangential_total: float, radial: float,
+                   shell, notes, **extra) -> FamilyReport:
+    """FamilyReport tabulating shell(r) = (tangential energy, radial density,
+    winding) on 40 radii plus eps; the total-vs-threshold note goes last."""
+    total = tangential_total + radial
+    threshold = math.pi * d
+    notes = (*notes, f"measured total {total:.10f} vs degree threshold {threshold:.10f} "
+                     f"(difference {total - threshold:+.6e})")
+    radii = np.unique(np.concatenate([np.linspace(0.025, 1.0, 40), [eps]]))
+    rows = [(float(r), *shell(float(r))) for r in radii]
+    return FamilyReport(
+        family=family,
+        degree=d,
+        epsilon=eps,
+        tangential_total=tangential_total,
+        radial_total=radial,
+        total=total,
+        threshold=threshold,
+        shells=tuple((r, tang, rad) for r, tang, rad, _ in rows),
+        windings=tuple((r, wind) for r, _, _, wind in rows),
+        notes=notes,
+        **extra,
+    )
 
 
 def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
@@ -746,41 +645,19 @@ def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
     )
     bound_ok = radial <= bound + 1e-9 * max(1.0, bound)
 
-    tangential_total = math.pi * (d - eps)
-    total = tangential_total + radial
-    threshold = math.pi * d
-
-    shells = []
-    windings = []
-    for r in _shell_radii(eps):
-        r = float(r)
-        pulled_out = float(beta(r)) >= 1.0 - 1e-12
-        shells.append((r, math.pi * (d - 1) if r <= eps else math.pi * d,
-                       float(radial_density(r)) if r > eps else 0.0))
-        windings.append((r, d - 1 if pulled_out else d))
+    def shell(r):
+        return (math.pi * (d - 1) if r <= eps else math.pi * d,
+                float(radial_density(r)) if r > eps else 0.0,
+                d - 1 if float(beta(r)) >= 1.0 - 1e-12 else d)
 
     notes = (
         f"boundary value delta = beta(1) = {delta:.8g}",
         "tangential part is exact: pi*d per shell above eps, pi*(d-1) below",
         f"radial part {radial:.10f} vs profile bound {bound:.10f}: "
         + ("within bound" if bound_ok else "EXCEEDS bound"),
-        f"measured total {total:.10f} vs degree threshold {threshold:.10f} "
-        f"(difference {total - threshold:+.6e})",
     )
-    return FamilyReport(
-        family="zero_pull",
-        degree=d,
-        epsilon=eps,
-        tangential_total=tangential_total,
-        radial_total=radial,
-        total=total,
-        threshold=threshold,
-        shells=tuple(shells),
-        windings=tuple(windings),
-        radial_bound=bound,
-        bound_satisfied=bound_ok,
-        notes=notes,
-    )
+    return _family_report("zero_pull", d, eps, math.pi * (d - eps), radial, shell, notes,
+                          radial_bound=bound, bound_satisfied=bound_ok)
 
 
 def _zero_prefix_end(profile: Profile, tol: float = 1e-9) -> float:
@@ -904,36 +781,14 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
             f"winding = {d}"
         )
 
-    total = tangential_total + radial
-    threshold = math.pi * d
-    notes.append(
-        f"measured total {total:.10f} vs degree threshold {threshold:.10f} "
-        f"(difference {total - threshold:+.6e})"
-    )
-
-    shells = []
-    windings = []
-    for r in _shell_radii(eps):
-        r = float(r)
+    def shell(r):
         mixed = float(U.mixing(r)) < 1.0 - 1e-9
-        shells.append((r, math.pi * d if mixed else 0.0,
-                       float(radial_density(r)) if r > t0 else 0.0))
-        windings.append((r, d if mixed else 0))
+        return (math.pi * d if mixed else 0.0,
+                float(radial_density(r)) if r > t0 else 0.0,
+                d if mixed else 0)
 
-    return FamilyReport(
-        family="unwinding",
-        degree=d,
-        epsilon=eps,
-        tangential_total=tangential_total,
-        radial_total=radial,
-        total=total,
-        threshold=threshold,
-        shells=tuple(shells),
-        windings=tuple(windings),
-        chain_value=chain_value,
-        chain_constant=chain_constant,
-        notes=tuple(notes),
-    )
+    return _family_report("unwinding", d, eps, tangential_total, radial, shell, notes,
+                          chain_value=chain_value, chain_constant=chain_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,6 +879,9 @@ _GRID_ANG_MIN_STEP = 3e-6
 
 
 def _grid_nodes(eps: float, phi_angles: tuple[float, ...], resolution: int):
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise InvalidArgument(f"resolution must be an integer >= 1, got {resolution!r}")
+    resolution = int(resolution)
     n_u = 64 * resolution
     r_nodes = _graded_1d(1e-3, 1.0, 96 * resolution, (eps,), _GRID_R_MIN_STEP)
     th_nodes = _graded_1d(1e-3, math.pi / 2.0, n_u, (math.pi / 2.0,), _GRID_ANG_MIN_STEP)
@@ -1052,7 +910,7 @@ def zero_pull_grid_energy(w_tilde: BlaschkeProduct, beta: Profile, eps: float = 
                        (z[None, :, :] - b) / (1.0 - b * z[None, :, :]))
         return mob * base
 
-    nodes = _grid_nodes(eps, _zero_pull_rule_angles(w_tilde), int(resolution))
+    nodes = _grid_nodes(eps, _zero_pull_rule_angles(w_tilde), resolution)
     return _fd_energy(value, *nodes)
 
 
@@ -1072,7 +930,7 @@ def unwinding_grid_energy(U: UnwindingFamily, resolution: int = 1) -> float:
 
     angles = tuple(sorted({float(np.angle(p)) % (2.0 * math.pi)
                            for p in U.f_poles + U.f_zeros}))
-    nodes = _grid_nodes(U.eps, angles, int(resolution))
+    nodes = _grid_nodes(U.eps, angles, resolution)
     return _fd_energy(value, *nodes)
 
 

@@ -9,7 +9,6 @@ L2 decay bounds of extensions, and the density E(B_r+)/r along radii.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -47,7 +46,6 @@ __all__ = [
     "extension_l2_bounds_check",
     "MonotoneReport",
     "monotone_density",
-    "write_extension_csv",
 ]
 
 
@@ -758,12 +756,3 @@ def extension_l2_bounds_check(u: PlaneMap, heights, n_r: int = 32, n_t: int = 64
         slope = float(np.polyfit(xs, ys, 1)[0])
     return L2BoundsReport(heights, slices, l2_sq, l1, ok, empirical_c, slope)
 
-
-def write_extension_csv(u: PlaneMap, path: str, points) -> None:
-    """Dump extension samples as CSV rows x1,x2,x3,v1,v2."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "x3", "v1", "v2"])
-        for X in points:
-            val = poisson_extend(u, np.asarray(X, dtype=float))
-            writer.writerow([X[0], X[1], X[2], val.real, val.imag])

@@ -1,9 +1,13 @@
 """Tests for the competitor families, their profiles and radial kernels."""
 
+import hashlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfharm.blaschke import BlaschkeProduct
 from halfharm.competitors import (
@@ -49,12 +53,32 @@ ZERO_PULL_KERNEL = (0.9685988440267799, 0.9671947133330494, 2.4198379268482424,
 UNWINDING_KERNEL = (1.7153895862639723, 2.0521370249210507, 5.289220231289972,
                     17.244916466593207, 56.4195105674788)
 
+# SHA-256 of repr(report) for every report of the two pinned sweeps (shells,
+# windings and notes included), and the exact grid energies of the 2% tests;
+# recorded before the two families shared one report builder.
+SWEEP_DIGESTS = {
+    "zero_pull": ("7e7e37d616810150a94ab7245169cf682037f8fa654e0c487802220a66d39dc7",
+                  "a4d9ea9e35952a307d31a48ef06593463b1e40669f02e523ade43679b69d7e02",
+                  "0047908259ec7b8975c505d303c83761d9edd6c300f4ddad789d53eb1a75c6c1"),
+    "unwinding": ("ad57de8bbc8014c7607e27dfb4bfe58b34cfd3d3dc10d9c5450e7fd1148c3320",
+                  "d86dab715934a387dd56643300d64d37b13ebcbed992a5ec859cdf054c83e682",
+                  "66eccc9815e812de10ea88d3ecbc1090b6cb4c818d9e38c39206fd662d88f43c"),
+}
+ZERO_PULL_GRID = 6.434027537776869
+UNWINDING_GRID = 7.200863668002073
+
 
 def test_epsilon_sweep_pins():
     zp = epsilon_sweep(ONE_ZERO, "zero_pull")
     uw = epsilon_sweep(TWO_ZERO, "unwinding")
     assert tuple((r.total, r.radial_total, r.chain_value) for r in zp) == ZERO_PULL_SWEEP
     assert tuple((r.total, r.radial_total, r.chain_value) for r in uw) == UNWINDING_SWEEP
+
+
+@pytest.mark.parametrize("family, product", [("zero_pull", ONE_ZERO), ("unwinding", TWO_ZERO)])
+def test_sweep_report_digests(family, product):
+    got = tuple(hashlib.sha256(repr(r).encode()).hexdigest() for r in epsilon_sweep(product, family))
+    assert got == SWEEP_DIGESTS[family]
 
 
 def test_radial_kernel_pins():
@@ -78,6 +102,30 @@ def test_optimal_profile_at_one_is_constant():
     assert profile_energy(optimal_profile(1.0)) == 0.0
 
 
+@lru_cache(maxsize=None)
+def _optimal_energy(delta):
+    base = optimal_profile(delta)
+    return base, profile_energy(base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    delta=st.sampled_from((0.2, 1.0 / 3.0, 0.5)),
+    amplitude=st.floats(0.01, 0.15),
+    k=st.integers(1, 3),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_perturbed_optimal_profile_costs_more(delta, amplitude, k, sign):
+    # a bump vanishing at both ends keeps the endpoints delta and 1; it is
+    # damped where the profile is within 0.1 of 1, so the samples stay in range
+    base, energy = _optimal_energy(delta)
+    t = np.linspace(0.0, 1.0, PROFILE_GRID_SIZE)
+    damp = np.minimum(1.0, (1.0 - base.values) / 0.1)
+    bump = sign * amplitude * np.sin(k * math.pi * t) * t * (1.0 - t) * damp
+    perturbed = Profile(np.clip(base.values + bump, 0.0, 1.0))
+    assert profile_energy(perturbed) > energy
+
+
 def test_zero_pull_grid_energy_within_two_percent():
     beta = zero_pull_profile(1.0 / 3.0, 0.1)
     total = zero_pull_family_energy(ONE_ZERO, beta, 0.1).total
@@ -88,6 +136,22 @@ def test_unwinding_grid_energy_within_two_percent():
     family = UnwindingFamily(TWO_ZERO, unwinding_profile(0.1), 0.1)
     total = unwinding_family_energy(family).total
     assert abs(unwinding_grid_energy(family) - total) <= 0.02 * total
+
+
+def test_grid_energy_pins():
+    beta = zero_pull_profile(1.0 / 3.0, 0.1)
+    assert zero_pull_grid_energy(ONE_ZERO, beta, 0.1) == ZERO_PULL_GRID
+    assert unwinding_grid_energy(UnwindingFamily(TWO_ZERO, unwinding_profile(0.1), 0.1)) == UNWINDING_GRID
+
+
+@pytest.mark.parametrize("resolution", [0, -1, 1.0, 2.5, True, "2", None])
+def test_grid_energies_reject_bad_resolution(resolution):
+    beta = zero_pull_profile(1.0 / 3.0, 0.1)
+    with pytest.raises(InvalidArgument):
+        zero_pull_grid_energy(ONE_ZERO, beta, 0.1, resolution=resolution)
+    with pytest.raises(InvalidArgument):
+        unwinding_grid_energy(UnwindingFamily(TWO_ZERO, unwinding_profile(0.1), 0.1),
+                              resolution=resolution)
 
 
 @pytest.mark.parametrize("values", [

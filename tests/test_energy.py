@@ -1,7 +1,6 @@
 """Tests for the nonlocal energy machinery: Poisson extension, plane and
 circle energies, the half-ball Dirichlet route, and the decay bounds."""
 
-import csv
 import math
 
 import numpy as np
@@ -35,7 +34,6 @@ from halfharm.energy import (
     poisson_extend,
     poisson_extend_gradient,
     vortex_map,
-    write_extension_csv,
 )
 from halfharm.errors import DomainViolation, PreconditionViolation, Undersampled
 from halfharm.quadrature import disc_rule
@@ -523,18 +521,3 @@ def test_ring_density_skips_only_zero_samples(center, radius, ring, phase, h,
     # the partial sums differently when the band starts mid-vector
     assert np.all(np.abs(got - want) <= 1e-14 * np.max(want, initial=0.0))
 
-
-# ------------------------------------------------------------- CSV dump
-
-
-def test_write_extension_csv(tmp_path):
-    u = bump_map(radius=0.5)
-    path = tmp_path / "ext.csv"
-    pts = [(0.0, 0.0, 0.5), (0.2, -0.1, 1.0)]
-    write_extension_csv(u, str(path), pts)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x1", "x2", "x3", "v1", "v2"]
-    assert len(rows) == 3
-    got = complex(float(rows[1][3]), float(rows[1][4]))
-    assert abs(got - poisson_extend(u, (0.0, 0.0, 0.5))) <= 1e-9
