@@ -42,7 +42,7 @@ from .quadrature import (
     adaptive_integrate_many,
     circle_rule,
     disc_rule,
-    gamma_fn,
+    ensure_converged,
     integrate_halfline,
     integrate_line,
 )
@@ -307,7 +307,7 @@ def V_oracle(t: float) -> float:
     res = adaptive_integrate(
         lambda r: r**3 / ((1.0 - t * r * r) * (1.0 + r * r) ** 2), 0.0, 1.0, singular=(1.0,)
     )
-    return res.value
+    return ensure_converged(res, f"V_oracle({t!r})")
 
 
 def U_oracle(t: float) -> float:
@@ -319,7 +319,7 @@ def U_oracle(t: float) -> float:
         1.0,
         singular=(1.0,),
     )
-    return res.value
+    return ensure_converged(res, f"U_oracle({t!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def ratint_oracle(A: float, B: float) -> float:
         x2 = x * x
         return (x2 * x2 + B * x2 + 1.0) / ((1.0 + x2) * (x2 + A * A) ** 2) / math.pi
 
-    return integrate_line(integrand).value
+    return ensure_converged(integrate_line(integrand), f"ratint_oracle({A!r}, {B!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +446,28 @@ def delta_certificate(delta: float) -> float:
     res = adaptive_integrate(
         lambda s: np.sqrt(_F_arr(s * s)), delta, 1.0, singular=(1.0,), grade_levels=40
     )
-    return math.sqrt(2.0) * res.value
+    return math.sqrt(2.0) * ensure_converged(res, f"rewinding budget at delta={delta!r}")
 
 
 # ---------------------------------------------------------------------------
 # competitor-energy profile and deficit
 
 
-def _one_minus_lam(r):
-    """1 - ((3r+1)/(r+3))^2 evaluated without cancellation near r = 1."""
-    return 8.0 * (1.0 - r) * (1.0 + r) / (r + 3.0) ** 2
-
-
 _INNER_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_refinements=120)
 _OUTER_TOL = Tolerance(abs_tol=1e-9, rel_tol=1e-9, max_refinements=400)
 
 
-def _f1_integrand(r, scale, v):
-    """Integrand of F1 at J_closed's (scale, v); at scale 1 and v = 1 - t^2
-    it is the integrand of F2 (see _f2_profile)."""
-    om = _one_minus_lam(r)
-    u = om * (2.0 - om)
-    return _J_scaled(scale, u, v) * r / (1.0 + r * r) ** 2
+def _f1_integrand(s, scale, v):
+    """Integrand of F1 at J_closed's (scale, v) in s = 1 - r; at scale 1 and
+    v = 1 - t^2 it is the integrand of F2 (see _f2_profile).
+
+    Both have a boundary layer of width ~v at r = 1.  Formed through 1 - r,
+    it carries rounding of ~1e-16 absolute, so they are integrated in s,
+    where 1 - lam = 8s(2-s)/(4-s)^2 is exact up to relative rounding.
+    """
+    om = 8.0 * s * (2.0 - s) / (4.0 - s) ** 2
+    r = 1.0 - s
+    return _J_scaled(scale, om * (2.0 - om), v) * r / (1.0 + r * r) ** 2
 
 
 def F1_closed_or_quad(a: float) -> float:
@@ -478,13 +478,13 @@ def F1_closed_or_quad(a: float) -> float:
     divergence as a -> 0 coming from the kernel's mass at lam = 1.
     """
     a = _check_range(a, "a", 0.0, 1.0, open_lo=True, open_hi=False)
-    return _f1_many([a])[0].value
+    return ensure_converged(_f1_many([a])[0], f"F1 radial integral at a={a!r}")
 
 
 def _f1_gauss(a: float, n: int = 400) -> float:
     """Fixed-rule (Gauss-Legendre) evaluation of the F1 integral, as a cross-rule check."""
-    r, w = _panel_rule((0.0, 1.0), n)
-    return float(np.sum(w * _f1_integrand(r, *_J_params(a))))
+    s, w = _panel_rule((0.0, 1.0), n)
+    return float(np.sum(w * _f1_integrand(s, *_J_params(a))))
 
 
 def _f2_profile(t: float) -> float:
@@ -498,36 +498,39 @@ def _f2_profile(t: float) -> float:
     agree to machine precision away from the ill-conditioned (r, t) = (1, 1)
     corner of the direct evaluation.
     """
-    return _f2_many([t])[0].value
+    return ensure_converged(_f2_many([t])[0], f"F2 inner integral at t={t!r}")
 
 
 def _f2_many(ts) -> list[IntegrationResult]:
     """The F2 inner integral at every t of ts, batched."""
-    return adaptive_integrate_many(lambda r, v: _f1_integrand(r, 1.0, v),
+    return adaptive_integrate_many(lambda s, v: _f1_integrand(s, 1.0, v),
                                    [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
-                                   _INNER_TOL, singular=(1.0,), grade_levels=40)
+                                   _INNER_TOL, singular=(0.0,), grade_levels=40)
 
 
 def _f1_many(avals) -> list[IntegrationResult]:
     """The F1 radial integral at every a of avals in (0, 1], batched."""
-    return adaptive_integrate_many(lambda r, p: _f1_integrand(r, p[:, 0], p[:, 1]),
+    return adaptive_integrate_many(lambda s, p: _f1_integrand(s, p[:, 0], p[:, 1]),
                                    [_J_params(a) for a in avals], 0.0, 1.0,
-                                   _INNER_TOL, singular=(1.0,), grade_levels=40)
+                                   _INNER_TOL, singular=(0.0,), grade_levels=40)
 
 
 class _InnerIntegrals:
     """Vectorized outer integrand whose values are inner integrals, each
-    computed once per distinct node: the nodes of one call are batched."""
+    computed once per distinct node: the nodes of one call are batched.
+    An inner integral that fails ensure_converged raises NumericalFailure."""
 
-    def __init__(self, integrate_many) -> None:
+    def __init__(self, integrate_many, what: str) -> None:
         self._integrate_many = integrate_many
+        self._what = what
         self.results: dict[float, IntegrationResult] = {}
 
     def __call__(self, nodes) -> np.ndarray:
         keys = np.asarray(nodes, dtype=float).ravel().tolist()
         todo = [x for x in dict.fromkeys(keys) if x not in self.results]
-        if todo:
-            self.results.update(zip(todo, self._integrate_many(todo)))
+        for x, res in zip(todo, self._integrate_many(todo)):
+            ensure_converged(res, f"{self._what}={x!r}")
+            self.results[x] = res
         return np.array([self.results[x].value for x in keys])
 
     def errors(self, nodes) -> np.ndarray:
@@ -535,32 +538,13 @@ class _InnerIntegrals:
 
 
 @dataclass(frozen=True)
-class _InnerSummary:
-    """How the inner integrals of one outer integrand ended."""
-
-    count: int
-    unconverged: int
-    worst_error: float  # largest error estimate among the unconverged, 0 if none
-
-    @classmethod
-    def of(cls, results) -> "_InnerSummary":
-        bad = [r.error for r in results if not r.converged]
-        return cls(len(results), len(bad), max(bad, default=0.0))
-
-    def __str__(self) -> str:
-        return f"{self.unconverged} of {self.count} unconverged (worst error estimate {self.worst_error:.2e})"
-
-
-@dataclass(frozen=True)
 class _F2Block:
     """The three outer integrals behind the deficit verdict, with what the
-    nested inner integrals contributed."""
+    nested inner integrals contributed to the error of the first."""
 
     main: IntegrationResult  # int_0^1 F2
     sqrt_f1: IntegrationResult  # int_0^1 sqrt(F1)
     sqrt_f2: IntegrationResult  # int_0^1 sqrt(F2)
-    f2_inner: _InnerSummary
-    f1_inner: _InnerSummary
     nested_error: float  # inner error estimates of F2 under the outer weights of main
 
 
@@ -569,11 +553,11 @@ def _f2_block() -> _F2Block:
     """Outer quadratures shared by F2_certificate and the substitution check.
 
     int F2 and int sqrt(F2) share one set of inner integrals; F1 has its own.
-    Inner results reaching the outer sums unconverged are counted, not
-    raised on (they are a known defect of the inner tolerance).
+    Every inner integral must converge: one that fails
+    quadrature.ensure_converged raises NumericalFailure.
     """
-    f2 = _InnerIntegrals(_f2_many)
-    f1 = _InnerIntegrals(_f1_many)
+    f2 = _InnerIntegrals(_f2_many, "F2 inner integral at t")
+    f1 = _InnerIntegrals(_f1_many, "F1 radial integral at a")
     main = adaptive_integrate(f2, 0.0, 1.0, _OUTER_TOL, singular=(1.0,), grade_levels=40)
     sqrt_f2 = adaptive_integrate(lambda t: np.sqrt(f2(t)), 0.0, 1.0, _OUTER_TOL,
                                  singular=(1.0,), grade_levels=40)
@@ -587,8 +571,7 @@ def _f2_block() -> _F2Block:
     if nested.panels != main.panels:
         raise NumericalFailure("int F2 bisected its seed panels, so the inner error "
                                "estimates cannot be weighted into its error bar")
-    return _F2Block(main, sqrt_f1, sqrt_f2, _InnerSummary.of(list(f2.results.values())),
-                    _InnerSummary.of(list(f1.results.values())), nested.value)
+    return _F2Block(main, sqrt_f1, sqrt_f2, nested.value)
 
 
 def F2_certificate() -> CertificateReport:
@@ -600,32 +583,27 @@ def F2_certificate() -> CertificateReport:
     substitution identity ``4 int sqrt(F1) = 2 int sqrt(F2)`` to 1e-4, and
     records the concavity chain ``2 int sqrt(F2) <= 2 sqrt(int F2)``.
     The upper error bar adds to the outer error estimate the inner error
-    estimates under the outer weights.  The notes count the inner integrals
-    of F2 and of F1 that did not converge and give their worst error
-    estimates; these do not fail the certificate.  Raises NumericalFailure if any of the outer
-    quadratures fails to converge or the cross-checks disagree.
+    estimates under the outer weights.  Every inner and outer quadrature
+    must converge: NumericalFailure is raised if one fails
+    quadrature.ensure_converged, or if the cross-checks disagree.
     """
     block = _f2_block()
-    main, sqrt_f1, sqrt_f2 = block.main, block.sqrt_f1, block.sqrt_f2
-    if not (main.converged and sqrt_f1.converged and sqrt_f2.converged):
-        raise NumericalFailure("competitor-energy quadrature did not converge")
-    value = 4.0 * main.value
-    err = 4.0 * (main.error + block.nested_error)
-    lhs = 4.0 * sqrt_f1.value
-    rhs = 2.0 * sqrt_f2.value
+    value = 4.0 * ensure_converged(block.main, "int F2")
+    err = 4.0 * (block.main.error + block.nested_error)
+    lhs = 4.0 * ensure_converged(block.sqrt_f1, "int sqrt(F1)")
+    rhs = 2.0 * ensure_converged(block.sqrt_f2, "int sqrt(F2)")
     sub_diff = abs(lhs - rhs)
     if sub_diff > 1e-4:
         raise NumericalFailure(
             f"substitution cross-check failed: |4*int sqrt(F1) - 2*int sqrt(F2)| = {sub_diff:.3e}"
         )
-    cs_rhs = 2.0 * math.sqrt(main.value)
+    cs_rhs = 2.0 * math.sqrt(block.main.value)
     if rhs > cs_rhs + 1e-12:
         raise NumericalFailure("concavity chain violated by the computed averages")
     notes = (
         f"upper error bar {value + err:.9f} stays below 2; "
         f"substitution cross-check |4*int sqrt(F1) - 2*int sqrt(F2)| = {sub_diff:.2e}; "
-        f"concavity chain 2*int sqrt(F2) = {rhs:.8f} <= 2*sqrt(int F2) = {cs_rhs:.8f}; "
-        f"inner integrals: F2 {block.f2_inner}, F1 {block.f1_inner}"
+        f"concavity chain 2*int sqrt(F2) = {rhs:.8f} <= 2*sqrt(int F2) = {cs_rhs:.8f}"
     )
     return CertificateReport.from_values("higher-degree-energy-deficit", value, 1.93, 0.03, notes)
 
@@ -634,7 +612,7 @@ def F2_certificate() -> CertificateReport:
 # Hardy constant and destabilization margin
 
 # Reference values of the gamma function at the quarter-integers, frozen from
-# standard tables; gamma_fn is checked against them (they satisfy the exact
+# standard tables; math.gamma is checked against them (they satisfy the exact
 # reflection product gamma(1/4)*gamma(3/4) = pi*sqrt(2)).
 _GAMMA_QUARTER = 3.6256099082219083
 _GAMMA_THREE_QUARTER = 1.2254167024651776
@@ -642,7 +620,7 @@ _GAMMA_THREE_QUARTER = 1.2254167024651776
 
 def hardy_constant() -> float:
     """Sharp constant 8*pi*(gamma(3/4)/gamma(1/4))^2 of the planar half-order Hardy inequality."""
-    return 8.0 * math.pi * (gamma_fn(0.75) / gamma_fn(0.25)) ** 2
+    return 8.0 * math.pi * (math.gamma(0.75) / math.gamma(0.25)) ** 2
 
 
 def sphere_destabilization_margin(d: int) -> float:
@@ -666,7 +644,8 @@ def sphere_destabilization_margin(d: int) -> float:
 
 def _polar_oracle(c: float) -> float:
     """Half-line quadrature of int_0^inf rho (1 - 2 rho c + rho^2)^(-3/2) drho."""
-    return integrate_halfline(lambda rho: rho * (1.0 - 2.0 * rho * c + rho * rho) ** -1.5).value
+    res = integrate_halfline(lambda rho: rho * (1.0 - 2.0 * rho * c + rho * rho) ** -1.5)
+    return ensure_converged(res, f"polar resolvent integral at c={c!r}")
 
 
 def polar_kernel_identity(c: float) -> CertificateReport:

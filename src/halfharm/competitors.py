@@ -32,7 +32,7 @@ from .errors import (
     NumericalFailure,
     PreconditionViolation,
 )
-from .quadrature import Tolerance, _leggauss, _panel_rule, adaptive_integrate
+from .quadrature import Tolerance, _leggauss, _panel_rule, adaptive_integrate, ensure_converged
 
 __all__ = [
     "Profile",
@@ -62,14 +62,6 @@ _XI_CAP = math.log(1e7)
 _XI_NODES = 128
 
 _QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=300)
-
-
-def _ensure_converged(result, what: str) -> float:
-    if not result.converged and result.error > 1e-6 * max(1.0, abs(result.value)):
-        raise NumericalFailure(
-            f"{what} did not converge: value {result.value!r}, error estimate {result.error!r}"
-        )
-    return float(result.value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def _budget_tables() -> tuple[np.ndarray, np.ndarray]:
     last = adaptive_integrate(
         _rewind_speed, s_grid[-2], 1.0, Tolerance(1e-13, 1e-13, 120), singular=(1.0,)
     )
-    incr[-1] = _ensure_converged(last, "rewinding budget on the last grid interval")
+    incr[-1] = ensure_converged(last, "rewinding budget on the last grid interval")
     prefix = np.concatenate([[0.0], np.cumsum(incr)])
     s_grid.setflags(write=False)
     prefix.setflags(write=False)
@@ -239,7 +231,7 @@ def G_of(s: float) -> float:
     base = float(prefix[k])
     if s > s_grid[k]:
         rem = adaptive_integrate(_rewind_speed, float(s_grid[k]), s, Tolerance(1e-13, 1e-13, 80))
-        base += _ensure_converged(rem, "rewinding budget remainder")
+        base += ensure_converged(rem, "rewinding budget remainder")
     return base
 
 
@@ -309,7 +301,7 @@ def profile_energy(gamma: Profile) -> float:
         return 2.0 * _F_arr(g * g) * gp * gp
 
     res = adaptive_integrate(f, 0.0, 1.0, _QUAD_TOL, singular=(0.0, 1.0))
-    return _ensure_converged(res, "profile transition energy")
+    return ensure_converged(res, "profile transition energy")
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +620,7 @@ def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
         bp = beta.derivative(r)
         return 2.0 * r * r * bp * bp * _table_eval(table, beta(r))
 
-    radial = _ensure_converged(
+    radial = ensure_converged(
         adaptive_integrate(radial_density, eps, 1.0, _QUAD_TOL, singular=(eps,)),
         "zero-pulling radial energy",
     )
@@ -639,7 +631,7 @@ def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
         b2 = np.clip(np.asarray(beta(r)) ** 2, 0.0, 1.0 - 1e-16)
         return r * r * _F_arr(b2) * bp * bp
 
-    bound = 2.0 * math.pi * _ensure_converged(
+    bound = 2.0 * math.pi * ensure_converged(
         adaptive_integrate(bound_density, eps, 1.0, _QUAD_TOL, singular=(eps,)),
         "zero-pulling radial bound",
     )
@@ -723,7 +715,7 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
 
     lo = t0 if t0 < 1.0 else 0.0
     sing = tuple(sorted({p for p in (lo, eps) if lo <= p < 1.0}))
-    radial = _ensure_converged(
+    radial = ensure_converged(
         adaptive_integrate(radial_density, lo, 1.0, _QUAD_TOL, singular=sing),
         "unwinding radial energy",
     )
@@ -740,7 +732,7 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
             kernel = _table_eval(table, m) / (1.0 + al) ** 4
             return kernel * alp * alp
 
-        chain_value = _ensure_converged(
+        chain_value = ensure_converged(
             adaptive_integrate(chain_density, eps, 1.0, _QUAD_TOL, singular=(1.0,)),
             "unwinding chain functional",
         )

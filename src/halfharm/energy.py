@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import _leggauss, _panel_rule, disc_rule, gamma_fn, hemisphere_rule
+from .quadrature import _panel_rule, disc_rule, hemisphere_rule
 
 __all__ = [
     "gamma_n",
@@ -54,7 +54,7 @@ def gamma_n(n: int) -> float:
     pi^(-(n+1)/2) * Gamma((n+1)/2); 1/pi on the line, 1/(2 pi) in the plane."""
     if n not in (1, 2):
         raise InvalidArgument("supported dimensions are 1 and 2")
-    return math.pi ** (-(n + 1) / 2.0) * gamma_fn((n + 1) / 2.0)
+    return math.pi ** (-(n + 1) / 2.0) * math.gamma((n + 1) / 2.0)
 
 
 GAMMA_1 = gamma_n(1)
@@ -518,7 +518,6 @@ def monotone_density(B: BlaschkeProduct, radii, n_s: int = 12,
         raise DomainViolation("radii must lie in (0, 1]")
     rule = hemisphere_rule(n_r, n_t)
     p = rule.nodes
-    gx, gw = _leggauss(n_s)
 
     def shell_density(s: float) -> float:
         """integral over the hemisphere of |grad v|^2 at radius s."""
@@ -534,8 +533,7 @@ def monotone_density(B: BlaschkeProduct, radii, n_s: int = 12,
 
     out = []
     for r in radii:
-        s_nodes = 0.5 * r * (gx + 1.0)
-        s_weights = 0.5 * r * gw
+        s_nodes, s_weights = _panel_rule((0.0, r), n_s)
         E = 0.5 * sum(w * s * s * shell_density(s) for s, w in zip(s_nodes, s_weights))
         out.append(E / r)
     theta = out[-1] if out else 0.0
@@ -543,6 +541,14 @@ def monotone_density(B: BlaschkeProduct, radii, n_s: int = 12,
 
 
 # --------------------------------------------------------- extension oracles
+
+
+def _first_panel_rule(edges, n_first: int, n_rest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule with n_first nodes on the first panel and
+    n_rest on each of the others."""
+    first = _panel_rule(edges[:2], n_first)
+    rest = _panel_rule(edges[1:], n_rest)
+    return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
 
 
 def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
@@ -565,15 +571,7 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
     # Gauss rule across the break converges slowly with oscillating sign
     s = min(u.far_radius, 0.5 * R) if u.far_radius > 0 else R / 6.0
     r_edges = [0.0, s, min(2.0 * s, 0.75 * R), R]
-    gr, wr = _leggauss(n_r)
-    gr_c, wr_c = _leggauss(max(8, n_r // 2))
-    rads_l, wrads_l = [], []
-    for i, (lo, hi) in enumerate(zip(r_edges[:-1], r_edges[1:])):
-        g, w = (gr, wr) if i == 0 else (gr_c, wr_c)
-        rads_l.append(0.5 * (hi - lo) * (g + 1.0) + lo)
-        wrads_l.append(0.5 * (hi - lo) * w)
-    rads = np.concatenate(rads_l)
-    wrads = np.concatenate(wrads_l)
+    rads, wrads = _first_panel_rule(r_edges, n_r, max(8, n_r // 2))
     # the energy density climbs steeply toward the plane (its trace there is
     # the boundary Dirichlet density), on a height scale set by the map's
     # features; geometric panels toward theta = pi/2 resolve every scale
@@ -584,15 +582,7 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
         wall *= 0.3
         t_edges.append(half_pi - wall)
     t_edges.append(half_pi)
-    gt, wt = _leggauss(n_theta)
-    gt_c, wt_c = _leggauss(4)
-    th_l, wth_l = [], []
-    for i, (lo, hi) in enumerate(zip(t_edges[:-1], t_edges[1:])):
-        g, w = (gt, wt) if i == 0 else (gt_c, wt_c)
-        th_l.append(0.5 * (hi - lo) * (g + 1.0) + lo)
-        wth_l.append(0.5 * (hi - lo) * w)
-    thetas = np.concatenate(th_l)
-    wthetas = np.concatenate(wth_l)
+    thetas, wthetas = _first_panel_rule(t_edges, n_theta, 4)
 
     total = 0.0
     for rad, w_r in zip(rads, wrads):

@@ -1,10 +1,10 @@
-"""Deterministic quadrature rules, special functions, and root finding.
+"""Deterministic quadrature rules and root finding.
 
 Everything here is plain numerics shared by the rest of the package: tensor
-rules on the interval / circle / disc / upper hemisphere, a fixed-coefficient
-gamma function, monotone inversion by bisection, and a deterministic adaptive
-integrator (embedded 7/15-point Gauss pair, worst-panel-first bisection,
-geometric grading toward declared singular points).
+rules on the interval / circle / disc / upper hemisphere, monotone inversion
+by bisection, and a deterministic adaptive integrator (embedded 7/15-point
+Gauss pair, worst-panel-first bisection, geometric grading toward declared
+singular points) with the package's one convergence check, ensure_converged.
 
 The adaptive integrator is one engine with two entry points.
 adaptive_integrate runs one integral; adaptive_integrate_many runs a family
@@ -39,12 +39,12 @@ __all__ = [
     "QuadRule",
     "Tolerance",
     "IntegrationResult",
+    "ensure_converged",
     "gauss_legendre",
     "circle_rule",
     "disc_rule",
     "hemisphere_rule",
     "integrate",
-    "gamma_fn",
     "invert_monotone",
     "adaptive_integrate",
     "adaptive_integrate_many",
@@ -162,38 +162,6 @@ def integrate(rule: QuadRule, f) -> float | complex | np.ndarray:
     return values @ rule.weights
 
 
-# --------------------------------------------------------------------------- gamma
-
-# Classical 9-term Lanczos coefficients (g = 7); relative accuracy ~1e-13 on x > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x > 0 via a fixed rational (Lanczos) approximation."""
-    if not x > 0:
-        raise InvalidArgument("gamma_fn requires x > 0")
-    if x < 0.5:
-        # reflection keeps the approximation in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
 # --------------------------------------------------------------------------- inversion
 
 
@@ -238,6 +206,20 @@ class IntegrationResult:
     def __iter__(self):
         yield self.value
         yield self.error
+
+
+def ensure_converged(result: IntegrationResult, what: str) -> float:
+    """The value of an adaptive result.
+
+    Raises NumericalFailure unless the result converged or its error
+    estimate is within 1e-6 of max(1, |value|): a refinement budget spent
+    just short of a tight tolerance is accepted, nothing looser.
+    """
+    if not result.converged and result.error > 1e-6 * max(1.0, abs(result.value)):
+        raise NumericalFailure(
+            f"{what} did not converge: value {result.value!r}, error estimate {result.error!r}"
+        )
+    return float(result.value)
 
 
 # At most this many integrals of one adaptive_integrate_many call hold panels
