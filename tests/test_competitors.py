@@ -2,14 +2,21 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfharm.blaschke import BlaschkeProduct
+import halfharm
+from halfharm import competitors
+from halfharm.blaschke import BlaschkeProduct, eval_product
+from halfharm.certificates import F_closed
 from halfharm.competitors import (
     PROFILE_GRID_SIZE,
     G_of,
@@ -37,6 +44,10 @@ TWO_ZERO = BlaschkeProduct(theta=1.1, zeros=(0.25 - 0.1j, -0.4 + 0.35j))
 # Exact pins, recorded before the graded disc rule was rebuilt on the shared
 # Gauss-panel helper: (total, radial total, chain value) per collar width of
 # the default sweep (0.05, 0.1, 0.2), and kernel values at fixed arguments.
+# UNWINDING_KERNEL[4] was re-recorded (-1.5e-14 relative) when the kernel
+# tables were row-blocked: the old full-grid gemv rounded differently on 1
+# and on 2 BLAS threads, and the new value is the thread-independent one
+# (equal to the old single-thread value).
 ZERO_PULL_SWEEP = (
     (6.47808047842157, 0.35197480392147396, None),
     (6.394043723509553, 0.4250176816889457, None),
@@ -51,7 +62,7 @@ KERNEL_ARGS = (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-9)
 ZERO_PULL_KERNEL = (0.9685988440267799, 0.9671947133330494, 2.4198379268482424,
                     13.583074812825663, 56.844874841089954)
 UNWINDING_KERNEL = (1.7153895862639723, 2.0521370249210507, 5.289220231289972,
-                    17.244916466593207, 56.4195105674788)
+                    17.244916466593207, 56.41951056747794)
 
 # SHA-256 of repr(report) for every report of the two pinned sweeps (shells,
 # windings and notes included), and the exact grid energies of the 2% tests;
@@ -86,6 +97,111 @@ def test_sweep_report_digests(family, product):
 def test_radial_kernel_pins():
     assert tuple(radial_kernel_zero_pull(ONE_ZERO, b) for b in KERNEL_ARGS) == ZERO_PULL_KERNEL
     assert tuple(radial_kernel_unwinding(TWO_ZERO, m) for m in KERNEL_ARGS) == UNWINDING_KERNEL
+
+
+_TABLE_CHILD = """
+import numpy as np
+from halfharm.blaschke import BlaschkeProduct
+from halfharm.competitors import _unwinding_kernel_table, _zero_pull_kernel_table
+for build, w in ((_zero_pull_kernel_table, {one!r}), (_unwinding_kernel_table, {two!r})):
+    spline, end_value, end_slope = build(w)
+    print([v.hex() for v in np.append(spline.c[-1], end_value)], end_slope.hex())
+"""
+
+
+def _table_bits(blas_threads):
+    src = str(Path(halfharm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = _TABLE_CHILD.format(one=ONE_ZERO, two=TWO_ZERO)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    return out.stdout
+
+
+def test_kernel_tables_independent_of_blas_threads():
+    # the 128 node values, end value and end slope of both tables, built in
+    # fresh interpreters on 1 and on 2 BLAS threads (a one-core host runs
+    # both on one thread, and the test then checks only determinism)
+    one = _table_bits("1")
+    assert one.count("\n") == 2
+    assert _table_bits("2") == one
+
+
+ROTATION = BlaschkeProduct(theta=0.7)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-9])
+def test_zero_pull_kernel_closed_form_for_rotation(b):
+    # |w~| = 1 on the disc, so the kernel is the disc integral behind F:
+    # pi * F(b^2); 2e-6 covers the spline (worst 9.2e-7, at b = 0.3)
+    exact = math.pi * F_closed(b * b)
+    assert abs(radial_kernel_zero_pull(ROTATION, b) - exact) <= 2e-6 * exact
+
+
+_BOUND_ARGS = np.concatenate([np.linspace(0.0, 0.999, 64), 1.0 - np.logspace(-3.5, -12, 16)])
+
+
+@settings(max_examples=4, deadline=None)
+@given(theta=st.floats(0.0, 6.28), zero=st.complex_numbers(max_magnitude=0.9))
+def test_zero_pull_kernel_below_rotation_bound(theta, zero):
+    # |w~| <= 1 bounds the kernel by pi * F(b^2); the measured gap is at least
+    # 2.8e-3 relative for |a| <= 0.9, far above the table's spline error
+    kernel = radial_kernel_zero_pull(BlaschkeProduct(theta=theta, zeros=(zero,)), _BOUND_ARGS)
+    bound = np.array([math.pi * F_closed(b * b) for b in _BOUND_ARGS])
+    assert np.all(kernel <= bound)
+
+
+def _zero_pull_integrand(w, rule, b):
+    # |w|^2 |1 - z|^2 |1 + z|^2 / (|1 - b z|^4 (1 + rho^2)^2) * rho, every
+    # factor formed from s = 1 - rho and half-angles so that nothing cancels
+    rho, s, _, phi, _ = rule
+    z = rho[:, None] * np.exp(1j * phi[None, :])
+    half_sin2 = np.sin(phi / 2.0)[None, :] ** 2
+    half_cos2 = np.cos(phi / 2.0)[None, :] ** 2
+    r, s = rho[:, None], s[:, None]
+    one_minus_z_sq = s * s + 4.0 * r * half_sin2
+    one_plus_z_sq = s * s + 4.0 * r * half_cos2
+    one_minus_bz_sq = ((1.0 - b) + b * s) ** 2 + 4.0 * b * r * half_sin2
+    return (np.abs(eval_product(w, z)) ** 2 * one_minus_z_sq * one_plus_z_sq
+            / (one_minus_bz_sq ** 2 * (1.0 + r * r) ** 2) * r)
+
+
+def _unwinding_integrand(w, rule, m):
+    # |1 - w^2|^2 / (|1 + m w|^4 (1 + rho^2)^2) * rho in complex arithmetic
+    rho, _, _, phi, _ = rule
+    r = rho[:, None]
+    wv = eval_product(w, r * np.exp(1j * phi[None, :]))
+    return np.abs(1.0 - wv * wv) ** 2 / (np.abs(1.0 + m * wv) ** 4 * (1.0 + r * r) ** 2) * r
+
+
+@pytest.mark.parametrize("family", ["zero_pull", "unwinding"])
+def test_kernel_table_nodes_match_fsum(family):
+    # the blocked contraction of a table node against a correctly rounded
+    # sum of the same disc rule applied to the integrand formed independently
+    if family == "zero_pull":
+        w, table = ONE_ZERO, competitors._zero_pull_kernel_table(ONE_ZERO)
+        angles, integrand = competitors._zero_pull_rule_angles(w), _zero_pull_integrand
+    else:
+        w, table = TWO_ZERO, competitors._unwinding_kernel_table(TWO_ZERO)
+        angles, integrand = competitors._unwinding_rule_angles(w), _unwinding_integrand
+    rule = competitors._disc_rule_graded(angles)
+    spline, end_value, _ = table
+    nodes = np.append(spline.c[-1], end_value)
+    xi = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
+    weights = rule[2][:, None] * rule[4][None, :]
+    for k in (0, 45, 90, competitors._XI_NODES - 1):
+        exact = math.fsum((integrand(w, rule, -math.expm1(-xi[k])) * weights).ravel())
+        assert abs(nodes[k] - exact) <= 1e-13 * exact, k
+
+
+@pytest.mark.parametrize("kernel, product", [(radial_kernel_zero_pull, ONE_ZERO),
+                                             (radial_kernel_unwinding, TWO_ZERO)])
+@pytest.mark.parametrize("arg", [-0.1, 1.5, math.nan, np.array([0.5, math.nan]),
+                                 np.array([0.0, 1.0 + 1e-12])])
+def test_radial_kernels_reject_arguments_outside_unit_interval(kernel, product, arg):
+    with pytest.raises(InvalidArgument):
+        kernel(product, arg)
 
 
 def test_epsilon_sweep_rejects_unknown_family():
