@@ -8,7 +8,6 @@ from .errors import (
     HalfharmError,
     InvalidArgument,
     NumericalFailure,
-    OutOfRange,
     PreconditionViolation,
     Undersampled,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "HalfharmError",
     "InvalidArgument",
     "DomainViolation",
-    "OutOfRange",
     "PreconditionViolation",
     "NumericalFailure",
     "Undersampled",

@@ -39,8 +39,6 @@ __all__ = [
     "balance_vector",
 ]
 
-_MAX_WINDING_SAMPLES = 2**20
-
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
@@ -207,17 +205,6 @@ def winding_number(s: CircleSample) -> int:
     return int(round(total))
 
 
-def winding_number_refining(B: BlaschkeProduct, n: int = 64) -> int:
-    """Winding of the boundary trace, doubling n on undersampling (cap 2^20)."""
-    while True:
-        try:
-            return winding_number(boundary_trace(B, n))
-        except Undersampled:
-            if 2 * n > _MAX_WINDING_SAMPLES:
-                raise
-            n *= 2
-
-
 def degree_of(B: BlaschkeProduct) -> int:
     """Signed degree: +(number of zeros), negated by conjugation."""
     d = B.zero_count
@@ -247,33 +234,33 @@ def homogeneous_extension(B: BlaschkeProduct, X):
     return eval_product(B, np.asarray(z))
 
 
-def modulus_bound_margin(B: BlaschkeProduct, n_samples: int = 65536) -> float:
+def modulus_bound_margin(B: BlaschkeProduct) -> float:
     """max over sampled disc points of |w(z)| * ((|z|+3)/(3|z|+1))^d.
 
     A value <= 1 certifies |w(z)| <= ((3|z|+1)/(|z|+3))^d on the sample set.
-    The sample grid includes the origin and full radial lines (the negative
-    real axis among them, where the single-zero bound is tight at a = 1/3).
+    The samples are the origin and a polar grid of 256 interior radii on 256
+    full radial lines (the negative real axis among them, where the
+    single-zero bound is tight at a = 1/3).
     """
     d = B.zero_count
     if d < 1:
         raise InvalidArgument("modulus bound needs at least one zero")
-    n_t = max(16, int(math.sqrt(n_samples)) // 2 * 2)
-    n_r = max(16, n_samples // n_t)
-    radii = (np.arange(n_r) + 1.0) / (n_r + 1.0)
-    angles = 2.0 * np.pi * np.arange(n_t) / n_t  # includes 0 and pi for even n_t
+    radii = (np.arange(256) + 1.0) / 257.0
+    angles = 2.0 * np.pi * np.arange(256) / 256  # includes 0 and pi
     z = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
     r = np.abs(z)
     vals = np.abs(eval_product(B, z)) * ((r + 3.0) / (3.0 * r + 1.0)) ** d
     return float(np.max(vals))
 
 
-def balance_vector(B: BlaschkeProduct, n_r: int = 96, n_t: int = 256) -> complex:
+def balance_vector(B: BlaschkeProduct) -> complex:
     """Disc integral of |w'(z)|^2 * z/(1+|z|^2), the first-moment balance of
-    the derivative density (up to an overall positive constant).
+    the derivative density (up to an overall positive constant), on the
+    96 x 256 disc rule.
 
     Vanishes exactly when the single-zero product is centered at the origin.
     """
-    rule = disc_rule(n_r, n_t)
+    rule = disc_rule(96, 256)
 
     def f(z):
         return np.abs(derivative(B, z)) ** 2 * z / (1.0 + np.abs(z) ** 2)

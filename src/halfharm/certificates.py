@@ -225,23 +225,27 @@ def N_closed(a: float) -> float:
     return 2.0 * math.pi * ((1.0 + a * a) / (1.0 - a * a) ** 3 - 1.0 / (2.0 * (1.0 - a * a)))
 
 
-def _angular_moment(a: float, weight, n: int) -> float:
-    rule = circle_rule(n)
+# Nodes of the circle rule of the angular-moment and kernel-average oracles.
+_CIRCLE_NODES = 4096
+
+
+def _angular_moment(a: float, weight) -> float:
+    rule = circle_rule(_CIRCLE_NODES)
     theta = rule.nodes
     den = (1.0 - 2.0 * a * np.cos(theta) + a * a) ** 2
     return float(np.sum(rule.weights * weight(theta) / den))
 
 
-def M_oracle(a: float, n: int = 4096) -> float:
-    """Circle-rule quadrature of the defining integral of M_closed."""
+def M_oracle(a: float) -> float:
+    """Circle-rule quadrature (4096 nodes) of the defining integral of M_closed."""
     a = _check_range(a, "a", 0.0, 1.0)
-    return _angular_moment(a, lambda theta: 1.0, n)
+    return _angular_moment(a, lambda theta: 1.0)
 
 
-def N_oracle(a: float, n: int = 4096) -> float:
-    """Circle-rule quadrature of the defining integral of N_closed."""
+def N_oracle(a: float) -> float:
+    """Circle-rule quadrature (4096 nodes) of the defining integral of N_closed."""
     a = _check_range(a, "a", 0.0, 1.0)
-    return _angular_moment(a, lambda theta: np.cos(theta) ** 2, n)
+    return _angular_moment(a, lambda theta: np.cos(theta) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +407,8 @@ def J_closed(a: float, lam: float) -> float:
     return float(_J_scaled(_J_params(a)[0], u, v))
 
 
-def J_oracle(a: float, lam: float, n: int = 4096) -> float:
-    """Circle-rule average of K_a(lam*sigma) over the unit circle.
+def J_oracle(a: float, lam: float) -> float:
+    """Circle-rule (4096 nodes) average of K_a(lam*sigma) over the unit circle.
 
     ``K_a(z) = |m(z)|^2 / (a^2 + 2a*Im(m(z)) + |m(z)|^2)^2`` with ``m`` the
     inverse Cayley map of the disc onto the upper half-plane.  At lam = 1 the
@@ -414,11 +418,11 @@ def J_oracle(a: float, lam: float, n: int = 4096) -> float:
     """
     a = _check_range(a, "a", 0.0, 1.0, open_lo=True, open_hi=False)
     lam = _check_range(lam, "lam", 0.0, 1.0, open_hi=False)
-    rule = circle_rule(n)
+    rule = circle_rule(_CIRCLE_NODES)
     theta = rule.nodes
     z = lam * np.exp(1j * theta)
     if np.any(z == 1.0 + 0.0j):
-        theta = theta + math.pi / n
+        theta = theta + math.pi / _CIRCLE_NODES
         z = lam * np.exp(1j * theta)
     w = cayley_inv(z)
     mod2 = np.abs(w) ** 2
@@ -481,9 +485,9 @@ def F1_closed_or_quad(a: float) -> float:
     return ensure_converged(_f1_many([a])[0], f"F1 radial integral at a={a!r}")
 
 
-def _f1_gauss(a: float, n: int = 400) -> float:
-    """Fixed-rule (Gauss-Legendre) evaluation of the F1 integral, as a cross-rule check."""
-    s, w = _panel_rule((0.0, 1.0), n)
+def _f1_gauss(a: float) -> float:
+    """Fixed-rule (400-point Gauss-Legendre) evaluation of the F1 integral, as a cross-rule check."""
+    s, w = _panel_rule((0.0, 1.0), 400)
     return float(np.sum(w * _f1_integrand(s, *_J_params(a))))
 
 

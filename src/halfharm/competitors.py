@@ -65,7 +65,7 @@ _XI_NODES = 128
 # so every row of a full block takes the same path through the BLAS gemv.
 _XI_ROW_BLOCK = 8
 
-_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=300)
+_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=400)
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +312,30 @@ def profile_energy(gamma: Profile) -> float:
 # graded polar quadrature on the unit disc and the two radial kernels
 
 
-def _graded_edges(a: float, b: float, window: float = 1e-2, levels: int = 41,
-                  max_panel: float = 0.025) -> list[float]:
-    """Panel edges on [a, b], geometrically graded toward both endpoints."""
+# Gauss nodes per panel and dyadic grading levels of the graded disc rule.
+_GRADED_GL = 7
+_GRADED_LEVELS = 41
+
+
+def _graded_edges(a: float, b: float) -> list[float]:
+    """Panel edges on [a, b], graded geometrically toward both endpoints
+    within min(0.01, (b - a)/2) of each, and at most 0.025 apart between."""
     span = b - a
-    w = min(window, span / 2)
-    left = [a + w * 2.0 ** (-k) for k in range(levels, -1, -1)]
-    right = [b - w * 2.0 ** (-k) for k in range(levels, -1, -1)][::-1]
+    w = min(1e-2, span / 2)
+    left = [a + w * 2.0 ** (-k) for k in range(_GRADED_LEVELS, -1, -1)]
+    right = [b - w * 2.0 ** (-k) for k in range(_GRADED_LEVELS, -1, -1)][::-1]
     inner_lo, inner_hi = a + w, b - w
-    n_mid = max(1, int(np.ceil((inner_hi - inner_lo) / max_panel)))
+    n_mid = max(1, int(np.ceil((inner_hi - inner_lo) / 0.025)))
     mid = list(np.linspace(inner_lo, inner_hi, n_mid + 1))
     return sorted(set([a] + left + mid[1:-1] + right + [b]))
 
 
-def _disc_rule_graded(crit_angles: tuple[float, ...], n_gl: int = 7, levels: int = 41,
-                      window: float = 1e-2, max_panel: float = 0.025):
+def _disc_rule_graded(crit_angles: tuple[float, ...]):
     """Polar tensor rule (rho, s, rw, phi, pw) on the unit disc.
 
     Radial panels are built in s = 1 - rho (kept exact near the rim, graded
     geometrically toward s = 0); angular panels cover the segments between
-    consecutive critical angles, graded toward each.  Gauss(n_gl) per panel.
+    consecutive critical angles, graded toward each.  Gauss(7) per panel.
     """
     angs = sorted(a % (2.0 * math.pi) for a in crit_angles) or [0.0]
     segs = []
@@ -341,12 +345,11 @@ def _disc_rule_graded(crit_angles: tuple[float, ...], n_gl: int = 7, levels: int
             b += 2.0 * math.pi
         if b > a:
             segs.append((a, b))
-    phi_nodes, phi_w = zip(*(_panel_rule(_graded_edges(a, b, window, levels, max_panel), n_gl)
-                             for a, b in segs))
+    phi_nodes, phi_w = zip(*(_panel_rule(_graded_edges(a, b), _GRADED_GL) for a, b in segs))
     phi = np.concatenate(phi_nodes)
     pw = np.concatenate(phi_w)
-    sedges = [0.0] + [2.0 ** (-k) for k in range(levels, 0, -1)] + [0.625, 0.75, 0.875, 1.0]
-    s, sw = _panel_rule(sedges, n_gl)
+    sedges = [0.0] + [2.0 ** (-k) for k in range(_GRADED_LEVELS, 0, -1)] + [0.625, 0.75, 0.875, 1.0]
+    s, sw = _panel_rule(sedges, _GRADED_GL)
     return 1.0 - s, s, sw, phi, pw
 
 
@@ -573,18 +576,18 @@ class UnwindingFamily:
         th = self.theta(r)
         return (1.0 - th) / (1.0 + th)
 
-    def shell_map(self, r: float, n: int = 4096) -> CircleSample:
-        """Boundary trace of the shell map at radius r, n uniform samples.
+    def shell_map(self, r: float) -> CircleSample:
+        """Boundary trace of the shell map at radius r, 4096 uniform samples.
 
         Mixing values within 1e-12 of 1 snap to the constant map: the true
         trace is then within that distance of constant 1 in sup norm but its
         microscopic winding structure is not resolvable at any finite n.
         """
-        ang = 2.0 * math.pi * np.arange(n) / n
+        ang = 2.0 * math.pi * np.arange(4096) / 4096
         zc = np.exp(1j * ang)
         m = float(self.mixing(r))
         if m >= 1.0 - 1e-12:
-            vals = np.ones(n, dtype=complex)
+            vals = np.ones_like(zc)
         else:
             wv = eval_product(self.w, zc)
             vals = (wv + m) / (1.0 + m * wv)
@@ -712,14 +715,18 @@ def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
                           radial_bound=bound, bound_satisfied=bound_ok)
 
 
-def _zero_prefix_end(profile: Profile, tol: float = 1e-9) -> float:
-    """Largest t0 with the profile <= tol on all of [0, t0].
+# A profile value at most this is zero for the collar of the unwinding family.
+_ZERO_PROFILE_TOL = 1e-9
 
-    Node scan for the first sample above tol, then bisection on the
+
+def _zero_prefix_end(profile: Profile) -> float:
+    """Largest t0 with the profile <= _ZERO_PROFILE_TOL on all of [0, t0].
+
+    Node scan for the first sample above it, then bisection on the
     interpolant inside that grid cell, so the collar edge is resolved well
     below the sample spacing.
     """
-    nz = profile.values > tol
+    nz = profile.values > _ZERO_PROFILE_TOL
     if not bool(np.any(nz)):
         return 1.0
     i_first = int(np.argmax(nz))
@@ -729,21 +736,21 @@ def _zero_prefix_end(profile: Profile, tol: float = 1e-9) -> float:
     hi = float(_PROFILE_GRID[i_first])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if profile(mid) <= tol:
+        if profile(mid) <= _ZERO_PROFILE_TOL:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
-                            shell_samples: int = 4096) -> FamilyReport:
+def unwinding_family_energy(U: UnwindingFamily) -> FamilyReport:
     """Energy report of the family unwinding the whole product across a collar.
 
     Every shell with mixing m(r) < 1 carries a full d-factor product, so its
-    tangential energy is exactly pi*d (spot-checked numerically on
-    verify_shells well-mixed shells, along with the winding); shells with
-    m = 1 are constant.  The radial part integrates 2 r^2 m'(r)^2 * kernel(m).
+    tangential energy is exactly pi*d (spot-checked numerically, along with
+    the winding, on the first shells where the profile reaches 0.3, 0.5 and
+    0.8); shells with m = 1 are constant.  The radial part integrates
+    2 r^2 m'(r)^2 * kernel(m).
     When the profile vanishes on [0, eps], the substitution r -> eps/r turns
     the radial part into 8*eps times a profile functional on the reversed
     profile; the report carries that chain value and the reference constant
@@ -810,9 +817,8 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
         )
 
     # numeric spot check: well-mixed shells carry exactly pi*d and winding d
-    targets = (0.3, 0.5, 0.8)[: max(0, int(verify_shells))]
     radii = []
-    for q in targets:
+    for q in (0.3, 0.5, 0.8):
         idx = np.argmax(theta.values >= q)
         if theta.values[idx] >= q:
             radii.append(float(_PROFILE_GRID[idx]))
@@ -821,7 +827,7 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
 
         worst = 0.0
         for r in radii:
-            trace = U.shell_map(r, shell_samples)
+            trace = U.shell_map(r)
             energy, wind = circle_energy_numeric(trace), winding_number(trace)
             if wind != d:
                 raise NumericalFailure(
@@ -847,21 +853,19 @@ def unwinding_family_energy(U: UnwindingFamily, verify_shells: int = 3,
 # direct 3-D grid energy (independent cross-check of the decomposition)
 
 
-def _graded_1d(a: float, b: float, n_uniform: int, refine_points, min_step: float,
-               ratio: float = 0.6) -> np.ndarray:
-    """Uniform nodes on [a, b] plus geometric refinement toward given points."""
+def _graded_1d(a: float, b: float, n_uniform: int, refine_points, min_step: float) -> np.ndarray:
+    """Uniform nodes on [a, b] plus geometric refinement (ratio 0.6) toward
+    given points."""
     nodes = set(np.linspace(a, b, n_uniform + 1))
     base = (b - a) / n_uniform
     for p in refine_points:
         step = base
-        x = step
         while step > min_step:
-            step *= ratio
-            x *= ratio
-            if a + 1e-12 < p - x < b - 1e-12:
-                nodes.add(p - x)
-            if a + 1e-12 < p + x < b - 1e-12:
-                nodes.add(p + x)
+            step *= 0.6
+            if a + 1e-12 < p - step < b - 1e-12:
+                nodes.add(p - step)
+            if a + 1e-12 < p + step < b - 1e-12:
+                nodes.add(p + step)
         if a <= p <= b:
             nodes.add(p)
     arr = np.array(sorted(nodes))
@@ -869,8 +873,7 @@ def _graded_1d(a: float, b: float, n_uniform: int, refine_points, min_step: floa
     return arr[keep]
 
 
-def _graded_periodic(n_uniform: int, refine_angles, min_step: float,
-                     ratio: float = 0.6) -> np.ndarray:
+def _graded_periodic(n_uniform: int, refine_angles, min_step: float) -> np.ndarray:
     """Nodes on [0, 2pi) graded toward each angle, including across the seam.
 
     Angles near 0 (or 2pi) get ghost refinement points shifted by a period so
@@ -887,7 +890,7 @@ def _graded_periodic(n_uniform: int, refine_angles, min_step: float,
             pts.append(q + two_pi)
         if q > two_pi - 0.5:
             pts.append(q - two_pi)
-    return _graded_1d(0.0, two_pi, n_uniform, pts, min_step, ratio)[:-1]
+    return _graded_1d(0.0, two_pi, n_uniform, pts, min_step)[:-1]
 
 
 def _fd_energy(value_fn, r_nodes: np.ndarray, th_nodes: np.ndarray,

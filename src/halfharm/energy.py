@@ -5,6 +5,10 @@ The central objects: the plane/circle nonlocal energies with kernel
 Dirichlet energy, the disc Poisson extension of circle maps, the half-ball
 Dirichlet energy of 0-homogeneous fields, the half-Laplacian pairing, the
 L2 decay bounds of extensions, and the density E(B_r+)/r along radii.
+
+Each quantity is computed on one fixed rule, stated in its docstring; the
+only rule a caller chooses is the ray rule (n_omega, n_gl) of the Poisson
+extensions and of the half-space oracle.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def closed_xstar_ext(X):
 # (1+T^2)^(-1/2).  Panels are dyadic in t so compact supports close exactly.
 
 
-def _kernel_panels(t_stop: float, extra_breaks=(), n_gl: int = 24):
+def _kernel_panels(t_stop: float, extra_breaks, n_gl: int):
     """GL nodes/weights covering [0, t_stop] with dyadic panels and extra breaks."""
     edges = [0.0, 1.0, 3.0]
     while edges[-1] < t_stop:
@@ -248,13 +252,13 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * freqs * np.fft.fft(values))
 
 
-def circle_energy_numeric(g: CircleSample, tail_fraction_tol: float = 1e-6) -> float:
+def circle_energy_numeric(g: CircleSample) -> float:
     """Nonlocal circle energy (gamma_1/4) * double integral of
     |g(x)-g(y)|^2 / chordal^2, with the diagonal band replaced by its
     removable limit |g'|^2 (computed spectrally).
 
-    Exact for pure winding maps; refuses when the spectral tail shows the
-    sampling is too coarse for the map.
+    Exact for pure winding maps; refuses when the spectral tail (modes above
+    n/4) holds more than 1e-6 of the power, i.e. the sampling is too coarse.
     """
     v = g.values
     n = g.n
@@ -263,7 +267,7 @@ def circle_energy_numeric(g: CircleSample, tail_fraction_tol: float = 1e-6) -> f
     modes = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     tail = power[modes > n / 4].sum()
     total = power[modes > 0].sum()
-    if total > 0 and tail > tail_fraction_tol * total:
+    if total > 0 and tail > 1e-6 * total:
         raise Undersampled("spectral tail indicates the circle map is under-resolved")
 
     # sum_k |v_k - v_{k+j}|^2 for every offset j, via circular correlation
@@ -387,17 +391,15 @@ class FracEnergyReport:
         return float(self.value)
 
 
-def frac_energy_plane(u: PlaneMap, R: float = 1.0,
-                      n_x_r: int = 16, n_x_t: int = 48,
-                      n_omega: int = 48, n_gl: int = 8,
-                      levels: int = 4,
-                      rel_tol: float = 2e-4) -> FracEnergyReport:
+def frac_energy_plane(u: PlaneMap, R: float = 1.0) -> FracEnergyReport:
     """Localized 1/2-Dirichlet energy of u on the disc D_R.
 
-    Runs the pair quadrature on a ladder of refinements (all rule sizes grow
-    by ~1.4 per level).  If the increments between levels fail to contract,
-    the value is growing without bound under refinement and the report is
-    flagged divergent rather than trusted.
+    Runs the pair quadrature on a ladder of four refinements: the outer rule
+    (16 radii x 48 angles), the ray directions (48) and the Gauss nodes per
+    ray panel (8) all grow by ~1.4 per level, and the ladder stops once two
+    levels agree to 2e-4 relative.  If the increments between levels fail to
+    contract, the value is growing without bound under refinement and the
+    report is flagged divergent rather than trusted.
     """
     if R <= 0:
         raise InvalidArgument("need R > 0")
@@ -407,16 +409,14 @@ def frac_energy_plane(u: PlaneMap, R: float = 1.0,
                 "singular points inside the domain need local degree data")
     ladder = []
     tail_last = 0.0
-    for lev in range(levels):
+    for lev in range(4):
         f = 1.4**lev
-        val, tail_last = _pair_form(
-            u, None, R,
-            n_x_r=max(4, int(n_x_r * f)), n_x_t=max(8, int(n_x_t * f)),
-            n_omega=max(8, int(n_omega * f)), n_gl=max(4, int(n_gl * f)))
+        val, tail_last = _pair_form(u, None, R, n_x_r=int(16 * f), n_x_t=int(48 * f),
+                                    n_omega=int(48 * f), n_gl=int(8 * f))
         ladder.append(GAMMA_2 * val)
         if lev >= 1:
             inc = abs(ladder[-1] - ladder[-2])
-            if inc <= max(1e-12, rel_tol * abs(ladder[-1])):
+            if inc <= max(1e-12, 2e-4 * abs(ladder[-1])):
                 return FracEnergyReport(ladder[-1], GAMMA_2 * tail_last, True, False, tuple(ladder))
     inc = np.abs(np.diff(ladder))
     # judge growth on the last rungs only: the coarsest rule can wildly
@@ -433,16 +433,17 @@ def frac_energy_plane(u: PlaneMap, R: float = 1.0,
                             divergent, tuple(float(v) for v in ladder))
 
 
-def half_laplacian_pairing(u: PlaneMap, phi: PlaneMap, R: float = 1.0,
-                           n_x_r: int = 28, n_x_t: int = 72,
-                           n_omega: int = 72, n_gl: int = 10) -> float:
+def half_laplacian_pairing(u: PlaneMap, phi: PlaneMap, R: float = 1.0) -> float:
     """Weak pairing (gamma_2/2) * pair integral of <du, dphi>/|x-y|^3 over
-    (R^2 x R^2) minus (complement x complement); phi must vanish outside D_R."""
+    (R^2 x R^2) minus (complement x complement); phi must vanish outside D_R.
+
+    One pair quadrature: 28 x 72 outer points, 72 ray directions, 10 Gauss
+    nodes per ray panel."""
     if phi.far_field != "zero":
         raise PreconditionViolation("test maps must be compactly supported")
     if phi.far_radius > R + 1e-12:
         raise PreconditionViolation("test map support must sit inside the domain disc")
-    val, _ = _pair_form(u, phi, R, n_x_r, n_x_t, n_omega, n_gl)
+    val, _ = _pair_form(u, phi, R, 28, 72, 72, 10)
     return 2.0 * GAMMA_2 * val
 
 
@@ -461,29 +462,47 @@ def _tangent_frames(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _sphere_difference(v, p: np.ndarray, tau: np.ndarray, fd_h: float) -> np.ndarray:
+# step of the tangential central differences on the unit sphere
+_SPHERE_STEP = 1e-5
+
+
+def _sphere_difference(v, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Central difference of v at unit vectors p along tangents tau, with
     both displaced points renormalized back onto the unit sphere."""
-    plus = p + fd_h * tau
-    minus = p - fd_h * tau
+    plus = p + _SPHERE_STEP * tau
+    minus = p - _SPHERE_STEP * tau
     plus /= np.linalg.norm(plus, axis=1)[:, None]
     minus /= np.linalg.norm(minus, axis=1)[:, None]
-    return (np.asarray(v(plus)) - np.asarray(v(minus))) / (2.0 * fd_h)
+    return (np.asarray(v(plus)) - np.asarray(v(minus))) / (2.0 * _SPHERE_STEP)
 
 
-def hemisphere_tangential_energy(v, n_r: int = 128, n_t: int = 256,
-                                 fd_h: float = 1e-5) -> float:
+def _complex_gradient(v, X: np.ndarray, h) -> list[np.ndarray]:
+    """Cartesian central differences (d1 v, d2 v, d3 v) at points X (m, 3),
+    with step h: one float, or an (m,) array of one step per point."""
+    grads = []
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = 1.0
+        step = np.multiply.outer(h, e)
+        plus = np.asarray(v(X + step)).reshape(-1)
+        minus = np.asarray(v(X - step)).reshape(-1)
+        grads.append((plus - minus) / (2.0 * h))
+    return grads
+
+
+def hemisphere_tangential_energy(v) -> float:
     """(1/2) * integral over the upper unit hemisphere of |grad_tau v|^2,
-    with tangential derivatives by central differences along the sphere."""
-    rule = hemisphere_rule(n_r, n_t)
+    with tangential derivatives by central differences along the sphere,
+    on the 128 x 256 hemisphere rule."""
+    rule = hemisphere_rule(128, 256)
     p = rule.nodes
     t1, t2 = _tangent_frames(p)
-    dens = (np.abs(_sphere_difference(v, p, t1, fd_h)) ** 2
-            + np.abs(_sphere_difference(v, p, t2, fd_h)) ** 2)
+    dens = (np.abs(_sphere_difference(v, p, t1)) ** 2
+            + np.abs(_sphere_difference(v, p, t2)) ** 2)
     return 0.5 * float(dens @ rule.weights)
 
 
-def dirichlet_energy_halfball(v, r: float = 1.0, n_r: int = 128, n_t: int = 256) -> float:
+def dirichlet_energy_halfball(v, r: float = 1.0) -> float:
     """(1/2) * integral of |grad v|^2 over the upper half-ball of radius r,
     for analytic 0-homogeneous fields: r times the hemisphere surface energy.
 
@@ -497,7 +516,7 @@ def dirichlet_energy_halfball(v, r: float = 1.0, n_r: int = 128, n_t: int = 256)
         field = lambda P: homogeneous_extension(B, P)
     else:
         field = v
-    return r * hemisphere_tangential_energy(field, n_r=n_r, n_t=n_t)
+    return r * hemisphere_tangential_energy(field)
 
 
 @dataclass(frozen=True)
@@ -509,31 +528,25 @@ class MonotoneReport:
     theta_limit: float
 
 
-def monotone_density(B: BlaschkeProduct, radii, n_s: int = 12,
-                     n_r: int = 48, n_t: int = 96) -> MonotoneReport:
+def monotone_density(B: BlaschkeProduct, radii) -> MonotoneReport:
     """E(extension, B_r+)/r for each radius, by genuine 3-D integration
-    in spherical shells with finite-difference gradients of the extension."""
+    in spherical shells (12 Gauss radii, a 48 x 96 hemisphere rule) with
+    central-difference gradients of the extension, of step 1e-5 times the
+    shell radius."""
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 or r > 1 for r in radii):
         raise DomainViolation("radii must lie in (0, 1]")
-    rule = hemisphere_rule(n_r, n_t)
+    rule = hemisphere_rule(48, 96)
     p = rule.nodes
 
     def shell_density(s: float) -> float:
         """integral over the hemisphere of |grad v|^2 at radius s."""
-        h = 1e-5 * s
-        total = np.zeros(p.shape[0])
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = h
-            d = (homogeneous_extension(B, s * p + e) -
-                 homogeneous_extension(B, s * p - e)) / (2.0 * h)
-            total += np.abs(d) ** 2
-        return float(total @ rule.weights)
+        grads = _complex_gradient(lambda X: homogeneous_extension(B, X), s * p, 1e-5 * s)
+        return float(sum(np.abs(g) ** 2 for g in grads) @ rule.weights)
 
     out = []
     for r in radii:
-        s_nodes, s_weights = _panel_rule((0.0, r), n_s)
+        s_nodes, s_weights = _panel_rule((0.0, r), 12)
         E = 0.5 * sum(w * s * s * shell_density(s) for s, w in zip(s_nodes, s_weights))
         out.append(E / r)
     theta = out[-1] if out else 0.0
@@ -551,27 +564,26 @@ def _first_panel_rule(edges, n_first: int, n_rest: int) -> tuple[np.ndarray, np.
     return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
 
 
-def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
-                               n_r: int = 14, n_theta: int = 10, n_phi: int = 16,
-                               n_omega: int = 128, n_gl: int = 16) -> float:
-    """(1/2) * integral of |grad u^e|^2 over the half-ball B_R+, plus the
-    analytic dipole tail, for compactly supported u.
+def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) -> float:
+    """(1/2) * integral of |grad u^e|^2 over the half-ball B_R+ with
+    R = 6 max(1, far_radius), plus the analytic dipole tail, for compactly
+    supported u.
 
     The gradient of the extension is computed from analytic kernel
     derivatives, so this is an independent route to the nonlocal energy.
-    n_phi is the starting size of each ring's angular rule; rings refine by
-    doubling until converged, so maps with fine angular detail stay accurate.
+    n_omega and n_gl are the ray rule of every extension gradient.  Each
+    ring's angular rule starts at 16 points and refines by doubling until
+    converged, so maps with fine angular detail stay accurate.
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")
-    if R is None:
-        R = 6.0 * max(1.0, u.far_radius)
+    R = 6.0 * max(1.0, u.far_radius)
     # the energy density has structure at the support scale and smooth decay
     # beyond it, so the radial rule uses panels split at that scale; a single
     # Gauss rule across the break converges slowly with oscillating sign
-    s = min(u.far_radius, 0.5 * R) if u.far_radius > 0 else R / 6.0
-    r_edges = [0.0, s, min(2.0 * s, 0.75 * R), R]
-    rads, wrads = _first_panel_rule(r_edges, n_r, max(8, n_r // 2))
+    s = u.far_radius if u.far_radius > 0 else 1.0
+    r_edges = [0.0, s, 2.0 * s, R]
+    rads, wrads = _first_panel_rule(r_edges, 14, 8)
     # the energy density climbs steeply toward the plane (its trace there is
     # the boundary Dirichlet density), on a height scale set by the map's
     # features; geometric panels toward theta = pi/2 resolve every scale
@@ -582,14 +594,13 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
         wall *= 0.3
         t_edges.append(half_pi - wall)
     t_edges.append(half_pi)
-    thetas, wthetas = _first_panel_rule(t_edges, n_theta, 4)
+    thetas, wthetas = _first_panel_rule(t_edges, 10, 4)
 
     total = 0.0
     for rad, w_r in zip(rads, wrads):
         for th, w_t in zip(thetas, wthetas):
             x3 = rad * math.cos(th)
-            ring_mean = _ring_mean_density(u, rad * math.sin(th), x3,
-                                           n_phi, n_omega, n_gl)
+            ring_mean = _ring_mean_density(u, rad * math.sin(th), x3, n_omega, n_gl)
             total += (w_r * w_t * 2.0 * np.pi
                       * (rad * rad * math.sin(th)) * ring_mean)
     # dipole tail: u^e ~ gamma_2 M x3 / |X|^3, whose half-space Dirichlet
@@ -600,8 +611,7 @@ def halfspace_dirichlet_oracle(u: PlaneMap, R: float | None = None,
     return 0.5 * total + 0.5 * tail
 
 
-def _extension_value_ring(u: PlaneMap, centers, h: float,
-                          n_omega: int = 128, n_gl: int = 16):
+def _extension_value_ring(u: PlaneMap, centers, h: float, n_omega: int, n_gl: int):
     """Poisson extension values for a ring of plane points at one height.
 
     All ring points share the plane radius so the radial panels are built
@@ -620,21 +630,21 @@ def _extension_value_ring(u: PlaneMap, centers, h: float,
     return num / total_mass
 
 
-def _ring_mean_density(u: PlaneMap, r_plane: float, h: float, n0: int,
-                       n_omega: int, n_gl: int, rel_tol: float = 2e-5,
-                       n_max: int = 128) -> float:
+def _ring_mean_density(u: PlaneMap, r_plane: float, h: float,
+                       n_omega: int, n_gl: int) -> float:
     """Angular mean of |grad extension|^2 on one ring, refined by doubling.
 
     Uniform angular rules interleave under doubling, so every sample is
     reused; rings whose angular structure is finer than the starting rule
-    escalate until two consecutive levels agree.
+    of 16 points escalate until two consecutive levels agree to 2e-5
+    relative, or the rule reaches 128 points.
     """
-    n = n0
+    n = 16
     phis = 2.0 * np.pi * np.arange(n) / n
     dens = _gradient_ring_density(u, r_plane * np.exp(1j * phis), h,
                                   n_omega, n_gl)
     mean = float(np.mean(dens))
-    while n < n_max:
+    while n < 128:
         odd = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         dens_odd = _gradient_ring_density(u, r_plane * np.exp(1j * odd), h,
                                           n_omega, n_gl)
@@ -642,56 +652,46 @@ def _ring_mean_density(u: PlaneMap, r_plane: float, h: float, n0: int,
         n *= 2
         # consecutive levels can agree by aliasing accident while both are
         # still wrong, so the stop test only counts once the rule is dense
-        done = n >= 32 and abs(mean2 - mean) <= rel_tol * max(abs(mean2), 1e-30)
+        done = n >= 32 and abs(mean2 - mean) <= 2e-5 * max(abs(mean2), 1e-30)
         mean = mean2
         if done:
             break
     return mean
 
 
-def _gradient_rays(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_gl: int):
-    """Directions, band samples of u and the weighted horizontal/vertical
-    derivative kernels (times x3) for rays from plane points of one radius."""
+def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_gl: int):
+    """x3 times the gradient (d1, d2, d3) of the extension at plane points of
+    one radius and height h, as three arrays over the points.
+
+    In the scaled radial variable t = rho/x3 the kernels are
+    3 t^2 (1+t^2)^(-5/2) times the direction component horizontally and
+    (t^2 - 2) t (1+t^2)^(-5/2) vertically; both have zero total mass, so
+    compactly supported maps need no tail terms once the rays leave the
+    support.  All points share the plane radius, so the radial panels are
+    identical and the kernel sums batch into single tensor contractions,
+    taken over the support band only.
+    """
     t, wt, _, band = _ray_setup(u, centers, h, n_gl)
     t, wt = t[band], wt[band]
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
     base = (1.0 + t * t) ** -2.5
-    return (what, _ray_values(u, centers, h, t, what),
-            (3.0 * t * t * base) * wt, ((t * t - 2.0) * t * base) * wt)
+    vals = _ray_values(u, centers, h, t, what)
+    proj_h = vals @ ((3.0 * t * t * base) * wt)
+    return (np.mean(proj_h * np.real(what)[None, :], axis=1),
+            np.mean(proj_h * np.imag(what)[None, :], axis=1),
+            np.mean(vals @ (((t * t - 2.0) * t * base) * wt), axis=1))
 
 
-def _gradient_ring_density(u: PlaneMap, centers, h: float,
-                           n_omega: int = 128, n_gl: int = 16):
-    """|grad of the extension|^2 for a ring of plane points at one height.
-
-    All ring points share the plane radius, so the scaled radial panels are
-    identical and the kernel sums batch into single tensor contractions,
-    taken over the support band only.
-    """
-    what, vals, k_h, k_v = _gradient_rays(u, np.asarray(centers, dtype=complex),
-                                          h, n_omega, n_gl)
-    proj_h = vals @ k_h
-    gh = np.mean(proj_h * np.real(what)[None, :], axis=1)
-    gh2 = np.mean(proj_h * np.imag(what)[None, :], axis=1)
-    gv = np.mean(vals @ k_v, axis=1)
+def _gradient_ring_density(u: PlaneMap, centers, h: float, n_omega: int, n_gl: int):
+    """|grad of the extension|^2 for a ring of plane points at one height."""
+    gh, gh2, gv = _gradient_ring(u, np.asarray(centers, dtype=complex), h, n_omega, n_gl)
     return (np.abs(gh) ** 2 + np.abs(gh2) ** 2 + np.abs(gv) ** 2) / (h * h)
 
 
 def poisson_extend_gradient(u: PlaneMap, X, n_omega: int = 128, n_gl: int = 16):
-    """(d1, d2, d3) of the Poisson extension at X via analytic kernel derivatives.
-
-    In the scaled radial variable t = rho/x3 the kernels are
-    3 t^2 (1+t^2)^(-5/2) / x3 times the direction component horizontally and
-    (t^2 - 2) t (1+t^2)^(-5/2) / x3 vertically; both have zero total mass, so
-    compactly supported maps need no tail terms once the rays leave the support.
-    """
+    """(d1, d2, d3) of the Poisson extension at X via analytic kernel derivatives."""
     x, h = _halfspace_point(X)
-    what, vals, k_h, k_v = _gradient_rays(u, np.array([x]), h, n_omega, n_gl)
-    vals = vals[0]
-    gh = np.mean((vals * np.real(what)[:, None]) @ k_h)
-    gh2 = np.mean((vals * np.imag(what)[:, None]) @ k_h)
-    gv = np.mean(vals @ k_v)
-    return (complex(gh / h), complex(gh2 / h), complex(gv / h))
+    return tuple(complex(g[0] / h) for g in _gradient_ring(u, np.array([x]), h, n_omega, n_gl))
 
 
 @dataclass(frozen=True)
@@ -707,15 +707,21 @@ class L2BoundsReport:
     loglog_slope: float
 
 
-def extension_l2_bounds_check(u: PlaneMap, heights, n_r: int = 32, n_t: int = 64,
-                              n_omega: int = 128, n_gl: int = 16) -> L2BoundsReport:
+# (radii, angles) of the disc rule of extension_l2_bounds_check
+_L2_RULE = (32, 64)
+
+
+def extension_l2_bounds_check(u: PlaneMap, heights) -> L2BoundsReport:
     """Check integral |u^e(., x3)|^2 <= ||u||_2^2 and <= C ||u||_1^2 / x3^2
-    at each height, reporting the empirical constant and the decay slope."""
+    at each height, reporting the empirical constant and the decay slope.
+
+    Every slice is a 32 x 64 polar rule whose rings of extension values use
+    the 128-direction, 16-node ray rule."""
     if u.far_field != "zero":
         raise PreconditionViolation("bounds apply to compactly supported maps")
     heights = tuple(float(h) for h in heights)
     supp = u.far_radius
-    rule = disc_rule(n_r, n_t)
+    rule = disc_rule(*_L2_RULE)
     su = u(supp * rule.nodes)
     wts = supp * supp * rule.weights
     l2_sq = float(np.sum(np.abs(su) ** 2 * wts))
@@ -724,11 +730,11 @@ def extension_l2_bounds_check(u: PlaneMap, heights, n_r: int = 32, n_t: int = 64
     slices = []
     for h in heights:
         L = supp + 6.0 * h
-        nodes = (L * rule.nodes).reshape(n_r, n_t)
-        w = (L * L * rule.weights).reshape(n_r, n_t)
+        nodes = (L * rule.nodes).reshape(_L2_RULE)
+        w = (L * L * rule.weights).reshape(_L2_RULE)
         inner = 0.0
         for ring, wring in zip(nodes, w):
-            vals = _extension_value_ring(u, ring, h, n_omega=n_omega, n_gl=n_gl)
+            vals = _extension_value_ring(u, ring, h, 128, 16)
             inner += float(np.sum(np.abs(vals) ** 2 * wring))
         # slice tail: |u^e| <~ gamma_2 l1 * h / r^3 outside D_L
         tail = (GAMMA_2 * l1 * h) ** 2 * 2.0 * np.pi / (4.0 * L**4)

@@ -15,10 +15,6 @@ class DomainViolation(HalfharmError, ValueError):
     """A point lies outside the mathematical domain of the operation."""
 
 
-class OutOfRange(HalfharmError, ValueError):
-    """A target value lies outside the attainable range."""
-
-
 class PreconditionViolation(HalfharmError, ValueError):
     """A declared precondition was checked and found to fail."""
 

@@ -11,6 +11,9 @@ boundary representation (hemisphere determinant plus point charges) —
 quantifies its continuity in discrete trace seminorms, and computes the
 convex boundary potential whose minimum pins the extension energy of
 unit-degree data at pi.
+
+Every rule and difference step is fixed; only energy_lower_bound_check and
+jacobian_report let the caller choose the half-ball rule.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .blaschke import CircleSample, winding_number
-from .energy import _sphere_difference, _tangent_frames
+from .energy import _complex_gradient, _sphere_difference, _tangent_frames
 from .errors import (
     InvalidArgument,
     NumericalFailure,
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import _panel_rule, disc_rule, gauss_legendre, hemisphere_rule
+from .quadrature import _panel_rule, circle_rule, disc_rule, gauss_legendre, hemisphere_rule
 
 __all__ = [
     "AtomMeasure",
@@ -61,6 +64,13 @@ MIN_ATOM_SEPARATION = 1e-9
 #: Atoms with less rim clearance than this cannot be circled for a winding
 #: check, so the data is rejected rather than left unvalidated.
 MIN_RIM_CLEARANCE = 1e-6
+
+# Point pairs sampled by LipschitzTest.validate.
+_LIPSCHITZ_PAIRS = 400
+
+# Largest deviation BoundaryField.validate allows from unit modulus on the
+# flat face, and between the two faces on the equator.
+_TRACE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +157,23 @@ class LipschitzTest:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.func(pts), dtype=float).reshape(pts.shape[0])
 
-    def validate(self, n_pairs: int = 400, seed: int = 0,
-                 slack: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Check sampled difference quotients against the declared constant.
 
-        Random point pairs in the closed upper half-ball; a quotient above
-        lip * (1 + slack) rejects the declaration.
+        400 random point pairs (seed 0) in the closed upper half-ball; a
+        quotient above lip * (1 + 1e-6) rejects the declaration.
         """
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(2 * n_pairs, 3))
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(2 * _LIPSCHITZ_PAIRS, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts *= rng.uniform(0.0, 1.0, size=(2 * n_pairs, 1)) ** (1.0 / 3.0)
+        pts *= rng.uniform(0.0, 1.0, size=(2 * _LIPSCHITZ_PAIRS, 1)) ** (1.0 / 3.0)
         pts[:, 2] = np.abs(pts[:, 2])
-        a, b = pts[:n_pairs], pts[n_pairs:]
+        a, b = pts[:_LIPSCHITZ_PAIRS], pts[_LIPSCHITZ_PAIRS:]
         dist = np.linalg.norm(a - b, axis=1)
         keep = dist > 1e-9
         quot = np.abs(self(a[keep]) - self(b[keep])) / dist[keep]
         worst = float(np.max(quot)) if quot.size else 0.0
-        if worst > self.lip * (1.0 + slack):
+        if worst > self.lip * (1.0 + 1e-6):
             raise PreconditionViolation(
                 f"test '{self.name}' has sampled difference quotient "
                 f"{worst:.6g} above its declared constant {self.lip:.6g}"
@@ -190,12 +199,11 @@ def coordinate_tests() -> tuple[LipschitzTest, ...]:
     return tuple(LipschitzTest(pick(i), 1.0, f"x{i + 1}") for i in range(3))
 
 
-def default_test_dictionary(grid_n: int = 5) -> tuple[LipschitzTest, ...]:
-    """Distance tests on a coarse square grid over the closed disc (origin
-    included for odd grid_n) plus the three coordinate functions."""
-    if grid_n < 2:
-        raise InvalidArgument("dictionary grid needs at least 2 points/axis")
-    ticks = np.linspace(-1.0, 1.0, grid_n)
+def default_test_dictionary() -> tuple[LipschitzTest, ...]:
+    """Distance tests on the points of a 5 x 5 square grid over [-1, 1]^2
+    (origin included) that lie in the closed disc, plus the three
+    coordinate functions."""
+    ticks = np.linspace(-1.0, 1.0, 5)
     tests = [distance_test(complex(cx, cy))
              for cx in ticks for cy in ticks
              if math.hypot(cx, cy) <= 1.0 + 1e-12]
@@ -237,42 +245,41 @@ class BoundaryField:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         return np.asarray(self.flat(z), dtype=complex).reshape(z.shape[0])
 
-    def validate(self, modulus_tol: float = 1e-6, agree_tol: float = 1e-6,
-                 exclusion_radius: float = 0.05, n_equator: int = 256,
-                 n_winding: int = 256) -> None:
+    def validate(self) -> None:
         """Check the structural invariants of partially regular data.
 
         Raises PreconditionViolation when the flat part strays from unit
-        modulus away from atoms, when the two faces disagree along the
-        equator, or when the winding of the flat part around any atom does
-        not match its declared degree.  A degree mismatch is always an
-        error, never silently corrected.
+        modulus on the nodes of a 16 x 48 disc rule farther than 0.05 from
+        every atom, when the two faces disagree at 256 equator points, or
+        when the winding of the flat part around any atom does not match its
+        declared degree.  A degree mismatch is always an error, never
+        silently corrected.
         """
         rule = disc_rule(16, 48)
         z = rule.nodes
         mask = np.ones(z.shape[0], dtype=bool)
         for a, _ in self.atoms.atoms:
-            mask &= np.abs(z - a) > exclusion_radius
+            mask &= np.abs(z - a) > 0.05
         if np.any(mask):
             moduli = np.abs(self.eval_flat(z[mask]))
             worst = float(np.max(np.abs(moduli - 1.0)))
-            if worst > modulus_tol:
+            if worst > _TRACE_TOL:
                 raise PreconditionViolation(
                     f"flat part modulus deviates from 1 by {worst:.3g} away "
-                    f"from atoms (tolerance {modulus_tol:g})"
+                    f"from atoms (tolerance {_TRACE_TOL:g})"
                 )
-        t = 2.0 * np.pi * np.arange(n_equator) / n_equator
+        t = circle_rule(256).nodes
         ring = np.exp(1j * t)
         equator3 = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
         gap = np.max(np.abs(self.eval_flat(ring) - self.eval_sphere(equator3)))
-        if gap > agree_tol:
+        if gap > _TRACE_TOL:
             raise PreconditionViolation(
                 f"hemisphere and flat traces disagree on the equator by "
-                f"{float(gap):.3g} (tolerance {agree_tol:g})"
+                f"{float(gap):.3g} (tolerance {_TRACE_TOL:g})"
             )
-        self._validate_windings(n_winding)
+        self._validate_windings()
 
-    def _validate_windings(self, n_start: int) -> None:
+    def _validate_windings(self) -> None:
         sep = self.atoms.min_separation()
         for a, d in self.atoms.atoms:
             clearance = 1.0 - abs(a)
@@ -282,7 +289,7 @@ class BoundaryField:
                     "winding check"
                 )
             radius = 0.5 * min(sep, clearance, 0.2)
-            n = max(64, int(n_start))
+            n = 256
             while True:
                 circle = a + radius * np.exp(
                     2j * np.pi * np.arange(n) / n)
@@ -376,24 +383,17 @@ def _singular_positions(atoms) -> np.ndarray:
     return np.array(pts, dtype=float).reshape(-1, 3)
 
 
-def _fd_steps(X: np.ndarray, sing: np.ndarray, frac: float,
-              floor: float) -> np.ndarray:
+# Central-difference step of v, as a fraction of the distance to the
+# nearest declared vortex (floored at 1e-3).
+_FD_FRAC = 1e-3
+
+
+def _fd_steps(X: np.ndarray, sing: np.ndarray) -> np.ndarray:
     if sing.shape[0] == 0:
-        return np.full(X.shape[0], frac)
+        return np.full(X.shape[0], _FD_FRAC)
     d = np.min(np.stack([np.linalg.norm(X - s[None, :], axis=1)
                          for s in sing]), axis=0)
-    return frac * np.maximum(d, floor)
-
-
-def _complex_gradient(v, X: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
-    grads = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        plus = np.asarray(v(X + h[:, None] * e), dtype=complex).reshape(-1)
-        minus = np.asarray(v(X - h[:, None] * e), dtype=complex).reshape(-1)
-        grads.append((plus - minus) / (2.0 * h))
-    return grads
+    return _FD_FRAC * np.maximum(d, 1e-3)
 
 
 def _wedge(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
@@ -402,8 +402,7 @@ def _wedge(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
                            np.imag(np.conj(g1) * g2)], axis=1)
 
 
-def wedge_field(v, atoms=None, step_frac: float = 1e-3,
-                step_floor: float = 1e-3) -> Callable[[np.ndarray], np.ndarray]:
+def wedge_field(v, atoms=None) -> Callable[[np.ndarray], np.ndarray]:
     """The 3-vector field H(v) = 2 (d2v ^ d3v, d3v ^ d1v, d1v ^ d2v) of a
     plane-valued interior map, as a callable on (m, 3) points.
 
@@ -416,7 +415,7 @@ def wedge_field(v, atoms=None, step_frac: float = 1e-3,
 
     def H(pts: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _wedge(*_complex_gradient(v, X, _fd_steps(X, sing, step_frac, step_floor)))
+        return _wedge(*_complex_gradient(v, X, _fd_steps(X, sing)))
 
     return H
 
@@ -429,11 +428,11 @@ def _smooth_step_down(t: np.ndarray) -> np.ndarray:
     return 1.0 - s
 
 
-def _patch_radii(sing: np.ndarray, skip_radius: float) -> list[tuple[np.ndarray, float]]:
+def _patch_radii(sing: np.ndarray) -> list[tuple[np.ndarray, float]]:
     patches = []
     for i in range(sing.shape[0]):
         a = sing[i]
-        if np.linalg.norm(a) <= skip_radius:
+        if np.linalg.norm(a) <= 0.05:
             continue  # the global polar rule is already centered there
         m = 0.45
         for j in range(sing.shape[0]):
@@ -445,17 +444,17 @@ def _patch_radii(sing: np.ndarray, skip_radius: float) -> list[tuple[np.ndarray,
 
 
 def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
-                     n_s: int, skip_radius: float = 0.05
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+                     n_s: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Vortex-adapted rule for the upper half unit ball, as (nodes (m, 3),
     weight * cutoff (m,)) blocks whose weighted sums add up to the integral.
 
     A global polar rule covers the bulk; around each flat-face singular
-    point away from the origin a locally centered polar patch takes over
-    through a smooth partition of unity, so integrands concentrating like
-    1/dist^2 at the vortices are resolved by the patch's radial Jacobian.
+    point farther than 0.05 from the origin a locally centered polar patch
+    takes over through a smooth partition of unity, so integrands
+    concentrating like 1/dist^2 at the vortices are resolved by the patch's
+    radial Jacobian.
     """
-    patches = _patch_radii(sing, skip_radius)
+    patches = _patch_radii(sing)
 
     def chi_sum(X: np.ndarray) -> np.ndarray:
         out = np.zeros(X.shape[0])
@@ -482,37 +481,35 @@ def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
     return blocks
 
 
+# (n_r, n_hr, n_ht, n_s) of pairing_volume and halfball_energy_fd: Gauss
+# radii, the hemisphere rule and the Gauss radii of each vortex patch
+_HALFBALL_RULE = (24, 24, 48, 48)
+
+
 def _halfball_pass(v, tests, atoms, n_r: int, n_hr: int, n_ht: int,
-                   n_s: int, phi_step: float = 1e-6) -> tuple[float, np.ndarray]:
+                   n_s: int) -> tuple[float, np.ndarray]:
     """The discrete energy of v and its volume pairing with each test.
 
     One rule and one difference gradient of v per block serve them all:
     (1/2) sum w |grad v|^2 and sum w H(v) . grad(phi), where grad(phi) is a
-    central difference of step phi_step.  Returns (energy, pairings).
+    central difference of step 1e-6.  Returns (energy, pairings).
     """
     sing = _singular_positions(atoms)
     pevals = [_phi_eval(phi) for phi in tests]
     totals = None
     for X, w in _halfball_blocks(sing, n_r, n_hr, n_ht, n_s):
-        g = _complex_gradient(v, X, _fd_steps(X, sing, 1e-3, 1e-3))
+        g = _complex_gradient(v, X, _fd_steps(X, sing))
         H = _wedge(*g)
         sums = [np.sum(w * sum(np.abs(gi) ** 2 for gi in g))]
         for peval in pevals:
-            grads = []
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = 1.0
-                grads.append((peval(X + phi_step * e) - peval(X - phi_step * e))
-                             / (2.0 * phi_step))
+            grads = _complex_gradient(peval, X, 1e-6)
             sums.append(np.sum(w * np.sum(H * np.stack(grads, axis=1), axis=1)))
         # block by block in rule order, as one running float per output
         totals = np.array(sums) if totals is None else totals + np.array(sums)
     return 0.5 * float(totals[0]), totals[1:]
 
 
-def pairing_volume(v, phi, atoms=None, *, n_r: int = 24, n_hr: int = 24,
-                   n_ht: int = 48, n_s: int = 48,
-                   phi_step: float = 1e-6) -> float:
+def pairing_volume(v, phi, atoms=None) -> float:
     """Charge pairing through the interior: integral over the upper half
     unit ball of H(v) . grad(phi).
 
@@ -523,16 +520,15 @@ def pairing_volume(v, phi, atoms=None, *, n_r: int = 24, n_hr: int = 24,
     adapt; omit it for smooth extensions.  A constant phi gives exactly 0
     because its central differences vanish identically.
     """
-    _, pairings = _halfball_pass(v, [phi], atoms, n_r, n_hr, n_ht, n_s, phi_step)
+    _, pairings = _halfball_pass(v, [phi], atoms, *_HALFBALL_RULE)
     return float(pairings[0])
 
 
-def halfball_energy_fd(v, atoms=None, *, n_r: int = 24, n_hr: int = 24,
-                       n_ht: int = 48, n_s: int = 48) -> float:
+def halfball_energy_fd(v, atoms=None) -> float:
     """Discrete Dirichlet energy (1/2) integral of |grad v|^2 over the
     upper half unit ball, with the same vortex-adapted quadrature and
     difference steps as pairing_volume."""
-    return _halfball_pass(v, [], atoms, n_r, n_hr, n_ht, n_s)[0]
+    return _halfball_pass(v, [], atoms, *_HALFBALL_RULE)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +536,21 @@ def halfball_energy_fd(v, atoms=None, *, n_r: int = 24, n_hr: int = 24,
 # ---------------------------------------------------------------------------
 
 
-def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi, *,
-                    n_hr: int = 48, n_ht: int = 96,
-                    fd_h: float = 1e-5) -> float:
+# (n_hr, n_ht) of the hemisphere rule of pairing_surface and bcl_potential
+_HEMISPHERE_RULE = (48, 96)
+
+
+def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi) -> float:
     """Charge pairing through the boundary: twice the hemisphere integral
     of det(tangential gradient of the sphere part) times phi, minus
     2*pi*sum of degree_i * phi(atom_i).
 
     The determinant uses per-node orthonormal tangent frames (tau1, tau2)
     with (tau1, tau2, x) direct, and tangential central differences along
-    renormalized great-circle displacements.  nu defaults to the field's
-    own atoms; passing an inconsistent measure is an error.  Atoms closer
-    together than the equatorial node spacing cannot be told apart by the
-    rule and are rejected.
+    renormalized great-circle displacements, on the 48 x 96 hemisphere
+    rule.  nu defaults to the field's own atoms; passing an inconsistent
+    measure is an error.  Atoms closer together than the equatorial node
+    spacing 2 pi / 96 cannot be told apart by the rule and are rejected.
     """
     if nu is None:
         nu = g.atoms
@@ -561,18 +559,18 @@ def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi, *,
         raise PreconditionViolation(
             "the supplied atom measure disagrees with the field's own atoms"
         )
-    resolution = 2.0 * np.pi / n_ht
+    resolution = 2.0 * np.pi / _HEMISPHERE_RULE[1]
     if nu.min_separation() < resolution:
         raise PreconditionViolation(
             f"atoms are closer ({nu.min_separation():.3g}) than the grid "
-            f"resolution ({resolution:.3g}); refine the rule"
+            f"resolution ({resolution:.3g}), so the rule cannot tell them apart"
         )
     peval = _phi_eval(phi)
-    rule = hemisphere_rule(n_hr, n_ht)
+    rule = hemisphere_rule(*_HEMISPHERE_RULE)
     P, W = rule.nodes, rule.weights
     t1, t2 = _tangent_frames(P)
-    det = np.imag(np.conj(_sphere_difference(g.eval_sphere, P, t1, fd_h))
-                  * _sphere_difference(g.eval_sphere, P, t2, fd_h))
+    det = np.imag(np.conj(_sphere_difference(g.eval_sphere, P, t1))
+                  * _sphere_difference(g.eval_sphere, P, t2))
     surface = 2.0 * float(np.sum(W * det * peval(P)))
     if len(nu.atoms) == 0:
         return surface
@@ -586,12 +584,20 @@ def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi, *,
 # ---------------------------------------------------------------------------
 
 
-def _boundary_nodes(n_hr: int, n_ht: int) -> tuple[np.ndarray, np.ndarray, int]:
+# (n_r, n_t) of the hemisphere rule and of the disc rule that cover the
+# half-ball boundary in the trace seminorms
+_BOUNDARY_RULE = (24, 48)
+
+# Rows of boundary nodes per block of the seminorm double sum.
+_SEMINORM_BLOCK = 512
+
+
+def _boundary_nodes() -> tuple[np.ndarray, np.ndarray, int]:
     """Quadrature nodes and weights covering the whole half-ball boundary:
     hemisphere nodes first, then flat-face nodes embedded at x3 = 0.
     Returns (points (m,3), weights (m,), hemisphere count)."""
-    hem = hemisphere_rule(n_hr, n_ht)
-    flat = disc_rule(n_hr, n_ht)
+    hem = hemisphere_rule(*_BOUNDARY_RULE)
+    flat = disc_rule(*_BOUNDARY_RULE)
     z = flat.nodes
     flat3 = np.stack([z.real, z.imag, np.zeros(z.shape[0])], axis=1)
     pts = np.concatenate([hem.nodes, flat3], axis=0)
@@ -608,11 +614,11 @@ def _field_values(g: BoundaryField, pts: np.ndarray, n_hem: int) -> np.ndarray:
 
 
 def _seminorm_from_values(vals: np.ndarray, pts: np.ndarray,
-                          wts: np.ndarray, block: int = 512) -> float:
+                          wts: np.ndarray) -> float:
     total = 0.0
     m = pts.shape[0]
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
+    for lo in range(0, m, _SEMINORM_BLOCK):
+        hi = min(lo + _SEMINORM_BLOCK, m)
         diff = pts[lo:hi, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         num = np.abs(vals[lo:hi, None] - vals[None, :]) ** 2
@@ -622,16 +628,16 @@ def _seminorm_from_values(vals: np.ndarray, pts: np.ndarray,
     return math.sqrt(max(total, 0.0))
 
 
-def trace_seminorm(g: BoundaryField, *, n_hr: int = 24,
-                   n_ht: int = 48) -> float:
+def trace_seminorm(g: BoundaryField) -> float:
     """Discrete half-order boundary seminorm of the data: square root of
     the double quadrature sum of |g(x) - g(y)|^2 / |x - y|^3 over the full
-    half-ball boundary with the diagonal excluded.
+    half-ball boundary (a 24 x 48 rule on each face) with the diagonal
+    excluded.
 
     This fixed-rule double sum is the computable stand-in for the trace
     seminorm; all continuity reports use it consistently.
     """
-    pts, wts, n_hem = _boundary_nodes(n_hr, n_ht)
+    pts, wts, n_hem = _boundary_nodes()
     vals = _field_values(g, pts, n_hem)
     return _seminorm_from_values(vals, pts, wts)
 
@@ -654,9 +660,7 @@ class ContinuityReport:
 
 
 def continuity_gap(g1: BoundaryField, g2: BoundaryField,
-                   phi: LipschitzTest, *, n_hr: int = 24, n_ht: int = 48,
-                   surface_n_hr: int = 48,
-                   surface_n_ht: int = 96) -> ContinuityReport:
+                   phi: LipschitzTest) -> ContinuityReport:
     """Compare the charge pairings of two boundary data sets against the
     seminorm continuity bound.
 
@@ -669,10 +673,10 @@ def continuity_gap(g1: BoundaryField, g2: BoundaryField,
         raise InvalidArgument(
             "continuity_gap needs a LipschitzTest with a declared constant"
         )
-    p1 = pairing_surface(g1, None, phi, n_hr=surface_n_hr, n_ht=surface_n_ht)
-    p2 = pairing_surface(g2, None, phi, n_hr=surface_n_hr, n_ht=surface_n_ht)
+    p1 = pairing_surface(g1, None, phi)
+    p2 = pairing_surface(g2, None, phi)
     gap = abs(p1 - p2)
-    pts, wts, n_hem = _boundary_nodes(n_hr, n_ht)
+    pts, wts, n_hem = _boundary_nodes()
     v1 = _field_values(g1, pts, n_hem)
     v2 = _field_values(g2, pts, n_hem)
     s1 = _seminorm_from_values(v1, pts, wts)
@@ -690,10 +694,10 @@ def continuity_gap(g1: BoundaryField, g2: BoundaryField,
 # ---------------------------------------------------------------------------
 
 
-def _hemisphere_potential(n_hr: int, n_ht: int) -> Callable[[Sequence[float]], float]:
-    """V(c_xy) of bcl_potential on the hemisphere rule, with the weights
-    w / (1 + x3)^2 computed once."""
-    rule = hemisphere_rule(n_hr, n_ht)
+def _hemisphere_potential() -> Callable[[Sequence[float]], float]:
+    """V(c_xy) of bcl_potential on the 48 x 96 hemisphere rule, with the
+    weights w / (1 + x3)^2 computed once."""
+    rule = hemisphere_rule(*_HEMISPHERE_RULE)
     nodes = rule.nodes
     kernel = rule.weights / (1.0 + nodes[:, 2]) ** 2
 
@@ -704,14 +708,14 @@ def _hemisphere_potential(n_hr: int, n_ht: int) -> Callable[[Sequence[float]], f
     return V
 
 
-def bcl_potential(c: complex, *, n_hr: int = 48, n_ht: int = 96) -> float:
+def bcl_potential(c: complex) -> float:
     """The convex hemisphere potential V(c) = integral over the upper unit
     hemisphere of |x - c| / (1 + x3)^2, for c on the flat face.
 
     V(0) = pi exactly, and 0 is the unique minimizer.
     """
     c = complex(c)
-    return _hemisphere_potential(n_hr, n_ht)((c.real, c.imag))
+    return _hemisphere_potential()((c.real, c.imag))
 
 
 @dataclass(frozen=True)
@@ -729,11 +733,11 @@ class BclReport:
         return float(self.value)
 
 
-def bcl_lower_bound(nu: AtomMeasure, *, grid_n: int = 9, n_hr: int = 48,
-                    n_ht: int = 96) -> BclReport:
+def bcl_lower_bound(nu: AtomMeasure) -> BclReport:
     """Minimize the hemisphere potential V(c) over the closed unit disc for
-    an atom measure of total degree one: coarse grid search (origin
-    included) refined by simplex descent on the convex potential.
+    an atom measure of total degree one: search of a 9 x 9 grid over
+    [-1, 1]^2 (origin included) refined by simplex descent on the convex
+    potential.
 
     The minimum sits at c = 0 with V(0) = pi, so the returned value is the
     sharp half-pairing bound pi for unit-degree data.  Total degree other
@@ -744,11 +748,8 @@ def bcl_lower_bound(nu: AtomMeasure, *, grid_n: int = 9, n_hr: int = 48,
             f"the sharp bound applies to total degree 1, got "
             f"{nu.total_degree}"
         )
-    if grid_n < 3 or grid_n % 2 == 0:
-        raise InvalidArgument("grid_n must be an odd integer >= 3 so the "
-                              "grid contains the origin")
-    V = _hemisphere_potential(n_hr, n_ht)
-    ticks = np.linspace(-1.0, 1.0, grid_n)
+    V = _hemisphere_potential()
+    ticks = np.linspace(-1.0, 1.0, 9)
     spacing = float(ticks[1] - ticks[0])
     best_c = None
     best_v = math.inf
@@ -800,23 +801,22 @@ class EnergyBoundReport:
 def energy_lower_bound_check(v, atoms=None, *,
                              dictionary: Sequence[LipschitzTest] | None = None,
                              n_r: int = 24, n_hr: int = 24, n_ht: int = 48,
-                             n_s: int = 48,
-                             tol: float = 1e-3) -> EnergyBoundReport:
+                             n_s: int = 48) -> EnergyBoundReport:
     """Check the discrete energy of an extension against half the best
     absolute charge pairing over a dictionary of 1-Lipschitz tests.
 
     Both signs of every test are available (negating a test negates the
     pairing), so the supremum is taken over absolute values.  The energy
-    must weakly dominate half the supremum; for the canonical unit vortex
-    the two agree and both equal pi.  The energy and every pairing come
-    from one pass over the rule with one difference gradient of v.
+    must weakly dominate half the supremum, up to 1e-3 * max(1, energy);
+    for the canonical unit vortex the two agree and both equal pi.  The
+    energy and every pairing come from one pass over the rule with one
+    difference gradient of v.
     """
-    return _energy_bound(v, atoms, dictionary, (), n_r, n_hr, n_ht, n_s, tol)[0]
+    return _energy_bound(v, atoms, dictionary, (), n_r, n_hr, n_ht, n_s)[0]
 
 
 def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
-                  n_ht: int, n_s: int, tol: float
-                  ) -> tuple[EnergyBoundReport, np.ndarray]:
+                  n_ht: int, n_s: int) -> tuple[EnergyBoundReport, np.ndarray]:
     """energy_lower_bound_check, with the volume pairings of extra_tests
     taken in the same half-ball pass.  Returns (report, extra pairings)."""
     if dictionary is None:
@@ -844,7 +844,7 @@ def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
         sup_pairing=sup_pairing,
         sup_test_name=dictionary[best].name,
         margin=margin,
-        ok=bool(margin >= -tol * max(1.0, abs(energy))),
+        ok=bool(margin >= -1e-3 * max(1.0, abs(energy))),
         tests_evaluated=len(dictionary),
     )
     return report, pairings[:k]
@@ -857,17 +857,15 @@ def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
 
 def jacobian_report(field: BoundaryField, extension, phi, *,
                     n_r: int = 24, n_hr: int = 24, n_ht: int = 48,
-                    n_s: int = 48, surface_n_hr: int = 48,
-                    surface_n_ht: int = 96) -> dict:
+                    n_s: int = 48) -> dict:
     """JSON-ready summary: both pairing routes for one test function, their
     gap, the sharp unit-degree bound (when the total degree is one), and
     the winning dictionary test for the energy bound.  The volume pairing
     of phi rides along in the energy check's half-ball pass."""
     check, (pv,) = _energy_bound(extension, field.atoms, None, (phi,),
-                                 n_r, n_hr, n_ht, n_s, 1e-3)
+                                 n_r, n_hr, n_ht, n_s)
     pv = float(pv)
-    ps = pairing_surface(field, None, phi, n_hr=surface_n_hr,
-                         n_ht=surface_n_ht)
+    ps = pairing_surface(field, None, phi)
     bcl = (float(bcl_lower_bound(field.atoms))
            if field.atoms.total_degree == 1 else None)
     return {

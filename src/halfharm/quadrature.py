@@ -1,8 +1,8 @@
-"""Deterministic quadrature rules and root finding.
+"""Deterministic quadrature rules.
 
 Everything here is plain numerics shared by the rest of the package: tensor
-rules on the interval / circle / disc / upper hemisphere, monotone inversion
-by bisection, and a deterministic adaptive integrator (embedded 7/15-point
+rules on the interval / circle / disc / upper hemisphere and a
+deterministic adaptive integrator (embedded 7/15-point
 Gauss pair, worst-panel-first bisection, geometric grading toward declared
 singular points) with the package's one convergence check, ensure_converged.
 
@@ -28,12 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conformal import stereo, stereo_density
-from .errors import (
-    InvalidArgument,
-    NumericalFailure,
-    OutOfRange,
-    PreconditionViolation,
-)
+from .errors import InvalidArgument, NumericalFailure
 
 __all__ = [
     "QuadRule",
@@ -45,7 +40,6 @@ __all__ = [
     "disc_rule",
     "hemisphere_rule",
     "integrate",
-    "invert_monotone",
     "adaptive_integrate",
     "adaptive_integrate_many",
     "integrate_line",
@@ -79,7 +73,7 @@ class QuadRule:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request for adaptive integration and inversion."""
+    """Accuracy request for adaptive integration."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -160,35 +154,6 @@ def integrate(rule: QuadRule, f) -> float | complex | np.ndarray:
         # integrand returned extra trailing axes (vector-valued); contract on axis 0
         return np.tensordot(rule.weights, values, axes=(0, 0))
     return values @ rule.weights
-
-
-# --------------------------------------------------------------------------- inversion
-
-
-def invert_monotone(f, y: float, a: float, b: float, tol: Tolerance | None = None) -> float:
-    """Solve f(x) = y on [a,b] for strictly increasing f, by bisection."""
-    tol = tol or Tolerance()
-    if not (a < b):
-        raise InvalidArgument("need a < b")
-    grid = np.linspace(a, b, 33)
-    samples = np.array([f(g) for g in grid], dtype=float)
-    if np.any(np.diff(samples) < -1e-13 * max(1.0, float(np.max(np.abs(samples))))):
-        raise PreconditionViolation("f is not increasing on [a,b]")
-    fa, fb = samples[0], samples[-1]
-    if not (min(fa, fb) - 1e-12 <= y <= max(fa, fb) + 1e-12):
-        raise OutOfRange(f"target {y} outside [f(a), f(b)] = [{fa}, {fb}]")
-    lo, hi = a, b
-    target = tol.target(y)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - y) <= target or (hi - lo) <= 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if fm < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------- adaptive
@@ -490,8 +455,9 @@ def adaptive_integrate_many(
     return _integrate(f, np.asarray(params, dtype=float), a, b, tol, singular, grade_levels)
 
 
-def integrate_line(f, tol: Tolerance | None = None, singular: tuple[float, ...] = ()) -> IntegrationResult:
-    """Integrate f over the whole real line via x = tan(s), s in (-pi/2, pi/2).
+def integrate_line(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
+    """Integrate f over the whole real line via x = tan(s), s in (-pi/2, pi/2),
+    to the default Tolerance.
 
     Suitable for integrands decaying at least like x^-2; the substituted
     integrand is bounded near the endpoints, which are graded anyway.
@@ -502,11 +468,12 @@ def integrate_line(f, tol: Tolerance | None = None, singular: tuple[float, ...] 
         return np.asarray(f(x)) * (1.0 + x * x)
 
     sing = tuple(math.atan(p) for p in singular) + (-math.pi / 2, math.pi / 2)
-    return adaptive_integrate(g, -math.pi / 2, math.pi / 2, tol, singular=sing, grade_levels=44)
+    return adaptive_integrate(g, -math.pi / 2, math.pi / 2, singular=sing, grade_levels=44)
 
 
-def integrate_halfline(f, tol: Tolerance | None = None, singular: tuple[float, ...] = ()) -> IntegrationResult:
-    """Integrate f over (0, infinity) via x = tan(s), s in (0, pi/2)."""
+def integrate_halfline(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
+    """Integrate f over (0, infinity) via x = tan(s), s in (0, pi/2), to the
+    default Tolerance."""
 
     def g(s):
         x = np.tan(s)
@@ -515,4 +482,4 @@ def integrate_halfline(f, tol: Tolerance | None = None, singular: tuple[float, .
     sing = tuple(math.atan(p) for p in singular if p > 0)
     if any(p == 0 for p in singular):
         sing = sing + (0.0,)
-    return adaptive_integrate(g, 0.0, math.pi / 2, tol, singular=sing + (math.pi / 2,), grade_levels=44)
+    return adaptive_integrate(g, 0.0, math.pi / 2, singular=sing + (math.pi / 2,), grade_levels=44)

@@ -17,7 +17,6 @@ from halfharm.blaschke import (
     homogeneous_extension,
     modulus_bound_margin,
     winding_number,
-    winding_number_refining,
 )
 from halfharm.errors import DomainViolation, InvalidArgument, Undersampled
 
@@ -152,11 +151,6 @@ def test_degree_matches_winding_for_random_products():
         assert degree_of(B) == winding_number(boundary_trace(B, 512))
         n = 64 * (B.zero_count + 1)
         assert degree_of(B) == winding_number(boundary_trace(B, n))
-
-
-def test_winding_refines_until_resolved():
-    B = BlaschkeProduct(zeros=(0.995 + 0j,))
-    assert winding_number_refining(B, 64) == 1
 
 
 # ------------------------------------------------------------- energy, extension

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +227,16 @@ def _optimal_energy(delta):
     return base, profile_energy(base)
 
 
+def _perturbed_optimal(delta, amplitude, k, sign):
+    # a bump vanishing at both ends keeps the endpoints delta and 1; it is
+    # damped where the profile is within 0.1 of 1, so the samples stay in range
+    base, _ = _optimal_energy(delta)
+    t = np.linspace(0.0, 1.0, PROFILE_GRID_SIZE)
+    damp = np.minimum(1.0, (1.0 - base.values) / 0.1)
+    bump = sign * amplitude * np.sin(k * math.pi * t) * t * (1.0 - t) * damp
+    return Profile(np.clip(base.values + bump, 0.0, 1.0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     delta=st.sampled_from((0.2, 1.0 / 3.0, 0.5)),
@@ -234,14 +245,25 @@ def _optimal_energy(delta):
     sign=st.sampled_from((-1.0, 1.0)),
 )
 def test_perturbed_optimal_profile_costs_more(delta, amplitude, k, sign):
-    # a bump vanishing at both ends keeps the endpoints delta and 1; it is
-    # damped where the profile is within 0.1 of 1, so the samples stay in range
-    base, energy = _optimal_energy(delta)
-    t = np.linspace(0.0, 1.0, PROFILE_GRID_SIZE)
-    damp = np.minimum(1.0, (1.0 - base.values) / 0.1)
-    bump = sign * amplitude * np.sin(k * math.pi * t) * t * (1.0 - t) * damp
-    perturbed = Profile(np.clip(base.values + bump, 0.0, 1.0))
-    assert profile_energy(perturbed) > energy
+    assert profile_energy(_perturbed_optimal(delta, amplitude, k, sign)) > _optimal_energy(delta)[1]
+
+
+def test_profile_energy_converges_on_a_perturbed_optimal_profile():
+    # a smooth input that needs 394 panels: on a budget of 300 refinements
+    # it stopped at error 1.39e-10 against a target of 1.29e-10 and passed
+    # only through ensure_converged's allowance
+    profile = _perturbed_optimal(0.2, 0.125, 2, -1.0)
+    results = []
+    real = competitors.adaptive_integrate
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(competitors, "adaptive_integrate", recording):
+        profile_energy(profile)
+    assert len(results) == 1
+    assert results[0].converged, results[0]
 
 
 def test_zero_pull_grid_energy_within_two_percent():

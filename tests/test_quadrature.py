@@ -1,4 +1,4 @@
-"""Tests for the quadrature core: rules, gamma, inversion, adaptive integration."""
+"""Tests for the quadrature core: rules and adaptive integration."""
 
 import math
 from unittest import mock
@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from halfharm import quadrature
 
-from halfharm.errors import (
-    InvalidArgument,
-    NumericalFailure,
-    OutOfRange,
-    PreconditionViolation,
-)
+from halfharm.errors import InvalidArgument, NumericalFailure
 from halfharm.quadrature import (
     IntegrationResult,
     Tolerance,
@@ -28,7 +23,6 @@ from halfharm.quadrature import (
     integrate,
     integrate_halfline,
     integrate_line,
-    invert_monotone,
 )
 
 # ---------------------------------------------------------------- rule measures
@@ -115,31 +109,6 @@ def test_gamma_matches_integral_oracle():
     for x in (1.5, 2.5, 4.2):
         val, _ = integrate_halfline(lambda t: t ** (x - 1.0) * np.exp(-t))
         assert abs(val - math.gamma(x)) <= 1e-10 * math.gamma(x)
-
-
-# ------------------------------------------------------------------- inversion
-
-
-def test_invert_monotone_recovers_roots():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a = rng.uniform(0.2, 2.0)
-        b = rng.uniform(0.5, 2.0)
-        c = rng.uniform(-1.0, 1.0)
-        f = lambda x: a * x**3 + b * x + c
-        x_star = rng.uniform(-1.9, 1.9)
-        x_hat = invert_monotone(f, f(x_star), -2.0, 2.0)
-        assert abs(x_hat - x_star) <= 1e-7
-
-
-def test_invert_monotone_rejects_nonmonotone():
-    with pytest.raises(PreconditionViolation):
-        invert_monotone(lambda x: x * x, 0.5, -1.0, 1.0)
-
-
-def test_invert_monotone_rejects_out_of_range():
-    with pytest.raises(OutOfRange):
-        invert_monotone(lambda x: x, 2.0, 0.0, 1.0)
 
 
 # -------------------------------------------------------------------- adaptive

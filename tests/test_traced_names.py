@@ -50,18 +50,49 @@ def _chain(node: ast.AST) -> list[str] | None:
     return [node.id] + names[::-1]
 
 
-def _bench_reads() -> set[tuple[str, tuple[str, ...], int | None]]:
-    """(file, halfharm dotted path, positional arity or None) for every
-    attribute of a halfharm module that a bench script reads.
+def _dict_literals(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """Keys of every module-level ``NAME = {"key": ..., ...}`` dict literal."""
+    literals = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Dict)
+                and all(isinstance(k, ast.Constant) and isinstance(k.value, str)
+                        for k in node.value.keys)):
+            literals[node.targets[0].id] = tuple(k.value for k in node.value.keys)
+    return literals
+
+
+def _call_shape(call: ast.Call, literals) -> tuple[int, tuple[str, ...]] | None:
+    """(positional count, keyword names) of a call; None when ``*args`` or
+    a ``**mapping`` that is not a module-level dict literal hides them."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    names = []
+    for kw in call.keywords:
+        if kw.arg is not None:
+            names.append(kw.arg)
+        elif isinstance(kw.value, ast.Name) and kw.value.id in literals:
+            names.extend(literals[kw.value.id])
+        else:
+            return None
+    return len(call.args), tuple(names)
+
+
+def _bench_reads() -> set[tuple[str, tuple[str, ...], tuple[int, tuple[str, ...]] | None]]:
+    """(file, halfharm dotted path, call shape or None) for every attribute
+    of a halfharm module that a bench script reads.
 
     Covered: ``from halfharm.m import x``, ``m.x`` and longer chains such
     as ``m.f.cache_clear`` after ``from halfharm import m``, calls
-    ``m.f(...)`` (with their argument count, when it is plain), and
-    ``rebind(m.__name__, "x", ...)`` / ``setattr(m, "x", ...)`` forms.
+    ``m.f(...)`` (with their positional count and keyword names, a
+    ``**NAME`` of a module-level dict literal of the same file expanded to
+    its keys), and ``rebind(m.__name__, "x", ...)`` /
+    ``setattr(m, "x", ...)`` forms.
     """
     reads = set()
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
+        literals = _dict_literals(tree)
         modules = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "halfharm":
@@ -83,9 +114,9 @@ def _bench_reads() -> set[tuple[str, tuple[str, ...], int | None]]:
             if not isinstance(node, ast.Call):
                 continue
             dotted = rooted(_chain(node.func))
-            plain = not node.keywords and not any(isinstance(a, ast.Starred) for a in node.args)
-            if dotted and plain:
-                reads.add((path.name, dotted, len(node.args)))
+            shape = _call_shape(node, literals)
+            if dotted and shape:
+                reads.add((path.name, dotted, shape))
             if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
                     and isinstance(node.args[1].value, str):
                 target = _chain(node.args[0])
@@ -100,20 +131,25 @@ def test_bench_reads_resolve():
     reads = _bench_reads()
     # the scan must see the attributes the cold-cache check relies on
     assert ("test_bench.py", ("certificates", "_polar_rows", "cache_clear"), None) in reads
-    assert ("test_bench.py", ("certificates", "_polar_rows"), 0) in reads
-    for file, dotted, arity in sorted(reads, key=str):
+    assert ("test_bench.py", ("certificates", "_polar_rows"), (0, ())) in reads
+    # keyword calls, and the oracle's rules passed as **ORACLE_RULES
+    assert ("workloads.py", ("energy", "frac_energy_plane"), (1, ("R",))) in reads
+    assert ("workloads.py", ("energy", "halfspace_dirichlet_oracle"),
+            (1, ("n_omega", "n_gl"))) in reads
+    for file, dotted, shape in sorted(reads, key=str):
         obj = importlib.import_module(f"halfharm.{dotted[0]}")
         for i, attr in enumerate(dotted[1:], start=2):
             assert hasattr(obj, attr), f"{file} reads halfharm.{'.'.join(dotted[:i])}, which is missing"
             obj = getattr(obj, attr)
-        if arity is None:
+        if shape is None:
             continue
         try:
             signature = inspect.signature(obj)
         except ValueError:  # a builtin such as cache_clear carries none
             continue
+        arity, keywords = shape
         try:
-            signature.bind(*[None] * arity)
+            signature.bind(*[None] * arity, **dict.fromkeys(keywords))
         except TypeError as exc:
-            raise AssertionError(f"{file} calls halfharm.{'.'.join(dotted)} "
-                                 f"with {arity} positional arguments: {exc}") from None
+            raise AssertionError(f"{file} calls halfharm.{'.'.join(dotted)} with {arity} "
+                                 f"positional arguments and keywords {keywords}: {exc}") from None
