@@ -65,7 +65,7 @@ _XI_NODES = 128
 # so every row of a full block takes the same path through the BLAS gemv.
 _XI_ROW_BLOCK = 8
 
-_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=400)
+_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=600)
 
 
 # ---------------------------------------------------------------------------

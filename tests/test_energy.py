@@ -448,9 +448,13 @@ POISSON_PINS = {
 ORACLE_PINS = {"bump": 0.4385209856395809, "sum": 0.7779657209388295}
 
 
+def _pin_bumps():
+    return (bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j),
+            bump_map(center=-0.2 + 0.15j, radius=0.5, amplitude=0.56 - 0.21j))
+
+
 def _pin_maps():
-    u1 = bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
-    u2 = bump_map(center=-0.2 + 0.15j, radius=0.5, amplitude=0.56 - 0.21j)
+    u1, u2 = _pin_bumps()
     c = 0.37 - 0.21j
     constant = PlaneMap(func=lambda z: np.where(np.abs(z) < 0.5, 0.2 + 0.1j, c),
                         bound=1.0, far_field="constant", far_constant=c, far_radius=0.5)
@@ -526,3 +530,183 @@ def test_ring_density_skips_only_zero_samples(center, radius, ring, phase, h,
     # the partial sums differently when the band starts mid-vector
     assert np.all(np.abs(got - want) <= 1e-14 * np.max(want, initial=0.0))
 
+
+
+# ------------------------------------------------------- pair form by ring
+
+# frac_energy_plane ladders (R = far_radius + 0.4 for the bump and the sum,
+# R = 1 for the vortex) and half_laplacian_pairing values (R of the sum),
+# recorded when _pair_form still looped over its outer points one by one.
+# The ring contraction sums the same products in another order.
+PAIR_FORM_PINS = {
+    ("ladder", "bump"): (0.4385586156453464, 0.43854594091613913),
+    ("ladder", "sum"): (0.7777652752200213, 0.7780395169256497, 0.7779970588148105),
+    ("ladder", "vortex"): (4.282099484407507, 4.283047922698984, 4.283894600336887),
+    ("pairing", "bump-bump"): (0.87710108115166,),
+    ("pairing", "u1-u2"): (0.1603694128224795,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_FORM_PINS), ids="-".join)
+def test_pair_form_pins(case):
+    kind, name = case
+    u1, u2 = _pin_bumps()
+    maps = _pin_maps()
+    if kind == "ladder":
+        u = maps[name]
+        got = frac_energy_plane(u, R=1.0 if name == "vortex" else u.far_radius + 0.4).ladder
+    else:
+        R = maps["sum"].far_radius + 0.4
+        got = (half_laplacian_pairing(u1, u1 if name == "bump-bump" else u2, R=R),)
+    want = PAIR_FORM_PINS[case]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w), (g, w)
+
+
+def _pair_form_reference(u, phi, R, n_x_r, n_x_t, n_omega, n_gl):
+    """_pair_form as one loop over the outer points, each with its own rays
+    along n_omega directions: (value, tail_bound)."""
+    sym = phi is None
+    pmap = u if sym else phi
+    hom = u.far_field == "homogeneous" or pmap.far_field == "homogeneous"
+    R_big = max(R, u.far_radius, pmap.far_radius)
+    if hom:
+        R_big = max(R_big, 12.0 * R)
+    outer = disc_rule(n_x_r, n_x_t)
+    xs = R * outer.nodes
+    wx = R * R * outer.weights
+    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
+    xi, wxi = energy._xi_nodes(n_gl)
+
+    far_u = np.asarray(u.far_value(what), dtype=complex)
+    far_p = far_u if sym else np.asarray(pmap.far_value(what), dtype=complex)
+    if hom:
+        dfar_u = energy._spectral_derivative(far_u)
+        dfar_p = dfar_u if sym else energy._spectral_derivative(far_p)
+
+    total = 0.0
+    tail_bound = 0.0
+    for x, w_outer in zip(xs, wx):
+        ux = complex(u(np.array(x)))
+        px = ux if sym else complex(pmap(np.array(x)))
+        exit1 = energy._ray_exit(x, what, R)
+        rho1 = exit1[None, :] * xi[:, None]
+        pts1 = x + rho1 * what[None, :]
+        du = u(pts1) - ux
+        dp = du if sym else pmap(pts1) - px
+        q1 = np.real(du * np.conj(dp)) / (rho1 * rho1)
+        seg1 = (q1 * wxi[:, None]).sum(axis=0) * exit1
+
+        if R_big > R + 1e-15:
+            exit2 = energy._ray_exit(x, what, R_big)
+            span = exit2 - exit1
+            rho2 = exit1[None, :] + span[None, :] * xi[:, None]
+            pts2 = x + rho2 * what[None, :]
+            du2 = u(pts2) - ux
+            dp2 = du2 if sym else pmap(pts2) - px
+            q2 = np.real(du2 * np.conj(dp2)) / (rho2 * rho2)
+            seg2 = (q2 * wxi[:, None]).sum(axis=0) * span
+            rho_far = exit2
+        else:
+            seg2 = 0.0
+            rho_far = exit1
+
+        dtail_u = ux - far_u
+        dtail_p = px - far_p
+        tail = np.real(dtail_u * np.conj(dtail_p)) / rho_far
+        if hom:
+            beta = np.imag(x * np.conj(what))
+            cross = (np.real(dtail_u * np.conj(dfar_p))
+                     + np.real(dfar_u * np.conj(dtail_p)))
+            quad_t = np.real(dfar_u * np.conj(dfar_p))
+            tail = (tail - cross * beta / (2.0 * rho_far ** 2)
+                    + quad_t * beta ** 2 / (3.0 * rho_far ** 3))
+            tail_bound += w_outer * (2 * np.pi / n_omega) * float(
+                np.sum(8.0 * u.bound * pmap.bound
+                       * (abs(x) / rho_far) ** 2 / rho_far))
+        total += w_outer * (2 * np.pi / n_omega) * float(np.sum(seg1 + 2.0 * (seg2 + tail)))
+    return 0.25 * total, 0.25 * tail_bound
+
+
+def _assert_matches_reference(u, phi, R, n_x_r, n_x_t, n_gl, floor):
+    got = energy._pair_form(u, phi, R, n_x_r, n_x_t, n_gl)
+    want = _pair_form_reference(u, None if phi is u else phi, R, n_x_r, n_x_t, n_x_t, n_gl)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w) + floor, (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    center=st.complex_numbers(max_magnitude=0.6),
+    radius=st.floats(0.05, 1.0),
+    amplitude=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    R_scale=st.floats(0.5, 2.0),
+    n_x_r=st.integers(2, 12),
+    n_x_t=st.integers(3, 40),
+    n_gl=st.integers(2, 12),
+    partner=st.sampled_from(("none", "same", "other")),
+)
+def test_pair_form_matches_the_per_point_loop(center, radius, amplitude, R_scale,
+                                              n_x_r, n_x_t, n_gl, partner):
+    u = bump_map(center=center, radius=radius, amplitude=amplitude)
+    phi = {"none": None, "same": u,
+           "other": bump_map(center=-0.5 * center + 0.1j, radius=0.4, amplitude=0.7 - 0.2j)}[partner]
+    # R below the support radius gives rays a second segment out to it
+    R = R_scale * u.far_radius
+    scale = abs(amplitude) * (abs(amplitude) if phi is None or phi is u else phi.bound)
+    _assert_matches_reference(u, phi, R, n_x_r, n_x_t, n_gl, 1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", ["vortex", "constant"])
+@pytest.mark.parametrize("R", [0.4, 1.0])
+def test_pair_form_matches_the_per_point_loop_on_tails(name, R):
+    # the vortex closes a homogeneous tail past a second segment out to 12 R;
+    # the constant map has a constant tail and, at R = 0.4, a second segment
+    u = _pin_maps()[name]
+    _assert_matches_reference(u, None, R, 6, 20, 6, 1e-15)
+
+
+def _old_bump_values(z, c, r, amplitude):
+    s2 = np.abs((z - c) / r) ** 2
+    inside = s2 < 1.0
+    out = np.zeros(z.shape, dtype=complex)
+    safe = np.where(inside, s2, 0.0)
+    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - safe[inside]))
+    return out
+
+
+def test_bump_values_are_bit_identical_to_the_divided_form():
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        c = complex(*rng.uniform(-1.0, 1.0, 2))
+        r = float(rng.uniform(0.01, 2.0))
+        amplitude = complex(*rng.uniform(-1.0, 1.0, 2))
+        u = bump_map(center=c, radius=r, amplitude=amplitude)
+        anywhere = c + r * (rng.uniform(-2.0, 2.0, 2000) + 1j * rng.uniform(-2.0, 2.0, 2000))
+        rim = c + r * rng.uniform(0.99, 1.01, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        for z in (anywhere, rim, anywhere.reshape(40, 50), np.asarray(rim[0]),
+                  np.asarray(c + 0.5 * r)):
+            got, want = u(z), _old_bump_values(z, c, r, amplitude)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_self_pairing_evaluates_the_map_once_per_sample():
+    u1, u2 = _pin_bumps()
+    R = _pin_maps()["sum"].far_radius + 0.4
+    samples = []
+
+    def counted(pm):
+        def f(z):
+            samples.append(np.size(z))
+            return pm.func(z)
+        return PlaneMap(func=f, bound=pm.bound, far_field=pm.far_field, far_radius=pm.far_radius)
+
+    u, v = counted(u1), counted(u2)
+    half_laplacian_pairing(u, v, R=R)
+    cross = sum(samples)
+    samples.clear()
+    pair = half_laplacian_pairing(u, u, R=R)
+    assert cross > 0 and 2 * sum(samples) == cross
+    assert pair == 2.0 * GAMMA_2 * energy._pair_form(u, None, R, 28, 72, 10)[0]

@@ -153,3 +153,14 @@ def test_bench_reads_resolve():
         except TypeError as exc:
             raise AssertionError(f"{file} calls halfharm.{'.'.join(dotted)} with {arity} "
                                  f"positional arguments and keywords {keywords}: {exc}") from None
+
+
+def test_pair_form_bound_keys_are_parameters():
+    # layers.py counts the pair form's outer points from the arguments bound
+    # to energy._pair_form's signature, as bound["n_x_r"] * bound["n_x_t"]
+    keys = {node.slice.value for node in ast.walk(ast.parse(LAYERS.read_text()))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "bound" and isinstance(node.slice, ast.Constant)}
+    assert {"n_x_r", "n_x_t"} <= keys
+    parameters = inspect.signature(importlib.import_module("halfharm.energy")._pair_form).parameters
+    assert keys <= set(parameters), keys - set(parameters)
