@@ -12,8 +12,8 @@ quantifies its continuity in discrete trace seminorms, and computes the
 convex boundary potential whose minimum pins the extension energy of
 unit-degree data at pi.
 
-Every rule and difference step is fixed; only energy_lower_bound_check and
-jacobian_report let the caller choose the half-ball rule.
+Every rule and difference step is fixed.  Test functions carry their exact
+gradient, so only the extension is ever differenced.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import _panel_rule, circle_rule, disc_rule, gauss_legendre, hemisphere_rule
+from .quadrature import _panel_rule, circle_rule, disc_rule, hemisphere_rule
 
 __all__ = [
     "AtomMeasure",
@@ -137,18 +137,23 @@ class AtomMeasure:
 @dataclass(frozen=True)
 class LipschitzTest:
     """A scalar test function on the closed half-ball together with its
-    declared Lipschitz constant and a display name.
+    exact gradient, its declared Lipschitz constant and a display name.
 
-    The callable receives an (m, 3) float array and returns (m,) floats.
+    func receives an (m, 3) float array and returns (m,) floats; grad
+    receives the same points and returns the (m, 3) gradient of func there.
+    The half-ball pass contracts grad directly, so it must be exact (closed
+    form, not a difference quotient) wherever the rule puts nodes: on the
+    open upper half-ball, x3 > 0.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]
     lip: float
     name: str
 
     def __post_init__(self) -> None:
-        if not callable(self.func):
-            raise InvalidArgument("LipschitzTest.func must be callable")
+        if not (callable(self.func) and callable(self.grad)):
+            raise InvalidArgument("LipschitzTest.func and .grad must be callable")
         if not (self.lip > 0.0 and math.isfinite(self.lip)):
             raise InvalidArgument("declared Lipschitz constant must be a "
                                   "positive finite number")
@@ -181,22 +186,31 @@ class LipschitzTest:
 
 
 def distance_test(c: complex) -> LipschitzTest:
-    """The 1-Lipschitz test x -> |x - c| for a point c on the flat face."""
+    """The 1-Lipschitz test x -> |x - c| for a point c on the flat face,
+    with gradient (x - c)/|x - c| (defined off the anchor c)."""
     c = complex(c)
     anchor = np.array([c.real, c.imag, 0.0])
 
     def f(pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.atleast_2d(pts) - anchor[None, :], axis=1)
 
-    return LipschitzTest(f, 1.0, f"dist({c.real:g},{c.imag:g})")
+    def grad(pts: np.ndarray) -> np.ndarray:
+        d = np.atleast_2d(pts) - anchor[None, :]
+        return d / np.linalg.norm(d, axis=1)[:, None]
+
+    return LipschitzTest(f, grad, 1.0, f"dist({c.real:g},{c.imag:g})")
 
 
 def coordinate_tests() -> tuple[LipschitzTest, ...]:
-    """The three 1-Lipschitz coordinate functions x1, x2, x3."""
-    def pick(i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda pts: np.atleast_2d(pts)[:, i]
+    """The three 1-Lipschitz coordinate functions x1, x2, x3, with
+    gradients the unit vectors e1, e2, e3."""
+    def pick(i: int) -> LipschitzTest:
+        e = np.eye(3)[i]
+        return LipschitzTest(lambda pts: np.atleast_2d(pts)[:, i],
+                             lambda pts: np.broadcast_to(e, np.atleast_2d(pts).shape),
+                             1.0, f"x{i + 1}")
 
-    return tuple(LipschitzTest(pick(i), 1.0, f"x{i + 1}") for i in range(3))
+    return tuple(pick(i) for i in range(3))
 
 
 def default_test_dictionary() -> tuple[LipschitzTest, ...]:
@@ -211,15 +225,14 @@ def default_test_dictionary() -> tuple[LipschitzTest, ...]:
     return tuple(tests)
 
 
-def _phi_eval(phi) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept a LipschitzTest or any (m,3)->(m,) callable."""
-    if isinstance(phi, LipschitzTest):
-        return phi
-    if callable(phi):
-        return lambda pts: np.asarray(
-            phi(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=float
-        ).reshape(np.atleast_2d(pts).shape[0])
-    raise InvalidArgument("test function must be callable or a LipschitzTest")
+def _require_test(phi) -> None:
+    """Reject anything but a LipschitzTest: the pairings need its exact
+    gradient and its declared constant."""
+    if not isinstance(phi, LipschitzTest):
+        raise InvalidArgument(
+            "test function must be a LipschitzTest (function, exact "
+            "gradient and declared constant)"
+        )
 
 
 @dataclass(frozen=True)
@@ -443,8 +456,12 @@ def _patch_radii(sing: np.ndarray) -> list[tuple[np.ndarray, float]]:
     return patches
 
 
-def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
-                     n_s: int) -> list[tuple[np.ndarray, np.ndarray]]:
+# (n_r, n_hr, n_ht, n_s) of every half-ball pass: Gauss radii, the
+# hemisphere rule and the Gauss radii of each vortex patch
+_HALFBALL_RULE = (24, 24, 48, 48)
+
+
+def _halfball_blocks(sing: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Vortex-adapted rule for the upper half unit ball, as (nodes (m, 3),
     weight * cutoff (m,)) blocks whose weighted sums add up to the integral.
 
@@ -452,8 +469,9 @@ def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
     point farther than 0.05 from the origin a locally centered polar patch
     takes over through a smooth partition of unity, so integrands
     concentrating like 1/dist^2 at the vortices are resolved by the patch's
-    radial Jacobian.
+    radial Jacobian.  The rule is _HALFBALL_RULE, read at call time.
     """
+    n_r, n_hr, n_ht, n_s = _HALFBALL_RULE
     patches = _patch_radii(sing)
 
     def chi_sum(X: np.ndarray) -> np.ndarray:
@@ -469,10 +487,8 @@ def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
     W = (wr[:, None] * r[:, None] ** 2 * hem.weights[None, :]).ravel()
     blocks = [(X, W * (1.0 - chi_sum(X)))]
 
-    gs = gauss_legendre(n_s)
     for a, rho in patches:
-        s = 0.5 * (gs.nodes + 1.0) * rho
-        ws = 0.5 * gs.weights * rho
+        s, ws = _panel_rule((0.0, rho), n_s)
         Xa = (a[None, None, :] + s[:, None, None] * hem.nodes[None, :, :])
         Xa = Xa.reshape(-1, 3)
         Wa = (ws[:, None] * s[:, None] ** 2 * hem.weights[None, :]).ravel()
@@ -481,29 +497,22 @@ def _halfball_blocks(sing: np.ndarray, n_r: int, n_hr: int, n_ht: int,
     return blocks
 
 
-# (n_r, n_hr, n_ht, n_s) of pairing_volume and halfball_energy_fd: Gauss
-# radii, the hemisphere rule and the Gauss radii of each vortex patch
-_HALFBALL_RULE = (24, 24, 48, 48)
-
-
-def _halfball_pass(v, tests, atoms, n_r: int, n_hr: int, n_ht: int,
-                   n_s: int) -> tuple[float, np.ndarray]:
+def _halfball_pass(v, tests, atoms) -> tuple[float, np.ndarray]:
     """The discrete energy of v and its volume pairing with each test.
 
     One rule and one difference gradient of v per block serve them all:
-    (1/2) sum w |grad v|^2 and sum w H(v) . grad(phi), where grad(phi) is a
-    central difference of step 1e-6.  Returns (energy, pairings).
+    (1/2) sum w |grad v|^2 and sum w H(v) . phi.grad, with each test's
+    exact gradient at the nodes; no test is differenced.  Returns
+    (energy, pairings).
     """
     sing = _singular_positions(atoms)
-    pevals = [_phi_eval(phi) for phi in tests]
     totals = None
-    for X, w in _halfball_blocks(sing, n_r, n_hr, n_ht, n_s):
+    for X, w in _halfball_blocks(sing):
         g = _complex_gradient(v, X, _fd_steps(X, sing))
         H = _wedge(*g)
         sums = [np.sum(w * sum(np.abs(gi) ** 2 for gi in g))]
-        for peval in pevals:
-            grads = _complex_gradient(peval, X, 1e-6)
-            sums.append(np.sum(w * np.sum(H * np.stack(grads, axis=1), axis=1)))
+        for phi in tests:
+            sums.append(np.sum(w * np.sum(H * phi.grad(X), axis=1)))
         # block by block in rule order, as one running float per output
         totals = np.array(sums) if totals is None else totals + np.array(sums)
     return 0.5 * float(totals[0]), totals[1:]
@@ -514,13 +523,14 @@ def pairing_volume(v, phi, atoms=None) -> float:
     unit ball of H(v) . grad(phi).
 
     v is any finite-energy extension of the boundary data; the result
-    depends only on the trace.  phi is a LipschitzTest or plain callable on
-    (m, 3) points.  atoms (AtomMeasure or complex positions) declares the
-    flat-face vortex points of v so the quadrature and difference steps can
-    adapt; omit it for smooth extensions.  A constant phi gives exactly 0
-    because its central differences vanish identically.
+    depends only on the trace.  phi is a LipschitzTest; its exact gradient
+    is contracted at the nodes.  atoms (AtomMeasure or complex positions)
+    declares the flat-face vortex points of v so the quadrature and
+    difference steps can adapt; omit it for smooth extensions.  A constant
+    phi gives exactly 0 because its gradient is zero.
     """
-    _, pairings = _halfball_pass(v, [phi], atoms, *_HALFBALL_RULE)
+    _require_test(phi)
+    _, pairings = _halfball_pass(v, [phi], atoms)
     return float(pairings[0])
 
 
@@ -528,7 +538,7 @@ def halfball_energy_fd(v, atoms=None) -> float:
     """Discrete Dirichlet energy (1/2) integral of |grad v|^2 over the
     upper half unit ball, with the same vortex-adapted quadrature and
     difference steps as pairing_volume."""
-    return _halfball_pass(v, [], atoms, *_HALFBALL_RULE)[0]
+    return _halfball_pass(v, [], atoms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +562,7 @@ def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi) -> float:
     measure is an error.  Atoms closer together than the equatorial node
     spacing 2 pi / 96 cannot be told apart by the rule and are rejected.
     """
+    _require_test(phi)
     if nu is None:
         nu = g.atoms
     elif isinstance(g, BoundaryField) and nu is not g.atoms \
@@ -565,16 +576,15 @@ def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi) -> float:
             f"atoms are closer ({nu.min_separation():.3g}) than the grid "
             f"resolution ({resolution:.3g}), so the rule cannot tell them apart"
         )
-    peval = _phi_eval(phi)
     rule = hemisphere_rule(*_HEMISPHERE_RULE)
     P, W = rule.nodes, rule.weights
     t1, t2 = _tangent_frames(P)
     det = np.imag(np.conj(_sphere_difference(g.eval_sphere, P, t1))
                   * _sphere_difference(g.eval_sphere, P, t2))
-    surface = 2.0 * float(np.sum(W * det * peval(P)))
+    surface = 2.0 * float(np.sum(W * det * phi(P)))
     if len(nu.atoms) == 0:
         return surface
-    atom_values = peval(nu.positions)
+    atom_values = phi(nu.positions)
     charge = float(sum(d * av for (_, d), av in zip(nu.atoms, atom_values)))
     return surface - 2.0 * np.pi * charge
 
@@ -669,10 +679,7 @@ def continuity_gap(g1: BoundaryField, g2: BoundaryField,
     all seminorms taken with the same fixed discrete rule.  The ratio
     gap/bound is reported, never asserted against a universal constant.
     """
-    if not isinstance(phi, LipschitzTest):
-        raise InvalidArgument(
-            "continuity_gap needs a LipschitzTest with a declared constant"
-        )
+    _require_test(phi)
     p1 = pairing_surface(g1, None, phi)
     p2 = pairing_surface(g2, None, phi)
     gap = abs(p1 - p2)
@@ -799,9 +806,8 @@ class EnergyBoundReport:
 
 
 def energy_lower_bound_check(v, atoms=None, *,
-                             dictionary: Sequence[LipschitzTest] | None = None,
-                             n_r: int = 24, n_hr: int = 24, n_ht: int = 48,
-                             n_s: int = 48) -> EnergyBoundReport:
+                             dictionary: Sequence[LipschitzTest] | None = None
+                             ) -> EnergyBoundReport:
     """Check the discrete energy of an extension against half the best
     absolute charge pairing over a dictionary of 1-Lipschitz tests.
 
@@ -809,14 +815,14 @@ def energy_lower_bound_check(v, atoms=None, *,
     pairing), so the supremum is taken over absolute values.  The energy
     must weakly dominate half the supremum, up to 1e-3 * max(1, energy);
     for the canonical unit vortex the two agree and both equal pi.  The
-    energy and every pairing come from one pass over the rule with one
-    difference gradient of v.
+    energy and every pairing come from one pass over the fixed half-ball
+    rule, with one difference gradient of v and each test's exact gradient.
     """
-    return _energy_bound(v, atoms, dictionary, (), n_r, n_hr, n_ht, n_s)[0]
+    return _energy_bound(v, atoms, dictionary, ())[0]
 
 
-def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
-                  n_ht: int, n_s: int) -> tuple[EnergyBoundReport, np.ndarray]:
+def _energy_bound(v, atoms, dictionary,
+                  extra_tests) -> tuple[EnergyBoundReport, np.ndarray]:
     """energy_lower_bound_check, with the volume pairings of extra_tests
     taken in the same half-ball pass.  Returns (report, extra pairings)."""
     if dictionary is None:
@@ -824,16 +830,14 @@ def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
     if not dictionary:
         raise InvalidArgument("the test dictionary must not be empty")
     for entry in dictionary:
-        if not isinstance(entry, LipschitzTest):
-            raise InvalidArgument("dictionary entries must be LipschitzTest")
+        _require_test(entry)
         if entry.lip > 1.0 + 1e-12:
             raise InvalidArgument(
                 f"dictionary entry '{entry.name}' declares constant "
                 f"{entry.lip} > 1"
             )
     k = len(extra_tests)
-    energy, pairings = _halfball_pass(v, [*extra_tests, *dictionary], atoms,
-                                      n_r, n_hr, n_ht, n_s)
+    energy, pairings = _halfball_pass(v, [*extra_tests, *dictionary], atoms)
     best = int(np.argmax(np.abs(pairings[k:])))
     sup_pairing = abs(float(pairings[k + best]))
     lower = 0.5 * sup_pairing
@@ -855,15 +859,13 @@ def _energy_bound(v, atoms, dictionary, extra_tests, n_r: int, n_hr: int,
 # ---------------------------------------------------------------------------
 
 
-def jacobian_report(field: BoundaryField, extension, phi, *,
-                    n_r: int = 24, n_hr: int = 24, n_ht: int = 48,
-                    n_s: int = 48) -> dict:
+def jacobian_report(field: BoundaryField, extension, phi) -> dict:
     """JSON-ready summary: both pairing routes for one test function, their
     gap, the sharp unit-degree bound (when the total degree is one), and
     the winning dictionary test for the energy bound.  The volume pairing
     of phi rides along in the energy check's half-ball pass."""
-    check, (pv,) = _energy_bound(extension, field.atoms, None, (phi,),
-                                 n_r, n_hr, n_ht, n_s)
+    _require_test(phi)
+    check, (pv,) = _energy_bound(extension, field.atoms, None, (phi,))
     pv = float(pv)
     ps = pairing_surface(field, None, phi)
     bcl = (float(bcl_lower_bound(field.atoms))

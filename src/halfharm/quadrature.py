@@ -1,7 +1,8 @@
 """Deterministic quadrature rules.
 
-Everything here is plain numerics shared by the rest of the package: tensor
-rules on the interval / circle / disc / upper hemisphere and a
+Everything here is plain numerics shared by the rest of the package: one
+composite Gauss-Legendre builder for intervals (_panel_rule), tensor rules
+on the circle / disc / upper hemisphere, and a
 deterministic adaptive integrator (embedded 7/15-point
 Gauss pair, worst-panel-first bisection, geometric grading toward declared
 singular points) with the package's one convergence check, ensure_converged.
@@ -35,7 +36,6 @@ __all__ = [
     "Tolerance",
     "IntegrationResult",
     "ensure_converged",
-    "gauss_legendre",
     "circle_rule",
     "disc_rule",
     "hemisphere_rule",
@@ -54,10 +54,10 @@ __all__ = [
 class QuadRule:
     """Nodes and positive weights tagged with their domain.
 
-    domain_tag is one of "interval" ([-1,1], nodes are reals), "circle"
-    (nodes are angles in [0,2pi)), "disc" (nodes are complex points of the
-    open unit disc), "hemisphere" (nodes are unit 3-vectors with third
-    coordinate > 0).  Weights sum to the domain measure (2, 2pi, pi, 2pi).
+    domain_tag is one of "circle" (nodes are angles in [0,2pi)), "disc"
+    (nodes are complex points of the open unit disc), "hemisphere" (nodes
+    are unit 3-vectors with third coordinate > 0).  Weights sum to the
+    domain measure (2pi, pi, 2pi).
     """
 
     domain_tag: str
@@ -95,14 +95,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_legendre(n: int) -> QuadRule:
-    """n-point Gauss-Legendre rule on [-1,1], exact for degree <= 2n-1."""
-    if n < 1:
-        raise InvalidArgument("gauss_legendre needs n >= 1")
-    x, w = _leggauss(int(n))
-    return QuadRule("interval", x.copy(), w.copy())
 
 
 def circle_rule(n: int) -> QuadRule:

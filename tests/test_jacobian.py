@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from halfharm import jacobian
 from halfharm.errors import InvalidArgument, PreconditionViolation
 from halfharm.jacobian import (
     AtomMeasure,
@@ -50,6 +53,13 @@ FIELD_ZOO = (
 # exactly 1/(1+x3)^2, so pairing it with x3 gives
 # 2 * 2*pi * int_0^1 t/(1+t)^2 dt = 4*pi*(ln 2 - 1/2).
 VORTEX_X3_PAIRING = 4.0 * math.pi * (math.log(2.0) - 0.5)
+
+
+def constant_test(value: float) -> LipschitzTest:
+    """The test x -> value; its gradient is exactly zero."""
+    return LipschitzTest(lambda pts: np.full(np.atleast_2d(pts).shape[0], value),
+                         lambda pts: np.zeros(np.atleast_2d(pts).shape),
+                         lip=1.0, name=f"const({value:g})")
 
 
 def rotated_field(field: BoundaryField, eps: float) -> BoundaryField:
@@ -105,6 +115,7 @@ def test_lipschitz_test_validates_distance_function():
 
 def test_lipschitz_test_rejects_understated_constant():
     lying = LipschitzTest(lambda pts: 3.0 * np.atleast_2d(pts)[:, 0],
+                          lambda pts: np.broadcast_to([3.0, 0.0, 0.0], np.atleast_2d(pts).shape),
                           lip=1.0, name="thrice-x1")
     with pytest.raises(PreconditionViolation):
         lying.validate()
@@ -201,9 +212,7 @@ def test_wedge_bounded_by_gradient_squared():
 
 def test_pairing_volume_constant_test_is_exact_zero():
     _, ext = product_vortex_field(VORTEX)
-    const = LipschitzTest(lambda pts: np.full(np.atleast_2d(pts).shape[0],
-                                              2.5),
-                          lip=1.0, name="const")
+    const = constant_test(2.5)
     assert pairing_volume(ext, const, VORTEX) == 0.0
 
 
@@ -245,31 +254,27 @@ def test_vortex_surface_pairing_with_constant_vanishes():
     # 2 * integral of the trace determinant equals 2*pi*(total degree),
     # so the constant test annihilates the charge distribution.
     field, _ = product_vortex_field(VORTEX)
-    one = LipschitzTest(lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                        lip=1.0, name="one")
+    one = constant_test(1.0)
     assert abs(pairing_surface(field, None, one)) <= 1e-6
 
 
 def test_degree_two_surface_pairing_with_constant_vanishes():
     field, _ = product_vortex_field(AtomMeasure(((0j, 2),)))
-    one = LipschitzTest(lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                        lip=1.0, name="one")
+    one = constant_test(1.0)
     assert abs(pairing_surface(field, None, one)) <= 1e-6
 
 
 def test_pairing_surface_rejects_atoms_below_grid_resolution():
     nu = AtomMeasure(((0.2 + 0j, 1), (0.2 + 1e-4j, -1)))
     field, _ = product_vortex_field(nu)
-    one = LipschitzTest(lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                        lip=1.0, name="one")
+    one = constant_test(1.0)
     with pytest.raises(PreconditionViolation, match="resolution"):
         pairing_surface(field, None, one)
 
 
 def test_pairing_surface_rejects_inconsistent_atom_measure():
     field, _ = product_vortex_field(VORTEX)
-    one = LipschitzTest(lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                        lip=1.0, name="one")
+    one = constant_test(1.0)
     with pytest.raises(PreconditionViolation, match="disagrees"):
         pairing_surface(field, AtomMeasure(((0.1 + 0j, 1),)), one)
 
@@ -293,9 +298,7 @@ def test_volume_equals_surface_across_field_zoo():
 
 
 def test_constant_pairing_is_rounding_exact_zero_for_all_fields():
-    const = LipschitzTest(lambda pts: np.full(np.atleast_2d(pts).shape[0],
-                                              -1.7),
-                          lip=1.0, name="const")
+    const = constant_test(-1.7)
     for atoms in FIELD_ZOO:
         nu = AtomMeasure(atoms)
         _, ext = product_vortex_field(nu)
@@ -432,8 +435,7 @@ def test_trace_seminorm_zero_for_constant_data():
     )
     const.validate()
     assert trace_seminorm(const) == 0.0
-    one = LipschitzTest(lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                        lip=1.0, name="one")
+    one = constant_test(1.0)
     assert pairing_surface(const, None, one) == 0.0
 
 
@@ -476,65 +478,64 @@ def test_halfball_energy_matches_known_vortex_value():
 
 THREE_ATOMS = AtomMeasure(((0.5 + 0j, 1), (-0.3 + 0.2j, 1), (0.1 - 0.4j, -1)))
 
-# Recorded at the default rules when the energy and each dictionary pairing
-# were separate quadratures, each with its own difference gradient of v;
-# the shared pass must reproduce every one of them bit for bit.
+# Recorded at the fixed half-ball rule, with each test's exact gradient and
+# the vortex patches' radii from quadrature._panel_rule.
 HALFBALL_PINS = {
     "vortex": (VORTEX, {
-        "report": dict(energy=3.1415927844896947, lower_bound=3.1415927837812156,
-                       sup_pairing=6.283185567562431, sup_test_name="dist(0,0)",
-                       margin=7.084790532019269e-10, ok=True, tests_evaluated=16),
+        "report": dict(energy=3.1415927844896947, lower_bound=3.1415927844892346,
+                       sup_pairing=6.283185568978469, sup_test_name="dist(0,0)",
+                       margin=4.600764214046649e-13, ok=True, tests_evaluated=16),
         "pairings": {
-            "dist(-1,0)": 1.9908893069439686,
-            "dist(-0.5,-0.5)": 2.8188303391295357,
-            "dist(-0.5,0)": 3.6270287196946365,
-            "dist(-0.5,0.5)": 2.8188303391301974,
-            "dist(0,-1)": 1.9908893069428981,
-            "dist(0,-0.5)": 3.627028719692715,
-            "dist(0,0)": 6.283185567562431,
-            "dist(0,0.5)": 3.6270287196919133,
-            "dist(0,1)": 1.9908893069412972,
-            "dist(0.5,-0.5)": 2.8188303391287066,
-            "dist(0.5,0)": 3.6270287196904434,
-            "dist(0.5,0.5)": 2.818830339127392,
-            "dist(1,0)": 1.990889306943827,
-            "x1": -4.150806607472078e-16,
-            "x2": 1.0620548020136462e-15,
-            "x3": 2.4271598394287617,
+            "dist(-1,0)": 1.9908893069344265,
+            "dist(-0.5,-0.5)": 2.8188303391123863,
+            "dist(-0.5,0)": 3.6270287196792346,
+            "dist(-0.5,0.5)": 2.8188303391123863,
+            "dist(0,-1)": 1.9908893069344276,
+            "dist(0,-0.5)": 3.627028719679235,
+            "dist(0,0)": 6.283185568978469,
+            "dist(0,0.5)": 3.627028719679233,
+            "dist(0,1)": 1.9908893069344256,
+            "dist(0.5,-0.5)": 2.818830339112388,
+            "dist(0.5,0)": 3.627028719679235,
+            "dist(0.5,0.5)": 2.8188303391123855,
+            "dist(1,0)": 1.9908893069344273,
+            "x1": -4.1691660466038147e-16,
+            "x2": 1.0635574384620754e-15,
+            "x3": 2.4271598394329823,
         },
         "energy": 3.1415927844896947,
-        "jacobian_report": {"pairing_volume": 2.4271598394287617,
+        "jacobian_report": {"pairing_volume": 2.4271598394329823,
                             "pairing_surface": 2.4271590539138295,
-                            "abs_gap": 7.855149322111288e-07,
+                            "abs_gap": 7.855191528349792e-07,
                             "bcl_bound": 3.1415926535897927,
                             "sup_test_name": "dist(0,0)"},
     }),
     "three_atoms": (THREE_ATOMS, {
-        "report": dict(energy=5.959796121469224, lower_bound=2.289846095751608,
-                       sup_pairing=4.579692191503216, sup_test_name="dist(0.5,0)",
-                       margin=3.669950025717616, ok=True, tests_evaluated=16),
+        "report": dict(energy=5.959796121469223, lower_bound=2.2898461056371584,
+                       sup_pairing=4.579692211274317, sup_test_name="dist(0.5,0)",
+                       margin=3.6699500158320646, ok=True, tests_evaluated=16),
         "pairings": {
-            "dist(-1,0)": 1.5652171931850092,
-            "dist(-0.5,-0.5)": 1.3931181284151304,
-            "dist(-0.5,0)": 3.3160370691713394,
-            "dist(-0.5,0.5)": 3.138559462019581,
-            "dist(0,-1)": 0.7116153954894454,
-            "dist(0,-0.5)": 0.34895110496165505,
-            "dist(0,0)": 3.46671212978395,
-            "dist(0,0.5)": 3.648581146304886,
-            "dist(0,1)": 1.8662622689362292,
-            "dist(0.5,-0.5)": 1.3568774547993068,
-            "dist(0.5,0)": 4.579692191503216,
-            "dist(0.5,0.5)": 2.8653715375628437,
-            "dist(1,0)": 1.745171243291056,
-            "x1": -0.010296752213982366,
-            "x2": -0.007631298833866013,
-            "x3": 1.0319187322726153,
+            "dist(-1,0)": 1.5652171931439394,
+            "dist(-0.5,-0.5)": 1.3931181283510248,
+            "dist(-0.5,0)": 3.316037069124163,
+            "dist(-0.5,0.5)": 3.1385594619744466,
+            "dist(0,-1)": 0.7116153954175173,
+            "dist(0,-0.5)": 0.34895110489241765,
+            "dist(0,0)": 3.4667121297427115,
+            "dist(0,0.5)": 3.6485811462659083,
+            "dist(0,1)": 1.8662622689276311,
+            "dist(0.5,-0.5)": 1.3568774547729436,
+            "dist(0.5,0)": 4.579692211274317,
+            "dist(0.5,0.5)": 2.8653715375631177,
+            "dist(1,0)": 1.7451712433354956,
+            "x1": -0.010296752257002738,
+            "x2": -0.007631298867888908,
+            "x3": 1.0319187322757595,
         },
-        "energy": 5.959796121469224,
-        "jacobian_report": {"pairing_volume": 1.0319187322726153,
+        "energy": 5.959796121469223,
+        "jacobian_report": {"pairing_volume": 1.0319187322757595,
                             "pairing_surface": 1.0319260435725002,
-                            "abs_gap": 7.311299884849021e-06,
+                            "abs_gap": 7.311296740697415e-06,
                             "bcl_bound": 3.1415926535897927,
                             "sup_test_name": "dist(0.5,0)"},
     }),
@@ -552,11 +553,50 @@ def test_halfball_pins(case):
     assert jacobian_report(field, ext, coordinate_tests()[2]) == pins["jacobian_report"]
 
 
+def test_pairings_do_not_amplify_a_one_ulp_node_move(monkeypatch):
+    # with exact test gradients a 1-ulp move of every node moves each
+    # pairing by rounding only; a difference quotient of the tests (step
+    # 1e-6) amplified it to 5.6e-13 of the scale
+    _, ext = product_vortex_field(THREE_ATOMS)
+    tests = default_test_dictionary()
+    _, base = jacobian._halfball_pass(ext, tests, THREE_ATOMS)
+    blocks = jacobian._halfball_blocks
+    monkeypatch.setattr(jacobian, "_halfball_blocks", lambda sing: [
+        (np.nextafter(X, np.inf), w) for X, w in blocks(sing)])
+    _, moved = jacobian._halfball_pass(ext, tests, THREE_ATOMS)
+    scale = 2.0 * math.pi * sum(abs(d) for d in THREE_ATOMS.degrees)
+    assert len(moved) == 16
+    assert np.max(np.abs(moved - base)) <= 1e-14 * scale
+
+
+# the flat-face anchors of the default dictionary's distance tests
+DICTIONARY_ANCHORS = np.array([[cx, cy, 0.0] for cx in np.linspace(-1.0, 1.0, 5)
+                               for cy in np.linspace(-1.0, 1.0, 5) if math.hypot(cx, cy) <= 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.0, 1.0), polar=st.floats(0.0, math.pi / 2), azimuth=st.floats(0.0, 2 * math.pi))
+def test_dictionary_gradients_match_central_differences(r, polar, azimuth):
+    x = r * np.array([[math.sin(polar) * math.cos(azimuth),
+                       math.sin(polar) * math.sin(azimuth), math.cos(polar)]])
+    assume(np.min(np.linalg.norm(DICTIONARY_ANCHORS - x, axis=1)) >= 0.05)
+    h = 1e-5
+    steps = h * np.eye(3)
+    for phi in default_test_dictionary():
+        grad = phi.grad(x)
+        fd = (phi(x + steps) - phi(x - steps)) / (2.0 * h)
+        assert grad.shape == (1, 3), phi.name
+        assert np.max(np.abs(grad[0] - fd)) <= 1e-7, (phi.name, grad, fd)
+        assert np.linalg.norm(grad[0]) <= phi.lip * (1.0 + 1e-15), phi.name
+
+
 @pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
-def test_energy_check_differentiates_once_per_block(nu, blocks):
+def test_energy_check_differentiates_once_per_block(nu, blocks, monkeypatch):
     # one bulk block, plus one patch block per atom away from the origin;
     # each block needs the six central-difference evaluations of v, shared
-    # by the energy and all 16 dictionary pairings
+    # by the energy and all 16 dictionary pairings; the counts do not depend
+    # on the rule, so a small one keeps the test fast
+    monkeypatch.setattr(jacobian, "_HALFBALL_RULE", (6, 6, 12, 6))
     _, ext = product_vortex_field(nu)
     calls = []
 
@@ -564,15 +604,16 @@ def test_energy_check_differentiates_once_per_block(nu, blocks):
         calls.append(1)
         return ext(X)
 
-    rep = energy_lower_bound_check(counted, nu, n_r=6, n_hr=6, n_ht=12, n_s=6)
+    rep = energy_lower_bound_check(counted, nu)
     assert rep.tests_evaluated == 16
     assert len(calls) == 6 * blocks
 
 
 @pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
-def test_jacobian_report_differentiates_once_per_block(nu, blocks):
+def test_jacobian_report_differentiates_once_per_block(nu, blocks, monkeypatch):
     # the volume pairing of phi rides along in the energy check's pass, so
     # the extension is differenced once per block, not once per route
+    monkeypatch.setattr(jacobian, "_HALFBALL_RULE", (6, 6, 12, 6))
     field, ext = product_vortex_field(nu)
     calls = []
 
@@ -580,6 +621,6 @@ def test_jacobian_report_differentiates_once_per_block(nu, blocks):
         calls.append(1)
         return ext(X)
 
-    report = jacobian_report(field, counted, coordinate_tests()[2], n_r=6, n_hr=6, n_ht=12, n_s=6)
+    report = jacobian_report(field, counted, coordinate_tests()[2])
     assert report["sup_test_name"]
     assert len(calls) == 6 * blocks
