@@ -649,6 +649,24 @@ def _family_report(family: str, d: int, eps: float, tangential_total: float, rad
     )
 
 
+# Largest departure from 1 allowed to the interpolant of a zero-pulling
+# profile on its collar [0, eps].  The cubic spline bridges a jump of the
+# profile's slope or curvature at eps across the neighbouring cells, so even
+# exact samples leave it off 1 inside the collar: the stock profiles (a
+# curvature jump) by at most 1.5e-7, a descent leaving 1 with slope -24
+# right after eps = 0.01 by 3.7e-3.
+_COLLAR_SPLINE_TOL = 1e-6
+
+
+def _collar_deviation(beta: Profile, eps: float) -> float:
+    """max |beta - 1| of the interpolant over [0, eps]: at the grid nodes up
+    to eps, at eps itself and at the critical points of the cubics between."""
+    crit = beta._spline_d.roots(discontinuity=False, extrapolate=False)
+    pts = np.concatenate([_PROFILE_GRID[_PROFILE_GRID <= eps], [eps],
+                          crit[(crit >= 0.0) & (crit <= eps)]])
+    return float(np.max(np.abs(beta._spline(pts) - 1.0)))
+
+
 def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
                             eps: float = 0.1) -> FamilyReport:
     """Energy report of the family pulling one extra zero out to the rim.
@@ -674,6 +692,9 @@ def zero_pull_family_energy(w_tilde: BlaschkeProduct, beta: Profile,
     collar = _PROFILE_GRID <= eps + 1e-15
     if float(np.max(np.abs(beta.values[collar] - 1.0))) > 1e-9:
         raise PreconditionViolation("beta must equal 1 on [0, eps] (tolerance 1e-9)")
+    if _collar_deviation(beta, eps) > _COLLAR_SPLINE_TOL:
+        raise PreconditionViolation(
+            f"the interpolant of beta must stay within {_COLLAR_SPLINE_TOL:g} of 1 on [0, eps]")
     delta = float(beta(1.0))
 
     table = _zero_pull_kernel_table(w_tilde)

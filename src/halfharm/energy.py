@@ -205,18 +205,62 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
     return t, wt, t_stop, band
 
 
-def _ray_values(u: PlaneMap, centers: np.ndarray, h: float, t, what) -> np.ndarray:
-    """u at centers + h t w, shape (centers, directions w, nodes t).  A
-    far_field == "zero" map is called only on the samples inside its support
-    disc; the others are written as exact zeros."""
-    pts = centers[:, None, None] + h * t[None, None, :] * what[None, :, None]
+def _ray_values(u: PlaneMap, origins: np.ndarray, dirs: np.ndarray, h: float,
+                t) -> np.ndarray:
+    """u at origins + h t dirs, one row per (origin, direction) pair and one
+    column per node t, as complex.  A far_field == "zero" map is called only
+    on the samples inside its support disc; the others are written as exact
+    zeros."""
+    pts = origins[:, None] + h * t[None, :] * dirs[:, None]
     if u.far_field != "zero":
-        return u(pts)
+        return np.asarray(u(pts), dtype=complex)
     inside = np.abs(pts) <= u.far_radius
-    sub = np.asarray(u(pts[inside]))
-    vals = np.zeros(pts.shape, dtype=sub.dtype)
-    vals[inside] = sub
+    vals = np.zeros(pts.shape, dtype=complex)
+    vals[inside] = u(pts[inside])
     return vals
+
+
+# complex samples per working block of the half-space routes (_ray_sums and
+# _pair_form).  7,680 samples are 120 KB: every working array of a block,
+# the map's temporaries included, stays under glibc's default 128 KB mmap
+# threshold, so it is recycled from the heap instead of being mapped and
+# zero-filled afresh, and a block's arrays fit a core's L2 cache.  Its real
+# products stay far below the sizes at which OpenBLAS starts worker threads.
+# On a 2-vCPU Xeon, in fresh processes, ray blocks of 16k samples took
+# 15-20% longer over the benchmark oracle, and the pair form's former blocks
+# of 4 whole outer points (34k samples at the top rung of the benchmark
+# ladder) took 30-40% longer over its calls in the benchmark.
+_BLOCK_SAMPLES = 7680
+
+
+def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> np.ndarray:
+    """Kernel sums along the Poisson rays: sum over the nodes t of
+    u(x + h t w) * kernels[t, j] for every plane point x in centers and
+    direction w in what, shape (centers, directions, kernels).
+
+    The one contraction of the Poisson rays.  The rays are taken in blocks
+    of at most _BLOCK_SAMPLES samples, in (point, direction) order; each
+    block's samples, viewed as (re, im) pairs of doubles, meet the kernels
+    in one real matrix product whose columns come out as the (re, im) pairs
+    of the sums.  That product runs on the calling thread: no BLAS worker
+    thread starts, and the sums do not depend on the BLAS thread count.
+    """
+    n_t, n_k = kernels.shape
+    # sample t_i contributes Re u * kernels[i] to the real column and
+    # Im u * kernels[i] to the imaginary column of each kernel
+    pairs = np.zeros((n_t, 2, n_k, 2))
+    pairs[:, 0, :, 0] = kernels
+    pairs[:, 1, :, 1] = kernels
+    pairs = pairs.reshape(2 * n_t, 2 * n_k)
+    origins = np.repeat(centers, what.size)
+    dirs = np.tile(what, centers.size)
+    out = np.empty((origins.size, n_k), dtype=complex)
+    rows = max(1, _BLOCK_SAMPLES // max(n_t, 1))
+    for start in range(0, origins.size, rows):
+        block = slice(start, start + rows)
+        vals = _ray_values(u, origins[block], dirs[block], h, t)
+        out[block] = (vals.view(float) @ pairs).view(complex)
+    return out.reshape(centers.size, what.size, n_k)
 
 
 def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
@@ -306,11 +350,6 @@ def _ray_exit(x: complex, what: np.ndarray, radius: float) -> np.ndarray:
     return -b + np.sqrt(np.maximum(disc, 0.0))
 
 
-# outer points per block of a ring: one map call and one matrix-vector
-# product each, as in the kernel tables of competitors._xi_table
-_RING_BLOCK = 8
-
-
 def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
                n_x_r: int, n_x_t: int, n_gl: int):
     """(1/4) * pair integral of <du, dphi>/|x-y|^3 over (R^2)^2 minus
@@ -323,8 +362,11 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
     its n_x_t outer angles.  The outer point at angle 2 pi k/n and the ray
     direction (k + m) mod n then see the geometry of the point at angle 0 and
     direction m, rotated by e^(2 pi i k/n): each ring builds its ray nodes and
-    weights once, at angle 0, and contracts the samples of _RING_BLOCK outer
-    points at a time.
+    weights once, at angle 0.  Its ray samples are then taken in blocks of at
+    most _BLOCK_SAMPLES: whole outer points while their rays fit in a block,
+    else each point's rays in equal column chunks.  Each block is one map
+    call and one real matrix-vector product, run on the calling thread, so no
+    BLAS worker thread starts.
     """
     sym = phi is None or phi is u
     pmap = u if sym else phi
@@ -344,9 +386,13 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
 
     far_u = np.asarray(u.far_value(what), dtype=complex)
     far_p = far_u if sym else np.asarray(pmap.far_value(what), dtype=complex)
+    # the tails of outer point k run along the absolute directions (k + m) mod n
+    absolute = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     if hom:
-        dfar_u = _spectral_derivative(far_u)
-        dfar_p = dfar_u if sym else _spectral_derivative(far_p)
+        dfar_u = _spectral_derivative(far_u)[absolute]
+        dfar_p = dfar_u if sym else _spectral_derivative(far_p)[absolute]
+    far_u = far_u[absolute]
+    far_p = far_u if sym else far_p[absolute]
 
     total = 0.0
     tail_bound = 0.0
@@ -367,6 +413,24 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
         offsets = np.concatenate(offsets, axis=None)
         # the samples are contracted as (re, im) pairs of doubles
         weights = np.repeat(np.concatenate(weights, axis=None), 2)
+
+        ux = np.asarray(u(xs), dtype=complex)
+        px = ux if sym else np.asarray(pmap(xs), dtype=complex)
+        per_block = max(1, _BLOCK_SAMPLES // offsets.size)
+        chunks = -(-offsets.size // _BLOCK_SAMPLES)
+        cuts = [offsets.size * j // chunks for j in range(chunks + 1)]
+        segs = np.zeros(n)
+        for start in range(0, n, per_block):
+            k = slice(start, start + per_block)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                pts = xs[k, None] + what[k, None] * offsets[None, lo:hi]
+                du = np.asarray(u(pts), dtype=complex) - ux[k, None]
+                dp = du if sym else np.asarray(pmap(pts), dtype=complex) - px[k, None]
+                segs[k] += (du.view(float) * dp.view(float)) @ weights[2 * lo:2 * hi]
+
+        dtail_u = ux[:, None] - far_u
+        dtail_p = dtail_u if sym else px[:, None] - far_p
+        tail = np.real(dtail_u * np.conj(dtail_p)) / rho_far
         if hom:
             # first-order angular drift: the direction of x + rho*w differs
             # from w by Im(x conj(w))/rho, so u - far ~ -far' * beta / rho;
@@ -374,35 +438,11 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
             beta = np.imag(x0 * np.conj(what))
             tail_bound += float(np.sum(wx)) * float(
                 np.sum(8.0 * u.bound * pmap.bound * (abs(x0) / rho_far) ** 2 / rho_far))
-
-        for start in range(0, n, _RING_BLOCK):
-            k = np.arange(start, min(start + _RING_BLOCK, n))
-            pts = np.empty((k.size, 1 + offsets.size), dtype=complex)
-            pts[:, 0] = xs[k]
-            pts[:, 1:] = xs[k, None] + what[k, None] * offsets[None, :]
-            vals = np.asarray(u(pts), dtype=complex)
-            ux = vals[:, :1]
-            du = vals[:, 1:] - ux
-            if sym:
-                px, dp = ux, du
-            else:
-                vals = np.asarray(pmap(pts), dtype=complex)
-                px = vals[:, :1]
-                dp = vals[:, 1:] - px
-            segs = (du.view(float) * dp.view(float)) @ weights
-
-            # the tails run along the absolute directions (k + m) mod n
-            absolute = (k[:, None] + np.arange(n)[None, :]) % n
-            dtail_u = ux - far_u[absolute]
-            dtail_p = dtail_u if sym else px - far_p[absolute]
-            tail = np.real(dtail_u * np.conj(dtail_p)) / rho_far
-            if hom:
-                dfu, dfp = dfar_u[absolute], dfar_p[absolute]
-                cross = (np.real(dtail_u * np.conj(dfp)) + np.real(dfu * np.conj(dtail_p)))
-                quad_t = np.real(dfu * np.conj(dfp))
-                tail = (tail - cross * beta / (2.0 * rho_far ** 2)
-                        + quad_t * beta ** 2 / (3.0 * rho_far ** 3))
-            total += float(wx[k] @ (segs + 2.0 * np.sum(tail, axis=1)))
+            cross = (np.real(dtail_u * np.conj(dfar_p)) + np.real(dfar_u * np.conj(dtail_p)))
+            quad_t = np.real(dfar_u * np.conj(dfar_p))
+            tail = (tail - cross * beta / (2.0 * rho_far ** 2)
+                    + quad_t * beta ** 2 / (3.0 * rho_far ** 3))
+        total += float(wx @ (segs + 2.0 * np.sum(tail, axis=1)))
     return 0.25 * total, 0.25 * tail_bound
 
 
@@ -603,7 +643,11 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     derivatives, so this is an independent route to the nonlocal energy.
     n_omega and n_gl are the ray rule of every extension gradient.  Each
     ring's angular rule starts at 16 points and refines by doubling until
-    converged, so maps with fine angular detail stay accurate.
+    converged, so maps with fine angular detail stay accurate; each level
+    is one _gradient_ring_density call on the new points.  The rays of a
+    level are contracted in cache-sized blocks of at most _BLOCK_SAMPLES
+    samples on the calling thread (see _ray_sums): no BLAS worker thread
+    starts, and the value does not depend on the BLAS thread count.
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")
@@ -646,16 +690,16 @@ def _extension_value_ring(u: PlaneMap, centers, h: float, n_omega: int, n_gl: in
 
     All ring points share the plane radius so the radial panels are built
     once.  The kernel mass is renormalized over all panels; the values are
-    summed over the support band only.
+    summed over the support band only, by _ray_sums.
     """
     centers = np.asarray(centers, dtype=complex)
     t, wt, t_stop, band = _ray_setup(u, centers, h, n_gl)
     kern_w = t * (1.0 + t * t) ** -1.5 * wt
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    vals = _ray_values(u, centers, h, t[band], what)
+    sums = _ray_sums(u, centers, h, t[band], what, kern_w[band, None])[:, :, 0]
     tail_mass = _poisson_tail_mass(t_stop)
     far = np.asarray(u.far_value(what), dtype=complex)
-    num = np.mean(vals @ kern_w[band], axis=1) + tail_mass * np.mean(far)
+    num = np.mean(sums, axis=1) + tail_mass * np.mean(far)
     total_mass = float(np.sum(kern_w)) + tail_mass
     return num / total_mass
 
@@ -698,18 +742,20 @@ def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_g
     (t^2 - 2) t (1+t^2)^(-5/2) vertically; both have zero total mass, so
     compactly supported maps need no tail terms once the rays leave the
     support.  All points share the plane radius, so the radial panels are
-    identical and the kernel sums batch into single tensor contractions,
-    taken over the support band only.
+    built once and both kernels are summed over the support band in one
+    pass of _ray_sums: blocks of at most _BLOCK_SAMPLES ray samples, each
+    contracted on the calling thread without a BLAS worker thread.
     """
     t, wt, _, band = _ray_setup(u, centers, h, n_gl)
     t, wt = t[band], wt[band]
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
     base = (1.0 + t * t) ** -2.5
-    vals = _ray_values(u, centers, h, t, what)
-    proj_h = vals @ ((3.0 * t * t * base) * wt)
+    kernels = np.stack([(3.0 * t * t * base) * wt, ((t * t - 2.0) * t * base) * wt], axis=1)
+    sums = _ray_sums(u, centers, h, t, what, kernels)
+    proj_h = sums[:, :, 0]
     return (np.mean(proj_h * np.real(what)[None, :], axis=1),
             np.mean(proj_h * np.imag(what)[None, :], axis=1),
-            np.mean(vals @ (((t * t - 2.0) * t * base) * wt), axis=1))
+            np.mean(sums[:, :, 1], axis=1))
 
 
 def _gradient_ring_density(u: PlaneMap, centers, h: float, n_omega: int, n_gl: int):

@@ -68,6 +68,9 @@ MIN_RIM_CLEARANCE = 1e-6
 # Point pairs sampled by LipschitzTest.validate.
 _LIPSCHITZ_PAIRS = 400
 
+# Step of the central differences LipschitzTest.validate compares grad with.
+_GRAD_STEP = 1e-7
+
 # Largest deviation BoundaryField.validate allows from unit modulus on the
 # flat face, and between the two faces on the equator.
 _TRACE_TOL = 1e-6
@@ -163,10 +166,18 @@ class LipschitzTest:
         return np.asarray(self.func(pts), dtype=float).reshape(pts.shape[0])
 
     def validate(self) -> None:
-        """Check sampled difference quotients against the declared constant.
+        """Check the declared constant and the gradient against func.
 
         400 random point pairs (seed 0) in the closed upper half-ball; a
-        quotient above lip * (1 + 1e-6) rejects the declaration.
+        difference quotient above lip * (1 + 1e-6) rejects the declaration.
+        At the sampled points with x3 > 1e-7, |grad| must be at most
+        lip * (1 + 1e-6), and each component of grad must match the central
+        difference of func of step 1e-7 along its axis to 1e-5 * lip.  A kink
+        inside the stencil (such as a distance test's anchor) moves the
+        central difference off grad by half the gap between the forward and
+        backward quotients, so a component whose gap exceeds 1e-5 * lip is
+        not compared; a smooth test loses only the points where its second
+        derivative exceeds 100 * lip.
         """
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(2 * _LIPSCHITZ_PAIRS, 3))
@@ -183,6 +194,29 @@ class LipschitzTest:
                 f"test '{self.name}' has sampled difference quotient "
                 f"{worst:.6g} above its declared constant {self.lip:.6g}"
             )
+
+        x = pts[pts[:, 2] > _GRAD_STEP]
+        grad = np.asarray(self.grad(x), dtype=float)
+        if grad.shape != x.shape:
+            raise PreconditionViolation(
+                f"test '{self.name}' returned gradients of shape {grad.shape} "
+                f"for points of shape {x.shape}")
+        steepest = float(np.max(np.linalg.norm(grad, axis=1), initial=0.0))
+        if steepest > self.lip * (1.0 + 1e-6):
+            raise PreconditionViolation(
+                f"test '{self.name}' has gradient norm {steepest:.6g} above "
+                f"its declared constant {self.lip:.6g}")
+        steps = _GRAD_STEP * np.eye(3)
+        f0 = self(x)[:, None]
+        fp = self((x[:, None, :] + steps).reshape(-1, 3)).reshape(x.shape)
+        fm = self((x[:, None, :] - steps).reshape(-1, 3)).reshape(x.shape)
+        smooth = np.abs((fp - f0) - (f0 - fm)) <= 1e-5 * self.lip * _GRAD_STEP
+        miss = np.abs((fp - fm) / (2.0 * _GRAD_STEP) - grad)[smooth]
+        worst = float(np.max(miss, initial=0.0))
+        if worst > 1e-5 * self.lip:
+            raise PreconditionViolation(
+                f"test '{self.name}' has a gradient component {worst:.6g} away "
+                f"from the central difference of its function")
 
 
 def distance_test(c: complex) -> LipschitzTest:

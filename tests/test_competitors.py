@@ -329,3 +329,29 @@ def test_zero_pull_family_preconditions():
         zero_pull_family_energy(ONE_ZERO, beta.values)
     with pytest.raises(PreconditionViolation):
         zero_pull_family_energy(ONE_ZERO, Profile.constant(0.5))
+
+
+def _steep_pull(delta: float, eps: float) -> Profile:
+    """1 on [0, eps], then the optimal profile run backwards in 1/r from 1
+    at eps to delta at 1: the descent is steepest right after eps."""
+    descent = optimal_profile(delta)
+
+    def f(r):
+        r = np.maximum(np.asarray(r, dtype=float), eps)
+        return descent(1.0 - (1.0 / eps - 1.0 / r) / (1.0 / eps - 1.0))
+
+    return Profile.from_function(f)
+
+
+def test_zero_pull_collar_is_checked_between_grid_samples():
+    # eps = 0.01 falls between the samples 10/1023 and 11/1023: every sample
+    # up to eps is exactly 1, but the spline reads 0.9963 at eps and
+    # overshoots to 1.0020 inside the collar
+    beta = _steep_pull(1.0 / 3.0, 0.01)
+    assert np.all(beta.values[:11] == 1.0)
+    assert abs(beta(0.01) - 0.99632) <= 1e-5
+    assert abs(np.max(beta(np.linspace(0.0, 0.01, 2001))) - 1.00198) <= 1e-5
+    with pytest.raises(PreconditionViolation, match="interpolant"):
+        zero_pull_family_energy(BlaschkeProduct(), beta, 0.01)
+    # the stock eased profile has the same off-grid collar and passes
+    zero_pull_family_energy(BlaschkeProduct(), zero_pull_profile(1.0 / 3.0, 0.01), 0.01)

@@ -1,13 +1,19 @@
 """Tests for the nonlocal energy machinery: Poisson extension, plane and
 circle energies, the half-ball Dirichlet route, and the decay bounds."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halfharm
 from halfharm.blaschke import (
     BlaschkeProduct,
     CircleSample,
@@ -388,6 +394,15 @@ def test_extension_l2_rejects_noncompact():
 # components were re-recorded (each moved by at most 2.8e-16 of its point's
 # largest component) when it moved onto the ring gradient contraction of
 # _gradient_ring_density, which sums the kernel products in another order.
+# When every ray contraction moved onto the real (re, im) product of
+# energy._ray_sums, which sums the same products in yet another order, these
+# moved, each by at most 6.2e-16 of its point's largest component: 4 of the
+# 8 _extension_value_ring values (<= 1.7e-16 relative), 3 poisson_extend
+# values of "sum" (<= 1.5e-16) and of "constant" (<= 5.4e-16), 3 of
+# "vortex" (<= 1.6e-16) and its value at the origin, which is 0 up to
+# rounding (6.2e-17 absolute), 4 gradient components of "bump" (<= 2.0e-16
+# of the point's largest) and 6 of "sum" (<= 6.2e-16 of it, 1.2e-15
+# relative for 0.964...).
 _PIN_POINTS = [(0.0, 0.0, 0.5), (0.3, -0.2, 0.05), (1.4, 0.3, 0.2), (2.5, -1.0, 0.7)]
 _PIN_RING = 2.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 POISSON_PINS = {
@@ -397,55 +412,56 @@ POISSON_PINS = {
         (0.006001127360626282 - 0.0022504227602348557j),
         (0.00225090267941375 - 0.0008440885047801562j)],
     ("poisson_extend", "sum"): [
-        (0.2138109400971825 - 0.0801791025364434j),
-        (0.5417389234819494 - 0.20315209630573097j),
+        (0.21381094009718246 - 0.0801791025364434j),
+        (0.5417389234819494 - 0.20315209630573094j),
         (0.007408746908089838 - 0.0027782800905336888j),
-        (0.0029820001527889896 - 0.001118250057295871j)],
+        (0.00298200015278899 - 0.0011182500572958708j)],
     ("poisson_extend", "constant"): [
         (0.32020815280171305 - 0.11920310216782978j),
-        (0.22924541815066257 + 0.04667011984290945j),
-        (0.36839193167835715 - 0.20706764011935663j),
-        (0.36928478817235266 - 0.20869579019664347j)],
+        (0.22924541815066268 + 0.046670119842909474j),
+        (0.36839193167835693 - 0.20706764011935658j),
+        (0.3692847881723529 - 0.20869579019664347j)],
     ("poisson_extend", "vortex"): [
-        (-4.517509037063796e-21 + 5.551115123125784e-17j),
-        (0.7246293425072877 - 0.48308317197177736j),
-        (0.8507108560783668 + 0.18229337306407165j),
-        (0.7179605695785578 - 0.28718411902962043j)],
+        (-2.776009312466598e-17 + 0j),
+        (0.7246293425072878 - 0.4830831719717773j),
+        (0.8507108560783669 + 0.18229337306407167j),
+        (0.7179605695785579 - 0.2871841190296204j)],
     ("poisson_extend_gradient", "bump"): [
         ((0.10928738028218385 - 0.04098276760581894j), 0j,
          (-0.38430567517007463 + 0.144114628188778j)),
-        ((-0.6923575830142767 + 0.2596340936303538j), (0.9231434440481007 - 0.34617879151803754j),
-         (-2.0679797474010564 + 0.7754924052753962j)),
+        ((-0.6923575830142764 + 0.2596340936303538j), (0.9231434440481007 - 0.34617879151803727j),
+         (-2.067979747401057 + 0.7754924052753962j)),
         ((-0.014452636308767643 + 0.0054197386157878655j),
          (-0.003468911182977368 + 0.0013008416936165128j),
-         (0.02731406763480283 - 0.01024277536305106j)),
+         (0.02731406763480283 - 0.010242775363051059j)),
         ((-0.0022976103995240573 + 0.0008616038998215213j),
          (0.0009783404323269892 - 0.0003668776621226209j),
          (0.0025063560416483987 - 0.0009398835156181495j))],
     ("poisson_extend_gradient", "sum"): [
-        ((0.027692084114868384 - 0.010384531543075644j), (0.061196472371407046 - 0.022948677139277632j),
+        ((0.027692084114868388 - 0.010384531543075648j), (0.061196472371407046 - 0.022948677139277632j),
          (-0.5625422287201416 + 0.2109533357700531j)),
-        ((-0.751221658387913 + 0.2817081218954675j), (0.9643482927027985 - 0.3616306097635491j),
+        ((-0.751221658387913 + 0.28170812189546734j), (0.9643482927027974 - 0.36163060976354855j),
          (-1.8752592198379343 + 0.7032222074392253j)),
         ((-0.01712639858570845 + 0.006422399469640669j),
          (-0.003719714317729102 + 0.0013948928691484132j),
-         (0.03399735504444868 - 0.012749008141668256j)),
+         (0.03399735504444869 - 0.012749008141668256j)),
         ((-0.002953175583181836 + 0.0011074408436931883j),
-         (0.0012574493016374504 - 0.00047154348811404386j),
-         (0.0033763407506067146 - 0.001266127781477518j))],
+         (0.0012574493016374502 - 0.00047154348811404386j),
+         (0.0033763407506067146 - 0.0012661277814775178j))],
     ("_extension_value_ring", "sum"): [
         (0.003031102249614678 - 0.0011366633436055039j),
         (0.0030200039120626037 - 0.0011325014670234763j),
         (0.002980011372022526 - 0.001117504264508447j),
-        (0.0029074929799903465 - 0.0010903098674963799j),
+        (0.002907492979990347 - 0.0010903098674963797j),
         (0.002750534726250051 - 0.001031450522343769j),
-        (0.002658415196208578 - 0.0009969056985782167j),
-        (0.002733301436742998 - 0.0010249880387786243j),
-        (0.0029144120011767487 - 0.0010929045004412809j)],
+        (0.0026584151962085784 - 0.0009969056985782165j),
+        (0.002733301436742998 - 0.001024988038778624j),
+        (0.002914412001176749 - 0.0010929045004412809j)],
 }
 # The bump value was re-recorded (moved by 3.8e-16 relative) when the oracle's
-# radial and polar rules moved onto quadrature._panel_rule.
-ORACLE_PINS = {"bump": 0.4385209856395809, "sum": 0.7779657209388295}
+# radial and polar rules moved onto quadrature._panel_rule, and again (by
+# 1.3e-16 relative) when the ray contractions moved onto energy._ray_sums.
+ORACLE_PINS = {"bump": 0.438520985639581, "sum": 0.7779657209388295}
 
 
 def _pin_bumps():
@@ -476,6 +492,70 @@ def test_poisson_path_pins(case):
 def test_halfspace_oracle_pins(map_name):
     u = _pin_maps()[map_name]
     assert halfspace_dirichlet_oracle(u, n_omega=32, n_gl=8) == ORACLE_PINS[map_name]
+
+
+def test_oracle_refines_each_ring_by_whole_levels(monkeypatch):
+    # every doubling level of a ring is one _gradient_ring_density call on
+    # the new points only (16, 16, 32, 64): the benchmark's per-ring figures
+    # read this function's calls, so the oracle must keep going through it
+    rings, calls = [], []
+    ring_mean, density = energy._ring_mean_density, energy._gradient_ring_density
+
+    def counted_ring(*args):
+        rings.append([])
+        return ring_mean(*args)
+
+    def counted_density(u, centers, *args):
+        rings[-1].append(np.size(centers))
+        calls.append(1)
+        return density(u, centers, *args)
+
+    monkeypatch.setattr(energy, "_ring_mean_density", counted_ring)
+    monkeypatch.setattr(energy, "_gradient_ring_density", counted_density)
+    u = _pin_maps()["bump"]
+    halfspace_dirichlet_oracle(u, n_omega=8, n_gl=4)
+    levels = [len(sizes) for sizes in rings]
+    assert len(rings) == 30 * 34
+    assert set(levels) <= {2, 3, 4} and len(set(levels)) > 1
+    for sizes in rings:
+        assert sizes == [16, 16, 32, 64][:len(sizes)]
+    assert len(calls) == sum(levels)
+
+
+_THREADS_CHILD = """
+import json, time
+import numpy as np
+from halfharm import energy
+u = energy.bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
+ring = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+wall, cpu = time.perf_counter(), time.process_time()
+dens = np.concatenate([energy._gradient_ring_density(u, ring, h, 128, 16)
+                       for h in np.geomspace(0.002, 0.5, 12)])
+pair = energy._pair_form(u, None, u.far_radius + 0.4, 16, 48, 8)
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+print(json.dumps({"bits": [dens.tobytes().hex(), pair[0].hex(), pair[1].hex()],
+                  "wall": wall, "cpu": cpu}))
+"""
+
+
+def _half_space_child(blas_threads):
+    src = str(Path(halfharm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    return json.loads(out.stdout)
+
+
+def test_half_space_routes_start_no_blas_thread():
+    # a 64-point ring at 12 heights on the default ray rule and the pair
+    # form's first rung, in fresh interpreters on 2 and on 1 BLAS threads:
+    # with 2 the process may use no more CPU than wall time (a worker thread
+    # would add its own), and the values must not depend on the thread count
+    two, one = _half_space_child("2"), _half_space_child("1")
+    assert two["bits"] == one["bits"]
+    if (os.cpu_count() or 1) >= 2:
+        assert two["cpu"] <= 1.15 * two["wall"] + 0.05, two
 
 
 def _full_grid_ring_density(u, centers, h, n_omega, n_gl):

@@ -109,7 +109,7 @@ def test_atom_measure_totals_and_geometry():
 
 def test_lipschitz_test_validates_distance_function():
     distance_test(0.3 - 0.2j).validate()
-    for test in coordinate_tests():
+    for test in default_test_dictionary():
         test.validate()
 
 
@@ -119,6 +119,47 @@ def test_lipschitz_test_rejects_understated_constant():
                           lip=1.0, name="thrice-x1")
     with pytest.raises(PreconditionViolation):
         lying.validate()
+
+
+def test_lipschitz_test_rejects_a_wrong_gradient():
+    # func x1 with the gradient of x2: every difference quotient is within
+    # the constant and |grad| = 1, so only the gradient check can catch it
+    swapped = LipschitzTest(lambda pts: np.atleast_2d(pts)[:, 0],
+                            lambda pts: np.broadcast_to([0.0, 1.0, 0.0], np.atleast_2d(pts).shape),
+                            lip=1.0, name="x1-with-e2")
+    with pytest.raises(PreconditionViolation, match="central difference"):
+        swapped.validate()
+
+
+def test_lipschitz_test_rejects_a_gradient_above_the_constant():
+    # 1.2 x1 stays under its declared constant 1.3, but a gradient of norm
+    # 1.5 does not
+    scaled = LipschitzTest(lambda pts: 1.2 * np.atleast_2d(pts)[:, 0],
+                           lambda pts: np.broadcast_to([1.5, 0.0, 0.0], np.atleast_2d(pts).shape),
+                           lip=1.3, name="1.2 x1")
+    with pytest.raises(PreconditionViolation, match="gradient norm"):
+        scaled.validate()
+
+
+def _triangle_wave(period: float, sign: float = 1.0) -> LipschitzTest:
+    """The 1-Lipschitz triangle wave of x1 with the given period, kinked
+    every half period, and sign times its one-sided gradient."""
+    def phase(pts):
+        return np.mod(np.atleast_2d(pts)[:, 0] / period, 1.0) - 0.5
+
+    return LipschitzTest(lambda pts: period * np.abs(phase(pts)),
+                         lambda pts: sign * np.sign(phase(pts))[:, None] * [1.0, 0.0, 0.0],
+                         lip=1.0, name=f"wave({period:g})")
+
+
+def test_lipschitz_test_skips_kinks_in_the_gradient_check():
+    # at period 4e-7 every central-difference stencil of the check holds a
+    # kink, so no component is compared; at period 0.1 almost none does, and
+    # a gradient of the wrong sign is caught
+    _triangle_wave(4e-7).validate()
+    _triangle_wave(0.1).validate()
+    with pytest.raises(PreconditionViolation, match="central difference"):
+        _triangle_wave(0.1, sign=-1.0).validate()
 
 
 def test_boundary_field_validates_canonical_data():
