@@ -64,6 +64,10 @@ _XI_NODES = 128
 # block (8 rows by at most ~4,100 angles) stay in L2 cache.  A multiple of 4,
 # so every row of a full block takes the same path through the BLAS gemv.
 _XI_ROW_BLOCK = 8
+# numpy elides temporaries of 256 KiB and more (16,384 complex128 values),
+# which swaps the operands of eval_product's complex products; a table block
+# must reach that size so eval_product rounds as on the full grid.
+_ELIDE_POINTS = 16384
 
 _QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=600)
 
@@ -122,7 +126,7 @@ class Profile:
 
     def _check_domain(self, r):
         rr = np.asarray(r, dtype=float)
-        if np.any(rr < -1e-12) or np.any(rr > 1.0 + 1e-12):
+        if not np.all((rr >= -1e-12) & (rr <= 1.0 + 1e-12)):  # NaN fails both
             raise DomainViolation("profile argument must lie in [0, 1]")
         return np.clip(rr, 0.0, 1.0)
 
@@ -387,34 +391,51 @@ def _unwinding_rule_angles(w: BlaschkeProduct) -> tuple[float, ...]:
                          for r in np.concatenate([plus, minus])}))
 
 
-def _xi_table(rule, top, den):
+def _xi_table(rule, block):
     """Spline in xi = -log(1-p) on [0, _XI_CAP] of the disc integral of
-    top / den(p, rows) under the polar rule, with the end value and end slope
+    top / den(p, sub) under the polar rule, with the end value and end slope
     that continue it linearly beyond the cap.
 
-    The angular contraction runs one block of _XI_ROW_BLOCK radial rows at a
-    time, over all xi nodes: den(p, rows) returns the denominator on the
-    radial rows `rows` (a slice) only, so the working set is two arrays of
-    _XI_ROW_BLOCK * len(phi) doubles (~260 KB each for the largest rules,
-    which fits in L2) instead of ~1 M-point full-grid temporaries.  Each node
-    value is then one dot of its row sums with the radial weights.  The
-    values do not depend on the BLAS thread count: a full-grid gemv is split
-    among threads at row offsets that change which rows take the kernel's
-    remainder path, while an 8-row gemv (and the final partial block) runs
-    every row through the same path; checked bit for bit on 1 to 4 OpenBLAS
-    threads, where it equals the full-grid gemv on one thread.
+    The table is built one block of radial rows at a time: block(rows), for
+    a slice of rows, returns that block's numerator `top` and a function
+    den(p, sub) giving the denominator on the sub-slice `sub` of the block.
+    The integrand inputs therefore never exist on the full grid (up to
+    315 x 4,109 points, 10-21 MB per array); the working set is a few arrays
+    of one block, under 1 MB.  Blocks are _XI_ROW_BLOCK rows, and a shorter
+    tail is merged into the block before it: a block must hold at least
+    _ELIDE_POINTS grid points.  From numpy's temporary-elision size on,
+    eval_product's `acc * factor` is formed in place as `factor *= acc`, and
+    numpy's complex multiply does not round the same with its operands
+    swapped; a smaller block would round differently from the full-grid
+    build (a 3-row tail changed 11,941 of its 12,327 values for a two-zero
+    product).
+
+    The angular contraction runs on sub-blocks of _XI_ROW_BLOCK rows, over
+    all xi nodes, and each node value is one dot of its row sums with the
+    radial weights.  The values do not depend on the BLAS thread count: a
+    full-grid gemv is split among threads at row offsets that change which
+    rows take the kernel's remainder path, while an 8-row gemv (and the final
+    partial sub-block) runs every row through the same path; checked bit for
+    bit on 1 to 4 OpenBLAS threads, where it equals the full-grid gemv on one
+    thread.
     """
     _, _, rw, _, pw = rule
+    n_rows = len(rw)
+    assert _XI_ROW_BLOCK * len(pw) >= _ELIDE_POINTS, "row block below the elision size"
     xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
     ps = [-math.expm1(-x) for x in xi]
-    rows_by_node = np.empty((_XI_NODES, len(rw)))
-    for start in range(0, len(rw), _XI_ROW_BLOCK):
-        rows = slice(start, start + _XI_ROW_BLOCK)
-        block_top = top[rows]
+    rows_by_node = np.empty((_XI_NODES, n_rows))
+    starts = list(range(0, n_rows, _XI_ROW_BLOCK))
+    if len(starts) > 1 and n_rows - starts[-1] < _XI_ROW_BLOCK:
+        starts.pop()  # merge the short tail into the block before it
+    for lo, hi in zip(starts, starts[1:] + [n_rows]):
+        top, den = block(slice(lo, hi))
+        subs = [slice(a, min(a + _XI_ROW_BLOCK, hi - lo)) for a in range(0, hi - lo, _XI_ROW_BLOCK)]
         for k, p in enumerate(ps):
-            q = den(p, rows)
-            np.divide(block_top, q, out=q)
-            rows_by_node[k, rows] = q @ pw
+            for sub in subs:
+                q = den(p, sub)
+                np.divide(top[sub], q, out=q)
+                rows_by_node[k, lo + sub.start:lo + sub.stop] = q @ pw
     vals = np.array([float(row @ rw) for row in rows_by_node])
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
@@ -429,33 +450,40 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     evaluated through a cancellation-free factorization (exact in s = 1-rho
     and half-angle variables) so it stays accurate as b -> 1.  Returns
     (spline in xi = -log(1-b), end value, end slope) for the linear tail.
+    The integrand is formed per row block of _xi_table (8 to 15 rows, at
+    least _ELIDE_POINTS points), so the build's working set stays under
+    1 MB; the values equal those of a full-grid build bit for bit.
     """
     rule = _disc_rule_graded(_zero_pull_rule_angles(w_tilde))
     rho, s, _, phi, _ = rule
-    R = rho[:, None]
-    S = s[:, None]
-    sin2h = np.sin(phi / 2.0) ** 2
-    cos2h = np.cos(phi / 2.0) ** 2
-    sinp = np.sin(phi)
-    z = R * np.exp(1j * phi[None, :])
-    w2 = np.abs(eval_product(w_tilde, z)) ** 2
-    num = (S * S + 4.0 * R * sin2h[None, :]) * (S * S + 4.0 * R * cos2h[None, :])
-    top = w2 * num / (1.0 + R * R) ** 2 * R
+    sin2h = np.sin(phi / 2.0)[None, :] ** 2
+    cos2h = np.cos(phi / 2.0)[None, :] ** 2
+    sinp = np.sin(phi)[None, :]
+    rim = np.exp(1j * phi[None, :])
 
-    def den(b: float, rows: slice) -> np.ndarray:
-        # ((1-b + b*s) + 2b*rho*sin^2(phi/2))^2 + (b*rho*sin(phi))^2, squared;
-        # in place, with the same roundings as the expression
-        R_, S_ = R[rows], S[rows]
-        re = 2.0 * b * R_ * sin2h[None, :]
-        re += 1.0 - b + b * S_
-        im = b * R_ * sinp[None, :]
-        re *= re
-        im *= im
-        re += im
-        re *= re
-        return re
+    def block(rows: slice):
+        R = rho[rows, None]
+        S = s[rows, None]
+        w2 = np.abs(eval_product(w_tilde, R * rim)) ** 2
+        num = (S * S + 4.0 * R * sin2h) * (S * S + 4.0 * R * cos2h)
+        top = w2 * num / (1.0 + R * R) ** 2 * R
 
-    return _xi_table(rule, top, den)
+        def den(b: float, sub: slice) -> np.ndarray:
+            # ((1-b + b*s) + 2b*rho*sin^2(phi/2))^2 + (b*rho*sin(phi))^2,
+            # squared; in place, with the same roundings as the expression
+            R_, S_ = R[sub], S[sub]
+            re = 2.0 * b * R_ * sin2h
+            re += 1.0 - b + b * S_
+            im = b * R_ * sinp
+            re *= re
+            im *= im
+            re += im
+            re *= re
+            return re
+
+        return top, den
+
+    return _xi_table(rule, block)
 
 
 @lru_cache(maxsize=8)
@@ -465,28 +493,36 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
     The kernel at mixing parameter m is the disc integral of
     |1 - w(z)^2|^2 / (|1 + m w(z)|^4 (1+|z|^2)^2); the mesh is graded toward
     the boundary preimages of +/-1 where the integrand peaks as m -> 1.
-    Returns (spline in xi = -log(1-m), end value, end slope).
+    Returns (spline in xi = -log(1-m), end value, end slope).  w(z) and the
+    numerator are formed per row block of _xi_table (8 to 15 rows, at least
+    _ELIDE_POINTS points), so the build's working set stays under 1 MB; the
+    values equal those of a full-grid build bit for bit.
     """
     rule = _disc_rule_graded(_unwinding_rule_angles(w))
     rho, _, _, phi, _ = rule
-    R = rho[:, None]
-    wv = eval_product(w, R * np.exp(1j * phi[None, :]))
-    top = np.abs(1.0 - wv * wv) ** 2 / (1.0 + R * R) ** 2 * R
-    wre = np.ascontiguousarray(wv.real)
-    wim = np.ascontiguousarray(wv.imag)
+    rim = np.exp(1j * phi[None, :])
 
-    def den(m: float, rows: slice) -> np.ndarray:
-        # ((1 + m*Re w)^2 + (m*Im w)^2)^2 in place, with the same roundings
-        q = m * wre[rows]
-        q += 1.0
-        q *= q
-        t = m * wim[rows]
-        t *= t
-        q += t
-        q *= q
-        return q
+    def block(rows: slice):
+        R = rho[rows, None]
+        wv = eval_product(w, R * rim)
+        top = np.abs(1.0 - wv * wv) ** 2 / (1.0 + R * R) ** 2 * R
+        wre = np.ascontiguousarray(wv.real)
+        wim = np.ascontiguousarray(wv.imag)
 
-    return _xi_table(rule, top, den)
+        def den(m: float, sub: slice) -> np.ndarray:
+            # ((1 + m*Re w)^2 + (m*Im w)^2)^2 in place, with the same roundings
+            q = m * wre[sub]
+            q += 1.0
+            q *= q
+            t = m * wim[sub]
+            t *= t
+            q += t
+            q *= q
+            return q
+
+        return top, den
+
+    return _xi_table(rule, block)
 
 
 def _table_eval(table, x):

@@ -89,8 +89,10 @@ class PlaneMap:
     def __post_init__(self) -> None:
         if self.far_field not in ("zero", "constant", "homogeneous"):
             raise InvalidArgument("far_field must be zero|constant|homogeneous")
-        if self.bound <= 0:
-            raise InvalidArgument("declare a positive bound")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise InvalidArgument("declare a finite positive bound")
+        if not (math.isfinite(self.far_radius) and self.far_radius >= 0):
+            raise InvalidArgument("far_radius must be finite and non-negative")
 
     def __call__(self, z):
         return self.func(np.asarray(z, dtype=complex))
@@ -106,8 +108,14 @@ class PlaneMap:
 
 
 def bump_map(center: complex = 0.0j, radius: float = 1.0, amplitude=1.0 + 0.0j) -> PlaneMap:
-    """Smooth compactly supported bump: amplitude * exp(1 - 1/(1 - |(z-c)/r|^2))."""
+    """Smooth compactly supported bump: amplitude * exp(1 - 1/(1 - |(z-c)/r|^2)).
+
+    Raises InvalidArgument unless the centre is finite and the radius finite
+    and positive: the support is the disc |z - c| < r.
+    """
     c, r = complex(center), float(radius)
+    if not (np.isfinite(c) and math.isfinite(r) and r > 0):
+        raise InvalidArgument("a bump needs a finite centre and a finite positive radius")
 
     def f(z):
         # numpy divides a complex by the real r as a product with 1/r, so

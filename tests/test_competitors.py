@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import halfharm
 from halfharm import competitors
@@ -35,7 +37,7 @@ from halfharm.competitors import (
     zero_pull_grid_energy,
     zero_pull_profile,
 )
-from halfharm.errors import InvalidArgument, PreconditionViolation
+from halfharm.errors import DomainViolation, InvalidArgument, PreconditionViolation
 
 # a one-zero base for the zero-pulling family (degree 2 after the pull) and
 # a two-zero product for the unwinding family
@@ -127,6 +129,106 @@ def test_kernel_tables_independent_of_blas_threads():
     one = _table_bits("1")
     assert one.count("\n") == 2
     assert _table_bits("2") == one
+
+
+def _xi_table_reference(rule, top, den):
+    """_xi_table on integrand inputs formed on the full grid: top is the
+    whole numerator array, den(p, rows) the denominator on a row slice."""
+    _, _, rw, _, pw = rule
+    xi = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
+    ps = [-math.expm1(-x) for x in xi]
+    rows_by_node = np.empty((competitors._XI_NODES, len(rw)))
+    for start in range(0, len(rw), competitors._XI_ROW_BLOCK):
+        rows = slice(start, start + competitors._XI_ROW_BLOCK)
+        for k, p in enumerate(ps):
+            q = den(p, rows)
+            np.divide(top[rows], q, out=q)
+            rows_by_node[k, rows] = q @ pw
+    vals = np.array([float(row @ rw) for row in rows_by_node])
+    spline = CubicSpline(xi, vals)
+    return spline, float(vals[-1]), float(spline.derivative()(competitors._XI_CAP))
+
+
+def _zero_pull_table_reference(w_tilde):
+    rule = competitors._disc_rule_graded(competitors._zero_pull_rule_angles(w_tilde))
+    rho, s, _, phi, _ = rule
+    R = rho[:, None]
+    S = s[:, None]
+    sin2h = np.sin(phi / 2.0) ** 2
+    cos2h = np.cos(phi / 2.0) ** 2
+    sinp = np.sin(phi)
+    w2 = np.abs(eval_product(w_tilde, R * np.exp(1j * phi[None, :]))) ** 2
+    num = (S * S + 4.0 * R * sin2h[None, :]) * (S * S + 4.0 * R * cos2h[None, :])
+    top = w2 * num / (1.0 + R * R) ** 2 * R
+
+    def den(b, rows):
+        R_, S_ = R[rows], S[rows]
+        re = 2.0 * b * R_ * sin2h[None, :]
+        re += 1.0 - b + b * S_
+        im = b * R_ * sinp[None, :]
+        re *= re
+        im *= im
+        re += im
+        re *= re
+        return re
+
+    return _xi_table_reference(rule, top, den)
+
+
+def _unwinding_table_reference(w):
+    rule = competitors._disc_rule_graded(competitors._unwinding_rule_angles(w))
+    rho, _, _, phi, _ = rule
+    R = rho[:, None]
+    wv = eval_product(w, R * np.exp(1j * phi[None, :]))
+    top = np.abs(1.0 - wv * wv) ** 2 / (1.0 + R * R) ** 2 * R
+    wre = np.ascontiguousarray(wv.real)
+    wim = np.ascontiguousarray(wv.imag)
+
+    def den(m, rows):
+        q = m * wre[rows]
+        q += 1.0
+        q *= q
+        t = m * wim[rows]
+        t *= t
+        q += t
+        q *= q
+        return q
+
+    return _xi_table_reference(rule, top, den)
+
+
+TABLE_BUILDS = {
+    "zero_pull": (competitors._zero_pull_kernel_table.__wrapped__, _zero_pull_table_reference),
+    "unwinding": (competitors._unwinding_kernel_table.__wrapped__, _unwinding_table_reference),
+}
+_PRODUCTS = st.builds(lambda theta, zeros: BlaschkeProduct(theta=theta, zeros=tuple(zeros)),
+                      st.floats(0.0, 6.28),
+                      st.lists(st.complex_numbers(max_magnitude=0.9), min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_BUILDS))
+@settings(max_examples=3, deadline=None)
+@given(w=_PRODUCTS)
+@example(w=TWO_ZERO)  # 315 rows: a 3-row tail of 12,327 points, below the elision size
+def test_kernel_tables_match_the_full_grid_build(family, w):
+    build, reference = TABLE_BUILDS[family]
+    (spline, end_value, end_slope), (ref_spline, ref_value, ref_slope) = build(w), reference(w)
+    assert spline.c.tobytes() == ref_spline.c.tobytes()
+    assert (end_value, end_slope) == (ref_value, ref_slope)
+
+
+@pytest.mark.parametrize("family, w", [("zero_pull", BlaschkeProduct(theta=0.9, zeros=(0.35 - 0.25j,))),
+                                       ("unwinding", BlaschkeProduct(theta=2.3, zeros=(0.3j, -0.45 + 0.2j)))])
+def test_kernel_table_build_stays_in_row_blocks(family, w):
+    # built from full-grid integrand inputs these tables traced 74 MB
+    # (zero-pulling) and 104 MB (unwinding); per row block, 3.5 and 5.1 MB
+    tracemalloc.start()
+    try:
+        TABLE_BUILDS[family][0](w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 ROTATION = BlaschkeProduct(theta=0.7)
@@ -305,6 +407,13 @@ def test_grid_energies_reject_bad_resolution(resolution):
 def test_profile_rejects_bad_samples(values):
     with pytest.raises(InvalidArgument):
         Profile(values)
+
+
+@pytest.mark.parametrize("method", ["__call__", "derivative"])
+@pytest.mark.parametrize("arg", [math.nan, np.array([0.2, math.nan])])
+def test_profile_rejects_nan_argument(method, arg):
+    with pytest.raises(DomainViolation):
+        getattr(unwinding_profile(0.1), method)(arg)
 
 
 def test_unwinding_family_preconditions():

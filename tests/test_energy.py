@@ -41,7 +41,7 @@ from halfharm.energy import (
     poisson_extend_gradient,
     vortex_map,
 )
-from halfharm.errors import DomainViolation, PreconditionViolation, Undersampled
+from halfharm.errors import DomainViolation, InvalidArgument, PreconditionViolation, Undersampled
 from halfharm.quadrature import disc_rule
 
 
@@ -64,6 +64,37 @@ def test_poisson_extend_rejects_lower_halfspace():
         poisson_extend(b, (0.0, 0.0, 0.0))
     with pytest.raises(DomainViolation):
         poisson_extend(b, (0.1, 0.2, -0.3))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"center": 0.5, "radius": -0.3},  # declared far_radius 0.2, support out to 0.8
+    {"radius": 0.0},
+    {"radius": math.nan},
+    {"radius": math.inf},
+    {"center": complex(math.nan, 0.0)},
+    {"center": complex(0.0, math.inf)},
+])
+def test_bump_map_rejects_a_support_it_cannot_declare(kwargs):
+    with pytest.raises(InvalidArgument):
+        bump_map(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"bound": math.nan},
+    {"bound": math.inf},
+    {"bound": 0.0},
+    {"far_radius": -1.0},
+    {"far_radius": math.nan},
+    {"far_radius": math.inf},
+])
+def test_plane_map_rejects_bad_bound_or_far_radius(kwargs):
+    args = {"func": lambda z: np.zeros_like(z), "bound": 1.0, **kwargs}
+    with pytest.raises(InvalidArgument):
+        PlaneMap(**args)
+
+
+def test_plane_map_accepts_zero_far_radius():
+    assert vortex_map().far_radius == 0.0
 
 
 def test_poisson_extend_constant_is_exact():
