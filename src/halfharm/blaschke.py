@@ -53,9 +53,12 @@ class BlaschkeProduct:
     conjugated: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise InvalidArgument("theta must be finite")
+        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
         zs = tuple(complex(a) for a in self.zeros)
-        if any(abs(a) >= 1.0 - 1e-12 for a in zs):
+        if not all(abs(a) < 1.0 - 1e-12 for a in zs):
             raise InvalidArgument("every zero must satisfy |a| < 1 - 1e-12")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "conjugated", bool(self.conjugated))
@@ -98,6 +101,8 @@ class CircleSample:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.shape[0] < 8:
             raise InvalidArgument("need at least 8 samples")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgument("samples must be finite")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
         if np.isfinite(self.unit_tolerance):
@@ -114,25 +119,29 @@ class CircleSample:
 
 
 def _check_closed_disc(z: np.ndarray) -> None:
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise DomainViolation("point outside the closed unit disc")
+    if not np.all(np.abs(z) <= 1.0 + 1e-12):
+        raise DomainViolation("point not in the closed unit disc")
 
 
 def eval_product(B: BlaschkeProduct, z):
     """Evaluate the product at z (|z| <= 1), factor by factor in zero order."""
     zz = np.asarray(z, dtype=complex)
     _check_closed_disc(zz)
-    acc = _underlying_value(B, zz)
+    acc = _underlying_value(B, np.atleast_1d(zz))
     if B.conjugated:
         acc = np.conj(acc)
-    return complex(acc) if acc.ndim == 0 else acc
+    return complex(acc[0]) if zz.ndim == 0 else acc
 
 
 def _underlying_value(B: BlaschkeProduct, zz: np.ndarray) -> np.ndarray:
-    """The un-conjugated product at the points zz."""
+    """The un-conjugated product at the points zz (at least 1-d)."""
     acc = np.full(zz.shape, np.exp(1j * B.theta), dtype=complex)
     for a in B.zeros:
-        acc = acc * ((zz - a) / (1.0 - np.conj(a) * zz))
+        # numpy's complex multiply is not bitwise commutative: `*` swaps its
+        # operands from numpy's temporary-elision size on, and an in-place
+        # multiply of one value takes a scalar loop; this call rounds a
+        # point the same at every call size
+        acc = np.multiply((zz - a) / (1.0 - np.conj(a) * zz), acc)
     return acc
 
 

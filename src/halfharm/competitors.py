@@ -64,10 +64,6 @@ _XI_NODES = 128
 # block (8 rows by at most ~4,100 angles) stay in L2 cache.  A multiple of 4,
 # so every row of a full block takes the same path through the BLAS gemv.
 _XI_ROW_BLOCK = 8
-# numpy elides temporaries of 256 KiB and more (16,384 complex128 values),
-# which swaps the operands of eval_product's complex products; a table block
-# must reach that size so eval_product rounds as on the full grid.
-_ELIDE_POINTS = 16384
 
 _QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=600)
 
@@ -393,49 +389,36 @@ def _unwinding_rule_angles(w: BlaschkeProduct) -> tuple[float, ...]:
 
 def _xi_table(rule, block):
     """Spline in xi = -log(1-p) on [0, _XI_CAP] of the disc integral of
-    top / den(p, sub) under the polar rule, with the end value and end slope
-    that continue it linearly beyond the cap.
+    top / den(p) under the polar rule, with the end value and end slope that
+    continue it linearly beyond the cap.
 
     The table is built one block of radial rows at a time: block(rows), for
     a slice of rows, returns that block's numerator `top` and a function
-    den(p, sub) giving the denominator on the sub-slice `sub` of the block.
-    The integrand inputs therefore never exist on the full grid (up to
-    315 x 4,109 points, 10-21 MB per array); the working set is a few arrays
-    of one block, under 1 MB.  Blocks are _XI_ROW_BLOCK rows, and a shorter
-    tail is merged into the block before it: a block must hold at least
-    _ELIDE_POINTS grid points.  From numpy's temporary-elision size on,
-    eval_product's `acc * factor` is formed in place as `factor *= acc`, and
-    numpy's complex multiply does not round the same with its operands
-    swapped; a smaller block would round differently from the full-grid
-    build (a 3-row tail changed 11,941 of its 12,327 values for a two-zero
-    product).
+    den(p) giving its denominator.  The integrand inputs therefore never
+    exist on the full grid (up to 315 x 4,109 points, 10-21 MB per array);
+    the working set is a few arrays of one block, under 1 MB.  Blocks are
+    _XI_ROW_BLOCK rows, the last one possibly shorter.
 
-    The angular contraction runs on sub-blocks of _XI_ROW_BLOCK rows, over
-    all xi nodes, and each node value is one dot of its row sums with the
-    radial weights.  The values do not depend on the BLAS thread count: a
-    full-grid gemv is split among threads at row offsets that change which
-    rows take the kernel's remainder path, while an 8-row gemv (and the final
-    partial sub-block) runs every row through the same path; checked bit for
-    bit on 1 to 4 OpenBLAS threads, where it equals the full-grid gemv on one
-    thread.
+    The angular contraction runs per block, over all xi nodes, and each node
+    value is one dot of its row sums with the radial weights.  The values do
+    not depend on the BLAS thread count: a full-grid gemv is split among
+    threads at row offsets that change which rows take the kernel's
+    remainder path, while an 8-row gemv (and the final partial block) runs
+    every row through the same path; checked bit for bit on 1 to 4 OpenBLAS
+    threads, where it equals the full-grid gemv on one thread.
     """
     _, _, rw, _, pw = rule
     n_rows = len(rw)
-    assert _XI_ROW_BLOCK * len(pw) >= _ELIDE_POINTS, "row block below the elision size"
     xi = np.linspace(0.0, _XI_CAP, _XI_NODES)
     ps = [-math.expm1(-x) for x in xi]
     rows_by_node = np.empty((_XI_NODES, n_rows))
-    starts = list(range(0, n_rows, _XI_ROW_BLOCK))
-    if len(starts) > 1 and n_rows - starts[-1] < _XI_ROW_BLOCK:
-        starts.pop()  # merge the short tail into the block before it
-    for lo, hi in zip(starts, starts[1:] + [n_rows]):
-        top, den = block(slice(lo, hi))
-        subs = [slice(a, min(a + _XI_ROW_BLOCK, hi - lo)) for a in range(0, hi - lo, _XI_ROW_BLOCK)]
+    for lo in range(0, n_rows, _XI_ROW_BLOCK):
+        rows = slice(lo, lo + _XI_ROW_BLOCK)
+        top, den = block(rows)
         for k, p in enumerate(ps):
-            for sub in subs:
-                q = den(p, sub)
-                np.divide(top[sub], q, out=q)
-                rows_by_node[k, lo + sub.start:lo + sub.stop] = q @ pw
+            q = den(p)
+            np.divide(top, q, out=q)
+            rows_by_node[k, rows] = q @ pw
     vals = np.array([float(row @ rw) for row in rows_by_node])
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
@@ -450,9 +433,9 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     evaluated through a cancellation-free factorization (exact in s = 1-rho
     and half-angle variables) so it stays accurate as b -> 1.  Returns
     (spline in xi = -log(1-b), end value, end slope) for the linear tail.
-    The integrand is formed per row block of _xi_table (8 to 15 rows, at
-    least _ELIDE_POINTS points), so the build's working set stays under
-    1 MB; the values equal those of a full-grid build bit for bit.
+    The integrand is formed per row block of _xi_table, so the build's
+    working set stays under 1 MB; the values equal those of a full-grid
+    build bit for bit.
     """
     rule = _disc_rule_graded(_zero_pull_rule_angles(w_tilde))
     rho, s, _, phi, _ = rule
@@ -468,13 +451,12 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
         num = (S * S + 4.0 * R * sin2h) * (S * S + 4.0 * R * cos2h)
         top = w2 * num / (1.0 + R * R) ** 2 * R
 
-        def den(b: float, sub: slice) -> np.ndarray:
+        def den(b: float) -> np.ndarray:
             # ((1-b + b*s) + 2b*rho*sin^2(phi/2))^2 + (b*rho*sin(phi))^2,
             # squared; in place, with the same roundings as the expression
-            R_, S_ = R[sub], S[sub]
-            re = 2.0 * b * R_ * sin2h
-            re += 1.0 - b + b * S_
-            im = b * R_ * sinp
+            re = 2.0 * b * R * sin2h
+            re += 1.0 - b + b * S
+            im = b * R * sinp
             re *= re
             im *= im
             re += im
@@ -494,9 +476,9 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
     |1 - w(z)^2|^2 / (|1 + m w(z)|^4 (1+|z|^2)^2); the mesh is graded toward
     the boundary preimages of +/-1 where the integrand peaks as m -> 1.
     Returns (spline in xi = -log(1-m), end value, end slope).  w(z) and the
-    numerator are formed per row block of _xi_table (8 to 15 rows, at least
-    _ELIDE_POINTS points), so the build's working set stays under 1 MB; the
-    values equal those of a full-grid build bit for bit.
+    numerator are formed per row block of _xi_table, so the build's working
+    set stays under 1 MB; the values equal those of a full-grid build bit
+    for bit.
     """
     rule = _disc_rule_graded(_unwinding_rule_angles(w))
     rho, _, _, phi, _ = rule
@@ -509,12 +491,12 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
         wre = np.ascontiguousarray(wv.real)
         wim = np.ascontiguousarray(wv.imag)
 
-        def den(m: float, sub: slice) -> np.ndarray:
+        def den(m: float) -> np.ndarray:
             # ((1 + m*Re w)^2 + (m*Im w)^2)^2 in place, with the same roundings
-            q = m * wre[sub]
+            q = m * wre
             q += 1.0
             q *= q
-            t = m * wim[sub]
+            t = m * wim
             t *= t
             q += t
             q *= q

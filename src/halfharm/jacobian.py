@@ -98,7 +98,7 @@ class AtomMeasure:
                     "each atom must be a (position, degree) pair"
                 ) from exc
             a = complex(a)
-            if abs(a) > 1.0 + 1e-12:
+            if not abs(a) <= 1.0 + 1e-12:
                 raise InvalidArgument(
                     f"atom position {a} lies outside the closed unit disc"
                 )

@@ -447,6 +447,16 @@ def adaptive_integrate_many(
     return _integrate(f, np.asarray(params, dtype=float), a, b, tol, singular, grade_levels)
 
 
+def _tan_substituted(f):
+    """The integrand in s of the substitution x = tan(s): f(x) * dx/ds."""
+
+    def g(s):
+        x = np.tan(s)
+        return np.asarray(f(x)) * (1.0 + x * x)
+
+    return g
+
+
 def integrate_line(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
     """Integrate f over the whole real line via x = tan(s), s in (-pi/2, pi/2),
     to the default Tolerance.
@@ -454,24 +464,16 @@ def integrate_line(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
     Suitable for integrands decaying at least like x^-2; the substituted
     integrand is bounded near the endpoints, which are graded anyway.
     """
-
-    def g(s):
-        x = np.tan(s)
-        return np.asarray(f(x)) * (1.0 + x * x)
-
     sing = tuple(math.atan(p) for p in singular) + (-math.pi / 2, math.pi / 2)
-    return adaptive_integrate(g, -math.pi / 2, math.pi / 2, singular=sing, grade_levels=44)
+    return adaptive_integrate(_tan_substituted(f), -math.pi / 2, math.pi / 2,
+                              singular=sing, grade_levels=44)
 
 
 def integrate_halfline(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
     """Integrate f over (0, infinity) via x = tan(s), s in (0, pi/2), to the
     default Tolerance."""
-
-    def g(s):
-        x = np.tan(s)
-        return np.asarray(f(x)) * (1.0 + x * x)
-
     sing = tuple(math.atan(p) for p in singular if p > 0)
     if any(p == 0 for p in singular):
         sing = sing + (0.0,)
-    return adaptive_integrate(g, 0.0, math.pi / 2, singular=sing + (math.pi / 2,), grade_levels=44)
+    return adaptive_integrate(_tan_substituted(f), 0.0, math.pi / 2,
+                              singular=sing + (math.pi / 2,), grade_levels=44)

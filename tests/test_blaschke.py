@@ -40,9 +40,35 @@ def test_construction_rejects_zeros_near_boundary():
     BlaschkeProduct(zeros=(1.0 - 1e-3,))  # fine
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"theta": math.nan}, {"theta": math.inf}, {"zeros": (complex(math.nan, 0.1),)},
+    {"zeros": (0.2, math.nan)}, {"zeros": (complex(math.inf, math.nan),)},
+])
+def test_construction_rejects_nonfinite_theta_and_zeros(kwargs):
+    with pytest.raises(InvalidArgument):
+        BlaschkeProduct(**kwargs)
+
+
+@pytest.mark.parametrize("text", ['{"theta": NaN, "zeros": []}', '{"theta": 0.5, "zeros": [[NaN, 0.0]]}',
+                                  '{"theta": -Infinity}'])
+def test_from_json_rejects_nonfinite_fields(text):
+    # json parses NaN and Infinity, so a document can carry them
+    with pytest.raises(InvalidArgument):
+        BlaschkeProduct.from_json(text)
+
+
 def test_circle_sample_needs_enough_points():
     with pytest.raises(InvalidArgument):
         CircleSample(np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+@pytest.mark.parametrize("unit_tolerance", [math.inf, 1e-6])
+def test_circle_sample_rejects_nonfinite_samples(bad, unit_tolerance):
+    vals = np.exp(2j * np.pi * np.arange(16) / 16)
+    vals[5] = bad
+    with pytest.raises(InvalidArgument):
+        CircleSample(vals, unit_tolerance=unit_tolerance)
 
 
 def test_json_round_trip():
@@ -70,6 +96,13 @@ def test_eval_rejects_outside_disc():
         eval_product(BlaschkeProduct(zeros=(0j,)), 1.1 + 0j)
 
 
+@pytest.mark.parametrize("f", [eval_product, derivative])
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), np.array([0.1, complex(0.2, math.nan)])])
+def test_eval_and_derivative_reject_nan_points(f, z):
+    with pytest.raises(DomainViolation):
+        f(BlaschkeProduct(zeros=(0.3j,)), z)
+
+
 def test_boundary_unit_modulus_many_random_products():
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -86,6 +119,26 @@ def test_maximum_principle_random_probes():
             continue
         z = rng.uniform(0, 1 - 1e-6, size=100) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=100))
         assert np.all(np.abs(eval_product(B, z)) < 1.0)
+
+
+@pytest.mark.parametrize("f", [eval_product, derivative])
+@pytest.mark.parametrize("B", [
+    BlaschkeProduct(theta=1.1, zeros=(0.25 - 0.1j, -0.4 + 0.35j)),
+    BlaschkeProduct(theta=0.4, zeros=(0.3 + 0.2j, 0.6j, -0.5 - 0.1j), conjugated=True),
+    BlaschkeProduct(theta=2.9, zeros=(0.7 + 0.0j,)),
+])
+def test_values_do_not_depend_on_the_call_size(f, B):
+    # one call of 20,480 points (above numpy's 16,384-value elision size),
+    # the same points in row slices, in chunks of 7 and 1, and one at a time
+    rng = np.random.default_rng(37)
+    z = np.sqrt(rng.uniform(0, 0.998, 20480)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20480))
+    grid = z.reshape(160, 128)
+    whole = f(B, grid)
+    assert np.array_equal(np.concatenate([f(B, grid[r:r + 3]) for r in range(0, 160, 3)]), whole)
+    assert np.array_equal(np.concatenate([f(B, z[k:k + 7]) for k in range(0, 20480, 7)]), whole.ravel())
+    picks = rng.choice(20480, 300, replace=False)
+    assert np.array_equal([f(B, z[k:k + 1])[0] for k in picks], whole.ravel()[picks])
+    assert np.array_equal([f(B, z[k]) for k in picks], whole.ravel()[picks])
 
 
 # ------------------------------------------------------------------- derivative

@@ -84,8 +84,9 @@ def rotated_field(field: BoundaryField, eps: float) -> BoundaryField:
 
 
 def test_atom_measure_rejects_position_outside_disc():
-    with pytest.raises(InvalidArgument):
-        AtomMeasure(((1.5 + 0j, 1),))
+    for position in (1.5 + 0j, complex(math.nan, 0.0), complex(0.1, math.nan)):
+        with pytest.raises(InvalidArgument):
+            AtomMeasure(((position, 1),))
 
 
 def test_atom_measure_rejects_duplicate_positions():
