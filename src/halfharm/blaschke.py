@@ -148,45 +148,33 @@ def _underlying_value(B: BlaschkeProduct, zz: np.ndarray) -> np.ndarray:
 def derivative(B: BlaschkeProduct, z):
     """Complex derivative of the underlying (un-conjugated) product at z.
 
-    Uses logarithmic-derivative accumulation; points within 1e-14 of a zero
-    switch to the explicit product rule, so a zero of the product is never a
-    division error.  For conjugated maps the conjugation tag lives on B; the
-    map itself is the conjugate of the product this differentiates.
+    One vectorized product rule, sum_j f_j'(z) * e^{i*theta} *
+    prod_{k != j} f_k(z), over the factors f_j(z) = (z - a_j)/(1 - conj(a_j) z)
+    with f_j'(z) = (1 - |a_j|^2)/(1 - conj(a_j) z)^2.  The products over
+    k != j are running products from both ends, so no factor is divided out
+    and a zero of the product is an ordinary point; a product without zeros
+    has derivative 0.  Every multiply is a plain np.multiply in a fixed
+    operand order, so a point is rounded the same at every call size.  For
+    conjugated maps the conjugation tag lives on B; the map itself is the
+    conjugate of the product this differentiates.
     """
     zz = np.asarray(z, dtype=complex)
     _check_closed_disc(zz)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    if not B.zeros:
-        out = np.zeros(zz.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
-
-    zeros = np.array(B.zeros)
-    dist = np.abs(zz[..., None] - zeros[None, :])
-    near_any = np.any(dist <= 1e-14, axis=-1)
-
-    out = np.zeros(zz.shape, dtype=complex)
-    far = ~near_any
-    if np.any(far):
-        zf = zz[far]
-        w = _underlying_value(B, zf)
-        s = np.zeros(zf.shape, dtype=complex)
-        for a in B.zeros:
-            s = s + (1.0 - abs(a) ** 2) / ((zf - a) * (1.0 - np.conj(a) * zf))
-        out[far] = w * s
-    if np.any(near_any):
-        for idx in np.nonzero(near_any)[0]:
-            z0 = zz[idx]
-            total = 0.0 + 0.0j
-            for j, a in enumerate(B.zeros):
-                fj_prime = (1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z0) ** 2
-                rest = np.exp(1j * B.theta)
-                for k, b in enumerate(B.zeros):
-                    if k != j:
-                        rest = rest * ((z0 - b) / (1.0 - np.conj(b) * z0))
-                total = total + fj_prime * rest
-            out[idx] = total
-    return complex(out[0]) if scalar else out
+    z1 = np.atleast_1d(zz)
+    inv = [1.0 / (1.0 - np.conj(a) * z1) for a in B.zeros]
+    factors = [np.multiply(z1 - a, r) for a, r in zip(B.zeros, inv)]
+    # after[j] = prod_{k > j} f_k; before = e^{i*theta} * prod_{k < j} f_k
+    after = [np.ones(z1.shape, dtype=complex)]
+    for f in factors[:0:-1]:
+        after.append(np.multiply(f, after[-1]))
+    after.reverse()
+    before = np.full(z1.shape, np.exp(1j * B.theta), dtype=complex)
+    out = np.zeros(z1.shape, dtype=complex)
+    for a, r, f, rest in zip(B.zeros, inv, factors, after):
+        slope = (1.0 - abs(a) ** 2) * np.multiply(r, r)
+        out = np.add(out, np.multiply(slope, np.multiply(before, rest)))
+        before = np.multiply(f, before)
+    return complex(out[0]) if zz.ndim == 0 else out
 
 
 def boundary_trace(B: BlaschkeProduct, n: int) -> CircleSample:
@@ -237,10 +225,7 @@ def homogeneous_extension(B: BlaschkeProduct, X):
     p = Xa / norms[..., None]
     if np.any(p[..., 2] < -1e-12):
         raise DomainViolation("the extension lives on the upper half-space")
-    z = stereo_inv(p)
-    if Xa.ndim == 1:
-        return eval_product(B, complex(z))
-    return eval_product(B, np.asarray(z))
+    return eval_product(B, stereo_inv(p))
 
 
 def modulus_bound_margin(B: BlaschkeProduct) -> float:

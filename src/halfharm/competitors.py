@@ -103,14 +103,8 @@ class Profile:
 
     @classmethod
     def from_function(cls, f) -> "Profile":
-        """Sample a callable on the uniform grid (vectorized or scalar)."""
-        try:
-            vals = np.asarray(f(_PROFILE_GRID), dtype=float)
-            if vals.shape != _PROFILE_GRID.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([float(f(t)) for t in _PROFILE_GRID])
-        return cls(vals)
+        """Sample a vectorized callable on the uniform grid in one call."""
+        return cls(f(_PROFILE_GRID))
 
     @classmethod
     def constant(cls, c: float) -> "Profile":
@@ -190,13 +184,10 @@ def _budget_tables() -> tuple[np.ndarray, np.ndarray]:
     endpoint) is redone adaptively with grading toward 1.
     """
     s_grid = np.linspace(0.0, 1.0, _BUDGET_GRID_N + 1)
-    gx, gw = _leggauss(15)
-    lo = s_grid[:-1]
-    hi = s_grid[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    vals = _rewind_speed((mid + half * gx[None, :]).ravel()).reshape(_BUDGET_GRID_N, 15)
-    incr = (vals @ gw) * half[:, 0]
+    _, gw = _leggauss(15)
+    nodes, _ = _panel_rule(s_grid, 15)
+    vals = _rewind_speed(nodes).reshape(_BUDGET_GRID_N, 15)
+    incr = (vals @ gw) * (0.5 * np.diff(s_grid))
     last = adaptive_integrate(
         _rewind_speed, s_grid[-2], 1.0, Tolerance(1e-13, 1e-13, 120), singular=(1.0,)
     )
@@ -1022,9 +1013,7 @@ def unwinding_grid_energy(U: UnwindingFamily, resolution: int = 1) -> float:
         wv = eval_product(U.w, z)[None, :, :]
         return np.where(m >= 1.0, np.ones_like(wv), (wv + m) / (1.0 + m * wv))
 
-    angles = tuple(sorted({float(np.angle(p)) % (2.0 * math.pi)
-                           for p in U.f_poles + U.f_zeros}))
-    nodes = _grid_nodes(U.eps, angles, resolution)
+    nodes = _grid_nodes(U.eps, _unwinding_rule_angles(U.w), resolution)
     return _fd_energy(value, *nodes)
 
 

@@ -102,9 +102,13 @@ class AtomMeasure:
                 raise InvalidArgument(
                     f"atom position {a} lies outside the closed unit disc"
                 )
-            if d != int(d):
+            try:
+                degree = int(d)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidArgument(f"atom degree {d!r} is not an integer") from exc
+            if d != degree:
                 raise InvalidArgument(f"atom degree {d!r} is not an integer")
-            cleaned.append((a, int(d)))
+            cleaned.append((a, degree))
         for i in range(len(cleaned)):
             for j in range(i + 1, len(cleaned)):
                 if abs(cleaned[i][0] - cleaned[j][0]) <= MIN_ATOM_SEPARATION:
@@ -362,7 +366,9 @@ class BoundaryField:
 def _ball_moebius(a2: complex) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal self-map of the unit ball sending the flat-face point a2
     to the origin; it preserves the upper half-ball, the hemisphere, and
-    the flat face because the anchor has no vertical component."""
+    the flat face because the anchor has no vertical component.  X . a is
+    formed elementwise, not as a BLAS product, so a point is rounded the
+    same whatever the number of rows."""
     a = np.array([a2.real, a2.imag, 0.0])
     aa = float(a @ a)
 
@@ -370,7 +376,7 @@ def _ball_moebius(a2: complex) -> Callable[[np.ndarray], np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Xa = X - a[None, :]
         num = (1.0 - aa) * Xa - np.sum(Xa * Xa, axis=1, keepdims=True) * a[None, :]
-        den = 1.0 - 2.0 * (X @ a) + aa * np.sum(X * X, axis=1)
+        den = 1.0 - 2.0 * (X[:, 0] * a[0] + X[:, 1] * a[1]) + aa * np.sum(X * X, axis=1)
         return num / den[:, None]
 
     return T
@@ -401,7 +407,9 @@ def product_vortex_field(
         out = np.ones(X.shape[0], dtype=complex)
         for T, d in factors:
             w = _unit_vortex(T(X))
-            out *= w ** d if d > 0 else np.conj(w) ** (-d)
+            # not `out *=`: an in-place multiply of one value takes numpy's
+            # scalar loop, which rounds differently from a batched call
+            out = np.multiply(out, w ** d if d > 0 else np.conj(w) ** (-d))
         return out
 
     def sphere(pts: np.ndarray) -> np.ndarray:
@@ -420,14 +428,8 @@ def product_vortex_field(
 # ---------------------------------------------------------------------------
 
 
-def _singular_positions(atoms) -> np.ndarray:
-    if atoms is None:
-        return np.zeros((0, 3))
-    if isinstance(atoms, AtomMeasure):
-        return atoms.positions
-    pts = [np.array([complex(a).real, complex(a).imag, 0.0])
-           for a in atoms]
-    return np.array(pts, dtype=float).reshape(-1, 3)
+def _singular_positions(atoms: AtomMeasure | None) -> np.ndarray:
+    return np.zeros((0, 3)) if atoms is None else atoms.positions
 
 
 # Central-difference step of v, as a fraction of the distance to the
@@ -454,9 +456,9 @@ def wedge_field(v, atoms=None) -> Callable[[np.ndarray], np.ndarray]:
     plane-valued interior map, as a callable on (m, 3) points.
 
     Derivatives come from central differences whose step shrinks with the
-    distance to the declared singular flat-face points, so the field stays
-    accurate up to the vortices.  For complex-valued v the wedge of two
-    derivatives is Im(conj(a) * b).
+    distance to the flat-face points of the AtomMeasure atoms (None for a
+    smooth v), so the field stays accurate up to the vortices.  For
+    complex-valued v the wedge of two derivatives is Im(conj(a) * b).
     """
     sing = _singular_positions(atoms)
 
@@ -558,10 +560,10 @@ def pairing_volume(v, phi, atoms=None) -> float:
 
     v is any finite-energy extension of the boundary data; the result
     depends only on the trace.  phi is a LipschitzTest; its exact gradient
-    is contracted at the nodes.  atoms (AtomMeasure or complex positions)
-    declares the flat-face vortex points of v so the quadrature and
-    difference steps can adapt; omit it for smooth extensions.  A constant
-    phi gives exactly 0 because its gradient is zero.
+    is contracted at the nodes.  atoms, an AtomMeasure, declares the
+    flat-face vortex points of v so the quadrature and difference steps
+    can adapt; omit it for smooth extensions.  A constant phi gives
+    exactly 0 because its gradient is zero.
     """
     _require_test(phi)
     _, pairings = _halfball_pass(v, [phi], atoms)
@@ -584,26 +586,19 @@ def halfball_energy_fd(v, atoms=None) -> float:
 _HEMISPHERE_RULE = (48, 96)
 
 
-def pairing_surface(g: BoundaryField, nu: AtomMeasure | None, phi) -> float:
+def pairing_surface(g: BoundaryField, phi) -> float:
     """Charge pairing through the boundary: twice the hemisphere integral
     of det(tangential gradient of the sphere part) times phi, minus
-    2*pi*sum of degree_i * phi(atom_i).
+    2*pi*sum of degree_i * phi(atom_i) over the field's own atoms g.atoms.
 
     The determinant uses per-node orthonormal tangent frames (tau1, tau2)
     with (tau1, tau2, x) direct, and tangential central differences along
     renormalized great-circle displacements, on the 48 x 96 hemisphere
-    rule.  nu defaults to the field's own atoms; passing an inconsistent
-    measure is an error.  Atoms closer together than the equatorial node
-    spacing 2 pi / 96 cannot be told apart by the rule and are rejected.
+    rule.  Atoms closer together than the equatorial node spacing 2 pi / 96
+    cannot be told apart by the rule and are rejected.
     """
     _require_test(phi)
-    if nu is None:
-        nu = g.atoms
-    elif isinstance(g, BoundaryField) and nu is not g.atoms \
-            and nu.atoms != g.atoms.atoms:
-        raise PreconditionViolation(
-            "the supplied atom measure disagrees with the field's own atoms"
-        )
+    nu = g.atoms
     resolution = 2.0 * np.pi / _HEMISPHERE_RULE[1]
     if nu.min_separation() < resolution:
         raise PreconditionViolation(
@@ -714,8 +709,8 @@ def continuity_gap(g1: BoundaryField, g2: BoundaryField,
     gap/bound is reported, never asserted against a universal constant.
     """
     _require_test(phi)
-    p1 = pairing_surface(g1, None, phi)
-    p2 = pairing_surface(g2, None, phi)
+    p1 = pairing_surface(g1, phi)
+    p2 = pairing_surface(g2, phi)
     gap = abs(p1 - p2)
     pts, wts, n_hem = _boundary_nodes()
     v1 = _field_values(g1, pts, n_hem)
@@ -839,11 +834,10 @@ class EnergyBoundReport:
         return float(self.margin)
 
 
-def energy_lower_bound_check(v, atoms=None, *,
-                             dictionary: Sequence[LipschitzTest] | None = None
-                             ) -> EnergyBoundReport:
+def energy_lower_bound_check(v, atoms=None) -> EnergyBoundReport:
     """Check the discrete energy of an extension against half the best
-    absolute charge pairing over a dictionary of 1-Lipschitz tests.
+    absolute charge pairing over default_test_dictionary(), whose tests are
+    1-Lipschitz by construction.
 
     Both signs of every test are available (negating a test negates the
     pairing), so the supremum is taken over absolute values.  The energy
@@ -852,24 +846,13 @@ def energy_lower_bound_check(v, atoms=None, *,
     energy and every pairing come from one pass over the fixed half-ball
     rule, with one difference gradient of v and each test's exact gradient.
     """
-    return _energy_bound(v, atoms, dictionary, ())[0]
+    return _energy_bound(v, atoms, ())[0]
 
 
-def _energy_bound(v, atoms, dictionary,
-                  extra_tests) -> tuple[EnergyBoundReport, np.ndarray]:
+def _energy_bound(v, atoms, extra_tests) -> tuple[EnergyBoundReport, np.ndarray]:
     """energy_lower_bound_check, with the volume pairings of extra_tests
     taken in the same half-ball pass.  Returns (report, extra pairings)."""
-    if dictionary is None:
-        dictionary = default_test_dictionary()
-    if not dictionary:
-        raise InvalidArgument("the test dictionary must not be empty")
-    for entry in dictionary:
-        _require_test(entry)
-        if entry.lip > 1.0 + 1e-12:
-            raise InvalidArgument(
-                f"dictionary entry '{entry.name}' declares constant "
-                f"{entry.lip} > 1"
-            )
+    dictionary = default_test_dictionary()
     k = len(extra_tests)
     energy, pairings = _halfball_pass(v, [*extra_tests, *dictionary], atoms)
     best = int(np.argmax(np.abs(pairings[k:])))
@@ -899,9 +882,9 @@ def jacobian_report(field: BoundaryField, extension, phi) -> dict:
     the winning dictionary test for the energy bound.  The volume pairing
     of phi rides along in the energy check's half-ball pass."""
     _require_test(phi)
-    check, (pv,) = _energy_bound(extension, field.atoms, None, (phi,))
+    check, (pv,) = _energy_bound(extension, field.atoms, (phi,))
     pv = float(pv)
-    ps = pairing_surface(field, None, phi)
+    ps = pairing_surface(field, phi)
     bcl = (float(bcl_lower_bound(field.atoms))
            if field.atoms.total_degree == 1 else None)
     return {

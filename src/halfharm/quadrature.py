@@ -52,15 +52,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and positive weights tagged with their domain.
+    """Nodes and positive weights of a rule on one of three domains.
 
-    domain_tag is one of "circle" (nodes are angles in [0,2pi)), "disc"
-    (nodes are complex points of the open unit disc), "hemisphere" (nodes
-    are unit 3-vectors with third coordinate > 0).  Weights sum to the
-    domain measure (2pi, pi, 2pi).
+    circle_rule's nodes are angles in [0,2pi), disc_rule's are complex
+    points of the open unit disc, and hemisphere_rule's are unit 3-vectors
+    (rows) with third coordinate > 0.  Weights sum to the domain measure
+    (2pi, pi, 2pi).
     """
 
-    domain_tag: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -103,7 +102,7 @@ def circle_rule(n: int) -> QuadRule:
         raise InvalidArgument("circle_rule needs n >= 2")
     angles = 2.0 * np.pi * np.arange(n) / n
     weights = np.full(n, 2.0 * np.pi / n)
-    return QuadRule("circle", angles, weights)
+    return QuadRule(angles, weights)
 
 
 def _panel_rule(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,23 +128,20 @@ def disc_rule(n_r: int, n_t: int) -> QuadRule:
     angles = 2.0 * np.pi * np.arange(n_t) / n_t
     z = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()
     w = ((wr * r)[:, None] * np.full(n_t, 2.0 * np.pi / n_t)[None, :]).ravel()
-    return QuadRule("disc", z, w)
+    return QuadRule(z, w)
 
 
 def hemisphere_rule(n_r: int, n_t: int) -> QuadRule:
     """Rule on the upper unit hemisphere, pulled back through the conformal
     disc chart with area density 4/(1+|z|^2)^2; weights sum to 2*pi."""
     base = disc_rule(n_r, n_t)
-    return QuadRule("hemisphere", stereo(base.nodes), base.weights * stereo_density(base.nodes))
+    return QuadRule(stereo(base.nodes), base.weights * stereo_density(base.nodes))
 
 
-def integrate(rule: QuadRule, f) -> float | complex | np.ndarray:
-    """Apply a rule to a vectorized integrand f(nodes)."""
-    values = np.asarray(f(rule.nodes))
-    if values.shape[: 1] != rule.weights.shape:
-        # integrand returned extra trailing axes (vector-valued); contract on axis 0
-        return np.tensordot(rule.weights, values, axes=(0, 0))
-    return values @ rule.weights
+def integrate(rule: QuadRule, f) -> float | complex:
+    """Apply a rule to a vectorized integrand: f(rule.nodes) returns one
+    real or complex value per node, and the weighted sum is returned."""
+    return np.asarray(f(rule.nodes)) @ rule.weights
 
 
 # --------------------------------------------------------------------------- adaptive

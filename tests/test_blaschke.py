@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfharm.blaschke import (
     BlaschkeProduct,
@@ -170,6 +173,37 @@ def test_derivative_at_a_zero_uses_product_rule():
     assert abs(derivative(double, 0.3 + 0j)) <= 1e-14
     near = 0.3 + 5e-15 + 0j  # within the product-rule window but not equal
     assert np.isfinite(derivative(double, near))
+
+
+def _mp_product_rule(B, z):
+    """sum_j f_j'(z) e^{i theta} prod_{k != j} f_k(z) in 40-digit mpmath,
+    and the sum of the absolute values of its terms."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        zeros = [mpmath.mpc(a) for a in B.zeros]
+        f = [(zm - a) / (1 - mpmath.conj(a) * zm) for a in zeros]
+        terms = [(1 - abs(a) ** 2) / (1 - mpmath.conj(a) * zm) ** 2 * mpmath.expj(B.theta)
+                 * mpmath.fprod(f[:j] + f[j + 1:]) for j, a in enumerate(zeros)]
+        return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))
+
+
+_polar = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros=st.lists(st.tuples(st.floats(0.0, 0.99, exclude_max=True), st.floats(0.0, 2 * math.pi)),
+                      min_size=1, max_size=4),
+       theta=st.floats(0.0, 2 * math.pi), points=st.lists(_polar, min_size=1, max_size=8))
+def test_derivative_matches_a_40_digit_product_rule(zeros, theta, points):
+    # points of the closed disc and the zeros themselves, where the
+    # product vanishes; below the smallest normal double no relative bound
+    # holds (near a multiple zero the derivative can underflow)
+    B = BlaschkeProduct(theta=theta, zeros=tuple(r * complex(math.cos(t), math.sin(t)) for r, t in zeros))
+    z = [min(r, 1.0) * complex(math.cos(t), math.sin(t)) for r, t in points] + list(B.zeros)
+    got = derivative(B, np.array(z))
+    for zk, dk in zip(z, got):
+        exact, scale = _mp_product_rule(B, zk)
+        assert abs(dk - exact) <= 1e-13 * scale + np.finfo(float).tiny, (zk, dk, exact)
 
 
 # ------------------------------------------------------- winding numbers, degree
