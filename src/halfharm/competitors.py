@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .blaschke import BlaschkeProduct, CircleSample, eval_product, winding_number
 from .certificates import _check_range, _F_arr
@@ -32,7 +32,17 @@ from .errors import (
     NumericalFailure,
     PreconditionViolation,
 )
-from .quadrature import Tolerance, _leggauss, _panel_rule, adaptive_integrate, ensure_converged
+from .quadrature import (
+    Tolerance,
+    _check_count,
+    _leggauss,
+    _panel_rule,
+    adaptive_integrate,
+    ensure_converged,
+)
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Profile",
@@ -79,7 +89,8 @@ class Profile:
     Samples are validated to lie in [0,1] (tolerance 1e-9, then clipped
     exactly).  Between samples the interpolant may overshoot the range by the
     representation tolerance (~1e-8 for the profiles used here); consumers
-    that feed the values into divergent kernels clamp accordingly.
+    that feed the values into divergent kernels clamp accordingly.  The
+    first Profile built imports scipy.interpolate.
     """
 
     values: np.ndarray
@@ -97,6 +108,8 @@ class Profile:
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(_PROFILE_GRID, vals)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_spline_d", spline.derivative())
@@ -397,6 +410,8 @@ def _xi_table(rule, block):
     remainder path, while an 8-row gemv (and the final partial block) runs
     every row through the same path; checked bit for bit on 1 to 4 OpenBLAS
     threads, where it equals the full-grid gemv on one thread.
+
+    The first table built imports scipy.interpolate.
     """
     _, _, rw, _, pw = rule
     n_rows = len(rw)
@@ -411,6 +426,8 @@ def _xi_table(rule, block):
             np.divide(top, q, out=q)
             rows_by_node[k, rows] = q @ pw
     vals = np.array([float(row @ rw) for row in rows_by_node])
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
 
@@ -964,9 +981,7 @@ _GRID_ANG_MIN_STEP = 3e-6
 
 
 def _grid_nodes(eps: float, phi_angles: tuple[float, ...], resolution: int):
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
-        raise InvalidArgument(f"resolution must be an integer >= 1, got {resolution!r}")
-    resolution = int(resolution)
+    resolution = _check_count(resolution, "resolution")
     n_u = 64 * resolution
     r_nodes = _graded_1d(1e-3, 1.0, 96 * resolution, (eps,), _GRID_R_MIN_STEP)
     th_nodes = _graded_1d(1e-3, math.pi / 2.0, n_u, (math.pi / 2.0,), _GRID_ANG_MIN_STEP)

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolation,
     Undersampled,
 )
-from .quadrature import _panel_rule, disc_rule, hemisphere_rule
+from .quadrature import _check_count, _panel_rule, disc_rule, hemisphere_rule
 
 __all__ = [
     "gamma_n",
@@ -181,9 +181,22 @@ def _halfspace_point(X) -> tuple[complex, float]:
     Xa = np.asarray(X, dtype=float)
     if Xa.shape != (3,):
         raise DomainViolation("expected one 3-vector")
+    if not np.all(np.isfinite(Xa)):
+        raise DomainViolation("the half-space point must be finite")
     if Xa[2] <= 0.0:
         raise DomainViolation("the half-space extension needs x3 > 0")
     return complex(Xa[0], Xa[1]), float(Xa[2])
+
+
+def _check_ray_rule(n_omega, n_gl) -> tuple[int, int]:
+    """The ray rule (directions, Gauss nodes per panel) of the half-space
+    routes: both integers >= 1."""
+    return _check_count(n_omega, "n_omega"), _check_count(n_gl, "n_gl")
+
+
+def _check_domain_radius(R) -> None:
+    if not math.isfinite(R) or R <= 0:
+        raise InvalidArgument(f"the domain radius R must be finite and > 0, got {R!r}")
 
 
 def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
@@ -280,6 +293,7 @@ def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
     renormalized to 1, so |output| <= sup|u| holds exactly.
     """
     x, h = _halfspace_point(X)
+    n_omega, n_gl = _check_ray_rule(n_omega, n_gl)
     return complex(_extension_value_ring(u, np.array([x]), h, n_omega, n_gl)[0])
 
 
@@ -478,8 +492,7 @@ def frac_energy_plane(u: PlaneMap, R: float = 1.0) -> FracEnergyReport:
     fail to contract, the value is growing without bound under refinement and
     the report is flagged divergent rather than trusted.
     """
-    if R <= 0:
-        raise InvalidArgument("need R > 0")
+    _check_domain_radius(R)
     if u.singular_points and len(u.singular_degrees) != len(u.singular_points):
         if any(abs(s) < R for s in u.singular_points):
             raise PreconditionViolation(
@@ -517,6 +530,7 @@ def half_laplacian_pairing(u: PlaneMap, phi: PlaneMap, R: float = 1.0) -> float:
     One pair quadrature: 28 x 72 outer points, the 72 outer angles as ray
     directions, 10 Gauss nodes per ray panel.  phi = u evaluates u once per
     sample."""
+    _check_domain_radius(R)
     if phi.far_field != "zero":
         raise PreconditionViolation("test maps must be compactly supported")
     if phi.far_radius > R + 1e-12:
@@ -659,6 +673,7 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")
+    n_omega, n_gl = _check_ray_rule(n_omega, n_gl)
     R = 6.0 * max(1.0, u.far_radius)
     # the energy density has structure at the support scale and smooth decay
     # beyond it, so the radial rule uses panels split at that scale; a single
@@ -775,6 +790,7 @@ def _gradient_ring_density(u: PlaneMap, centers, h: float, n_omega: int, n_gl: i
 def poisson_extend_gradient(u: PlaneMap, X, n_omega: int = 128, n_gl: int = 16):
     """(d1, d2, d3) of the Poisson extension at X via analytic kernel derivatives."""
     x, h = _halfspace_point(X)
+    n_omega, n_gl = _check_ray_rule(n_omega, n_gl)
     return tuple(complex(g[0] / h) for g in _gradient_ring(u, np.array([x]), h, n_omega, n_gl))
 
 
@@ -804,6 +820,8 @@ def extension_l2_bounds_check(u: PlaneMap, heights) -> L2BoundsReport:
     if u.far_field != "zero":
         raise PreconditionViolation("bounds apply to compactly supported maps")
     heights = tuple(float(h) for h in heights)
+    if not all(math.isfinite(h) and h > 0.0 for h in heights):
+        raise InvalidArgument(f"heights must be finite and > 0, got {heights!r}")
     supp = u.far_radius
     rule = disc_rule(*_L2_RULE)
     su = u(supp * rule.nodes)

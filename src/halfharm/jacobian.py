@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .blaschke import CircleSample, winding_number
 from .energy import _complex_gradient, _sphere_difference, _tangent_frames
@@ -777,7 +776,7 @@ def bcl_lower_bound(nu: AtomMeasure) -> BclReport:
 
     The minimum sits at c = 0 with V(0) = pi, so the returned value is the
     sharp half-pairing bound pi for unit-degree data.  Total degree other
-    than one is rejected.
+    than one is rejected.  The first call imports scipy.optimize.
     """
     if nu.total_degree != 1:
         raise PreconditionViolation(
@@ -797,6 +796,8 @@ def bcl_lower_bound(nu: AtomMeasure) -> BclReport:
             if val < best_v:
                 best_v = val
                 best_c = (float(cx), float(cy))
+    from scipy.optimize import minimize
+
     res = minimize(V, np.array(best_c), method="Nelder-Mead",
                    options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
     if not res.success and res.fun > best_v:

@@ -88,6 +88,13 @@ class Tolerance:
         return max(self.abs_tol, self.rel_tol * abs(scale))
 
 
+def _check_count(n, name: str) -> int:
+    """n as an int, if it is an integer >= 1 (bools refused); a rule size."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidArgument(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)

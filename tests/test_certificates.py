@@ -299,6 +299,17 @@ def test_delta_certificate_strictly_decreasing():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_decisive_verdicts_hold_as_strict_inequalities():
+    """The three decisive verdicts as the paper states them, one-sided:
+    the zero-radius budget crosses 1 inside (0.30, 1/3), the deficit's upper
+    error bar stays below 2, and the Hardy margin is positive."""
+    assert delta_certificate(0.30) > 1.0 > delta_certificate(1.0 / 3.0)
+    block = _f2_block()
+    assert 4.0 * (block.main.value + block.main.error + block.nested_error) < 2.0
+    for d in (1, 2, 3):
+        assert sphere_destabilization_margin(d) > 0.0
+
+
 def test_delta_certificate_domain():
     for bad in (-0.1, 1.1, math.nan):
         with pytest.raises(DomainViolation):

@@ -66,6 +66,45 @@ def test_poisson_extend_rejects_lower_halfspace():
         poisson_extend(b, (0.1, 0.2, -0.3))
 
 
+@pytest.mark.parametrize("X", [
+    (math.nan, 0.0, 0.5),
+    (0.0, math.inf, 0.5),
+    (0.1, 0.2, math.nan),
+    (0.1, 0.2, math.inf),
+])
+@pytest.mark.parametrize("route", [poisson_extend, poisson_extend_gradient])
+def test_half_space_point_must_be_finite(route, X):
+    with pytest.raises(DomainViolation):
+        route(bump_map(0.1, 0.5), X)
+
+
+def _oracle(u, n_omega, n_gl):
+    return halfspace_dirichlet_oracle(u, n_omega=n_omega, n_gl=n_gl)
+
+
+def _extend(u, n_omega, n_gl):
+    return poisson_extend(u, (0.1, 0.0, 0.3), n_omega=n_omega, n_gl=n_gl)
+
+
+def _extend_gradient(u, n_omega, n_gl):
+    return poisson_extend_gradient(u, (0.1, 0.0, 0.3), n_omega=n_omega, n_gl=n_gl)
+
+
+@pytest.mark.parametrize("sizes", [
+    (0, 4), (2.5, 4), (True, 4), (-8, 4), ("8", 4),
+    (8, 0), (8, 2.5), (8, True), (8, None),
+])
+@pytest.mark.parametrize("route", [_oracle, _extend, _extend_gradient])
+def test_half_space_ray_rule_sizes_are_integers_at_least_one(route, sizes):
+    with pytest.raises(InvalidArgument, match="integer >= 1"):
+        route(bump_map(0.1, 0.5), *sizes)
+
+
+def test_half_space_ray_rule_accepts_numpy_integers():
+    u = bump_map(0.1, 0.5)
+    assert _extend(u, np.int64(8), np.int32(4)) == _extend(u, 8, 4)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"center": 0.5, "radius": -0.3},  # declared far_radius 0.2, support out to 0.8
     {"radius": 0.0},
@@ -415,6 +454,22 @@ def test_extension_l2_bounds_and_decay():
 def test_extension_l2_rejects_noncompact():
     with pytest.raises(PreconditionViolation):
         extension_l2_bounds_check(vortex_map(), (0.5, 1.0))
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_extension_l2_rejects_heights_that_are_not_finite_and_positive(bad):
+    with pytest.raises(InvalidArgument):
+        extension_l2_bounds_check(bump_map(radius=0.5), (0.5, bad))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", [
+    lambda u, R: frac_energy_plane(u, R=R),
+    lambda u, R: half_laplacian_pairing(u, u, R=R),
+], ids=["frac_energy_plane", "half_laplacian_pairing"])
+def test_domain_radius_must_be_finite_and_positive(route, R):
+    with pytest.raises(InvalidArgument, match="finite and > 0"):
+        route(bump_map(radius=0.5), R)
 
 
 # ------------------------------------------------- Poisson rays on the support

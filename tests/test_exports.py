@@ -1,6 +1,6 @@
-"""Every name a halfharm module exports in __all__ must exist, and the
+"""Every name a halfharm module exports in __all__ must exist, the
 package's count of defaulted parameters (function and dataclass-field
-defaults) may not grow.
+defaults) may not grow, and importing halfharm loads no scipy.
 
 Nothing in the suite imports `*`, so a function deleted from a module but
 left in its __all__ would pass every other test.
@@ -8,7 +8,11 @@ left in its __all__ would pass every other test.
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,70 @@ def test_defaulted_parameters_do_not_grow():
     assert count <= MAX_DEFAULTED_PARAMETERS, (
         f"src/halfharm has {count} defaulted parameters, above the bound "
         f"{MAX_DEFAULTED_PARAMETERS}")
+
+
+# Importing halfharm loads numpy and the stdlib only: scipy loads inside the
+# three calls that use it (a Profile, a kernel table, a BCL bound), so the
+# certificate battery, which needs none of them, never pays its import.
+_SCIPY_PARTS = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.linalg")
+
+_IMPORT_CHILD = """
+import importlib, json, pkgutil, sys
+import halfharm
+for m in pkgutil.iter_modules(halfharm.__path__):
+    importlib.import_module("halfharm." + m.name)
+from halfharm import certificates, competitors
+certificates.standard_certificates()
+parts = %r
+before = [p for p in parts if p in sys.modules]
+competitors.optimal_profile(0.5)
+print(json.dumps({"before": before, "after": [p for p in parts if p in sys.modules]}))
+""" % (_SCIPY_PARTS,)
+
+
+def test_certificates_run_without_loading_scipy():
+    src = str(Path(halfharm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded["before"] == []
+    # the guard is live: the first profile does load scipy's splines
+    assert "scipy.interpolate" in loaded["after"]
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+            or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"))
+
+
+def _import_time_scipy(body) -> list[int]:
+    """Lines of the statements in body, run when the module is imported,
+    that import scipy: function bodies and `if TYPE_CHECKING:` blocks are
+    skipped, class bodies and other blocks are searched."""
+    lines = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            lines += _import_time_scipy(node.orelse)
+            continue
+        for name in ("body", "orelse", "finalbody", "handlers"):
+            lines += _import_time_scipy(getattr(node, name, []))
+    return lines
+
+
+def test_no_module_imports_scipy_at_import_time():
+    src = Path(halfharm.__file__).resolve().parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _import_time_scipy(ast.parse(path.read_text()).body))}
+    assert not found, f"module-level scipy imports (file: lines): {found}"
