@@ -73,7 +73,8 @@ class PlaneMap:
     """A bounded map of the plane, evaluable away from a finite singular set.
 
     `func` is vectorized over complex arrays and returns real or complex
-    values.  The far-field class declares what the map looks like outside the
+    values; it must not keep its argument, because the half-space routes
+    reuse their sample arrays from block to block.  The far-field class declares what the map looks like outside the
     disc of radius `far_radius`: identically zero, a constant, or
     0-homogeneous (so tails of nonlocal integrals close analytically).
     """
@@ -123,10 +124,19 @@ def bump_map(center: complex = 0.0j, radius: float = 1.0, amplitude=1.0 + 0.0j) 
         d = z - c
         d *= 1.0 / r
         s2 = np.abs(d)
+        del d
         s2 *= s2
         inside = s2 < 1.0
+        # exp(1 - 1/(1 - s2)) in place: each block of the half-space routes
+        # calls this, so every temporary saved is heap traffic saved
+        v = s2[inside]
+        del s2
+        np.subtract(1.0, v, out=v)
+        np.divide(1.0, v, out=v)
+        np.subtract(1.0, v, out=v)
+        np.exp(v, out=v)
         out = np.zeros(z.shape, dtype=complex)
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        out[inside] = amplitude * v
         return out
 
     return PlaneMap(func=f, bound=abs(amplitude), far_field="zero",
@@ -226,31 +236,39 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
     return t, wt, t_stop, band
 
 
-def _ray_values(u: PlaneMap, origins: np.ndarray, dirs: np.ndarray, h: float,
-                t) -> np.ndarray:
-    """u at origins + h t dirs, one row per (origin, direction) pair and one
-    column per node t, as complex.  A far_field == "zero" map is called only
-    on the samples inside its support disc; the others are written as exact
-    zeros."""
-    pts = origins[:, None] + h * t[None, :] * dirs[:, None]
+def _ray_values(u: PlaneMap, pts: np.ndarray) -> np.ndarray:
+    """u at the complex ray samples pts, written over pts and returned.  A
+    far_field == "zero" map is called only on the samples inside its support
+    disc; the others are set to exact zeros."""
     if u.far_field != "zero":
-        return np.asarray(u(pts), dtype=complex)
+        pts[...] = u(pts)
+        return pts
     inside = np.abs(pts) <= u.far_radius
-    vals = np.zeros(pts.shape, dtype=complex)
-    vals[inside] = u(pts[inside])
-    return vals
+    support = pts[inside]
+    pts.fill(0.0)
+    pts[inside] = u(support)
+    return pts
 
 
 # complex samples per working block of the half-space routes (_ray_sums and
-# _pair_form).  7,680 samples are 120 KB: every working array of a block,
-# the map's temporaries included, stays under glibc's default 128 KB mmap
-# threshold, so it is recycled from the heap instead of being mapped and
-# zero-filled afresh, and a block's arrays fit a core's L2 cache.  Its real
-# products stay far below the sizes at which OpenBLAS starts worker threads.
-# On a 2-vCPU Xeon, in fresh processes, ray blocks of 16k samples took
-# 15-20% longer over the benchmark oracle, and the pair form's former blocks
-# of 4 whole outer points (34k samples at the top rung of the benchmark
-# ladder) took 30-40% longer over its calls in the benchmark.
+# _pair_form).  7,680 samples are 120 KB: every working array of a block
+# stays under glibc's default 128 KB mmap threshold and comes from the heap,
+# and a block's arrays fit a core's L2 cache.  Its real products stay far
+# below the sizes at which OpenBLAS starts worker threads.  On a 2-vCPU
+# Xeon, in fresh processes, ray blocks of 16k samples took 15-20% longer
+# over the benchmark oracle, and the pair form's former blocks of 4 whole
+# outer points (34k samples at the top rung of the benchmark ladder) took
+# 30-40% longer over its calls in the benchmark.
+#
+# The sample points of every block are built in one workspace per call (per
+# ring in _pair_form), and the block's values overwrite them.  glibc hands the top of its heap
+# back to the kernel whenever more than 128 KB lie free there, so arrays
+# made and dropped afresh in every block could be faulted back in block
+# after block: at glibc's default thresholds the benchmark's fields
+# repetition took 46k to 396k minor page faults, depending only on the heap
+# layout left by start-up (the length of the checkout's path was enough to
+# move it).  With the workspace it takes 33k to 61k, as many as when
+# importing scipy had raised those thresholds before the run.
 _BLOCK_SAMPLES = 7680
 
 
@@ -277,9 +295,14 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     dirs = np.tile(what, centers.size)
     out = np.empty((origins.size, n_k), dtype=complex)
     rows = max(1, _BLOCK_SAMPLES // max(n_t, 1))
+    ht = h * t
+    work = np.empty((min(rows, origins.size), n_t), dtype=complex)
     for start in range(0, origins.size, rows):
         block = slice(start, start + rows)
-        vals = _ray_values(u, origins[block], dirs[block], h, t)
+        pts = work[:origins[block].size]
+        np.multiply.outer(dirs[block], ht, out=pts)
+        pts += origins[block, None]
+        vals = _ray_values(u, pts)
         out[block] = (vals.view(float) @ pairs).view(complex)
     return out.reshape(centers.size, what.size, n_k)
 
@@ -442,13 +465,18 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
         chunks = -(-offsets.size // _BLOCK_SAMPLES)
         cuts = [offsets.size * j // chunks for j in range(chunks + 1)]
         segs = np.zeros(n)
+        work = np.empty(min(per_block, n) * -(-offsets.size // chunks), dtype=complex)
         for start in range(0, n, per_block):
             k = slice(start, start + per_block)
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                pts = xs[k, None] + what[k, None] * offsets[None, lo:hi]
+                pts = work[:xs[k].size * (hi - lo)].reshape(xs[k].size, hi - lo)
+                np.multiply(what[k, None], offsets[None, lo:hi], out=pts)
+                pts += xs[k, None]
                 du = np.asarray(u(pts), dtype=complex) - ux[k, None]
                 dp = du if sym else np.asarray(pmap(pts), dtype=complex) - px[k, None]
-                segs[k] += (du.view(float) * dp.view(float)) @ weights[2 * lo:2 * hi]
+                prod = du.view(float)
+                prod *= dp.view(float)
+                segs[k] += prod @ weights[2 * lo:2 * hi]
 
         dtail_u = ux[:, None] - far_u
         dtail_p = dtail_u if sym else px[:, None] - far_p

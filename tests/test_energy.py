@@ -118,6 +118,20 @@ def test_bump_map_rejects_a_support_it_cannot_declare(kwargs):
         bump_map(**kwargs)
 
 
+def test_bump_map_gives_the_bits_of_its_formula():
+    # the map works in place; its values stay those of the plain expression
+    c, r, a = 0.15 - 0.05j, 0.6, 0.8 - 0.3j
+    rng = np.random.default_rng(11)
+    z = c + r * np.sqrt(rng.uniform(0.0, 1.3, 4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    z[:3] = (c, c + r, c + 0.999999 * r)
+    s2 = np.abs((z - c) * (1.0 / r)) ** 2
+    want = np.zeros(z.shape, dtype=complex)
+    want[s2 < 1.0] = a * np.exp(1.0 - 1.0 / (1.0 - s2[s2 < 1.0]))
+    got = bump_map(center=c, radius=r, amplitude=a)(z)
+    np.testing.assert_array_equal(got, want)
+    assert np.count_nonzero(got) < z.size
+
+
 @pytest.mark.parametrize("kwargs", [
     {"bound": math.nan},
     {"bound": math.inf},
