@@ -1,9 +1,9 @@
 """Conformal charts between plane, 2-sphere, upper half-plane, and unit disc.
 
 The plane chart of the sphere is inverse stereographic projection from the
-south pole; the half-plane chart of the disc is the Moebius map w -> (w-i)/(w+i).
-Each chart comes with the density that converts integrals between the two
-models.  The point at infinity is a tagged sentinel (INF), never a large float.
+south pole, with the area density that converts integrals between the two
+models; the half-plane chart of the disc is the Moebius map w -> (w-i)/(w+i).
+The point at infinity is a tagged sentinel (INF), never a large float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "stereo_density",
     "cayley",
     "cayley_inv",
-    "cayley_line_density",
 ]
 
 
@@ -122,11 +121,3 @@ def cayley_inv(z):
     if np.any(z == 1.0 + 0.0j):
         raise DomainViolation("z = 1 in array input; map it separately")
     return 1j * (1.0 + z) / (1.0 - z)
-
-
-def cayley_line_density(x):
-    """Arclength density 2/(1+x^2) pulling circle arclength back to the line."""
-    if is_inf(x):
-        return 0.0
-    x = np.asarray(x, dtype=float)
-    return 2.0 / (1.0 + x * x)

@@ -2,9 +2,8 @@
 
 The central objects: the plane/circle nonlocal energies with kernel
 |x-y|^-(n+1), the half-space Poisson extension u^e realizing half of the
-Dirichlet energy, the disc Poisson extension of circle maps, the half-ball
-Dirichlet energy of 0-homogeneous fields, the half-Laplacian pairing, the
-L2 decay bounds of extensions, and the density E(B_r+)/r along radii.
+Dirichlet energy, the half-ball Dirichlet energy of 0-homogeneous fields,
+the half-Laplacian pairing, and the density E(B_r+)/r along radii.
 
 Each quantity is computed on one fixed rule, stated in its docstring; the
 only rule a caller chooses is the ray rule (n_omega, n_gl) of the Poisson
@@ -38,7 +37,6 @@ __all__ = [
     "closed_xstar_ext",
     "poisson_extend",
     "poisson_extend_gradient",
-    "disc_extend",
     "circle_energy_numeric",
     "FracEnergyReport",
     "frac_energy_plane",
@@ -46,8 +44,6 @@ __all__ = [
     "dirichlet_energy_halfball",
     "hemisphere_tangential_energy",
     "halfspace_dirichlet_oracle",
-    "L2BoundsReport",
-    "extension_l2_bounds_check",
     "MonotoneReport",
     "monotone_density",
 ]
@@ -74,9 +70,10 @@ class PlaneMap:
 
     `func` is vectorized over complex arrays and returns real or complex
     values; it must not keep its argument, because the half-space routes
-    reuse their sample arrays from block to block.  The far-field class declares what the map looks like outside the
-    disc of radius `far_radius`: identically zero, a constant, or
-    0-homogeneous (so tails of nonlocal integrals close analytically).
+    reuse their sample arrays from block to block.  The far-field class
+    declares what the map looks like outside the disc of radius
+    `far_radius`: identically zero, a constant, or 0-homogeneous (so tails
+    of nonlocal integrals close analytically).
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -318,20 +315,6 @@ def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
     x, h = _halfspace_point(X)
     n_omega, n_gl = _check_ray_rule(n_omega, n_gl)
     return complex(_extension_value_ring(u, np.array([x]), h, n_omega, n_gl)[0])
-
-
-def disc_extend(g: CircleSample, z):
-    """Harmonic extension of a circle sample into the open disc via the
-    disc Poisson kernel (1-|z|^2)/(2 pi) * integral of g / |sigma - z|^2."""
-    zz = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zz) >= 1.0):
-        raise DomainViolation("disc extension needs |z| < 1")
-    sigma = np.exp(1j * g.angles)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    num = (1.0 - np.abs(zz) ** 2) / g.n
-    out = num * np.sum(g.values[None, :] / np.abs(sigma[None, :] - zz[:, None]) ** 2, axis=1)
-    return complex(out[0]) if scalar else out
 
 
 # ------------------------------------------------------------- circle energy
@@ -629,7 +612,7 @@ def dirichlet_energy_halfball(v, r: float = 1.0) -> float:
     v may be a BlaschkeProduct (its homogeneous extension is used) or a
     callable field on unit 3-vectors.
     """
-    if r > 1.0 or r <= 0.0:
+    if not (0.0 < r <= 1.0):
         raise DomainViolation("radius must lie in (0, 1]")
     if isinstance(v, BlaschkeProduct):
         B = v
@@ -654,7 +637,7 @@ def monotone_density(B: BlaschkeProduct, radii) -> MonotoneReport:
     central-difference gradients of the extension, of step 1e-5 times the
     shell radius."""
     radii = tuple(float(r) for r in radii)
-    if any(r <= 0 or r > 1 for r in radii):
+    if not all(0.0 < r <= 1.0 for r in radii):
         raise DomainViolation("radii must lie in (0, 1]")
     rule = hemisphere_rule(48, 96)
     p = rule.nodes
@@ -820,65 +803,3 @@ def poisson_extend_gradient(u: PlaneMap, X, n_omega: int = 128, n_gl: int = 16):
     x, h = _halfspace_point(X)
     n_omega, n_gl = _check_ray_rule(n_omega, n_gl)
     return tuple(complex(g[0] / h) for g in _gradient_ring(u, np.array([x]), h, n_omega, n_gl))
-
-
-@dataclass(frozen=True)
-class L2BoundsReport:
-    """Slice L2 norms of the extension against the two decay bounds."""
-
-    heights: tuple[float, ...]
-    slice_l2_sq: tuple[float, ...]
-    u_l2_sq: float
-    u_l1: float
-    l2_bound_ok: bool
-    empirical_c: float
-    loglog_slope: float
-
-
-# (radii, angles) of the disc rule of extension_l2_bounds_check
-_L2_RULE = (32, 64)
-
-
-def extension_l2_bounds_check(u: PlaneMap, heights) -> L2BoundsReport:
-    """Check integral |u^e(., x3)|^2 <= ||u||_2^2 and <= C ||u||_1^2 / x3^2
-    at each height, reporting the empirical constant and the decay slope.
-
-    Every slice is a 32 x 64 polar rule whose rings of extension values use
-    the 128-direction, 16-node ray rule."""
-    if u.far_field != "zero":
-        raise PreconditionViolation("bounds apply to compactly supported maps")
-    heights = tuple(float(h) for h in heights)
-    if not all(math.isfinite(h) and h > 0.0 for h in heights):
-        raise InvalidArgument(f"heights must be finite and > 0, got {heights!r}")
-    supp = u.far_radius
-    rule = disc_rule(*_L2_RULE)
-    su = u(supp * rule.nodes)
-    wts = supp * supp * rule.weights
-    l2_sq = float(np.sum(np.abs(su) ** 2 * wts))
-    l1 = float(np.sum(np.abs(su) * wts))
-
-    slices = []
-    for h in heights:
-        L = supp + 6.0 * h
-        nodes = (L * rule.nodes).reshape(_L2_RULE)
-        w = (L * L * rule.weights).reshape(_L2_RULE)
-        inner = 0.0
-        for ring, wring in zip(nodes, w):
-            vals = _extension_value_ring(u, ring, h, 128, 16)
-            inner += float(np.sum(np.abs(vals) ** 2 * wring))
-        # slice tail: |u^e| <~ gamma_2 l1 * h / r^3 outside D_L
-        tail = (GAMMA_2 * l1 * h) ** 2 * 2.0 * np.pi / (4.0 * L**4)
-        slices.append(inner + tail)
-    slices = tuple(slices)
-    ok = all(s <= l2_sq * (1.0 + 1e-9) + 1e-12 for s in slices)
-    cs = [s * h * h / (l1 * l1) for s, h in zip(slices, heights) if l1 > 0]
-    empirical_c = max(cs) if cs else 0.0
-    big = [(math.log(h), math.log(s)) for h, s in zip(heights, slices)
-           if h >= 2.0 * supp and s > 0]
-    slope = 0.0
-    if len(big) >= 2:
-        xs = np.array([b[0] for b in big])
-        ys = np.array([b[1] for b in big])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return L2BoundsReport(heights, slices, l2_sq, l1, ok, empirical_c, slope)
-

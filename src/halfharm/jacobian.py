@@ -8,9 +8,8 @@ extension against the gradient of a Lipschitz test function gives a number
 that depends only on the boundary values.  This module evaluates that
 pairing two independent ways — an interior volume quadrature and the
 boundary representation (hemisphere determinant plus point charges) —
-quantifies its continuity in discrete trace seminorms, and computes the
-convex boundary potential whose minimum pins the extension energy of
-unit-degree data at pi.
+and computes the convex boundary potential whose minimum pins the
+extension energy of unit-degree data at pi.
 
 Every rule and difference step is fixed.  Test functions carry their exact
 gradient, so only the extension is ever differenced.
@@ -38,12 +37,9 @@ __all__ = [
     "AtomMeasure",
     "BclReport",
     "BoundaryField",
-    "ContinuityReport",
     "EnergyBoundReport",
     "LipschitzTest",
     "bcl_lower_bound",
-    "bcl_potential",
-    "continuity_gap",
     "coordinate_tests",
     "default_test_dictionary",
     "distance_test",
@@ -53,8 +49,6 @@ __all__ = [
     "pairing_surface",
     "pairing_volume",
     "product_vortex_field",
-    "trace_seminorm",
-    "wedge_field",
 ]
 
 #: Two atoms closer than this are treated as one ill-posed position.
@@ -445,27 +439,11 @@ def _fd_steps(X: np.ndarray, sing: np.ndarray) -> np.ndarray:
 
 
 def _wedge(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
-    """2 (g2 ^ g3, g3 ^ g1, g1 ^ g2) as (m, 3), with a ^ b = Im(conj(a) * b)."""
+    """The wedge field H(v) = 2 (g2 ^ g3, g3 ^ g1, g1 ^ g2) of a plane-valued
+    map from its partial derivatives g_i = d_i v, as (m, 3), with
+    a ^ b = Im(conj(a) * b)."""
     return 2.0 * np.stack([np.imag(np.conj(g2) * g3), np.imag(np.conj(g3) * g1),
                            np.imag(np.conj(g1) * g2)], axis=1)
-
-
-def wedge_field(v, atoms=None) -> Callable[[np.ndarray], np.ndarray]:
-    """The 3-vector field H(v) = 2 (d2v ^ d3v, d3v ^ d1v, d1v ^ d2v) of a
-    plane-valued interior map, as a callable on (m, 3) points.
-
-    Derivatives come from central differences whose step shrinks with the
-    distance to the flat-face points of the AtomMeasure atoms (None for a
-    smooth v), so the field stays accurate up to the vortices.  For
-    complex-valued v the wedge of two derivatives is Im(conj(a) * b).
-    """
-    sing = _singular_positions(atoms)
-
-    def H(pts: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _wedge(*_complex_gradient(v, X, _fd_steps(X, sing)))
-
-    return H
 
 
 def _smooth_step_down(t: np.ndarray) -> np.ndarray:
@@ -581,7 +559,7 @@ def halfball_energy_fd(v, atoms=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-# (n_hr, n_ht) of the hemisphere rule of pairing_surface and bcl_potential
+# (n_hr, n_ht) of the hemisphere rule of pairing_surface and of the BCL potential
 _HEMISPHERE_RULE = (48, 96)
 
 
@@ -618,120 +596,18 @@ def pairing_surface(g: BoundaryField, phi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# continuity of the pairing in trace seminorms
-# ---------------------------------------------------------------------------
-
-
-# (n_r, n_t) of the hemisphere rule and of the disc rule that cover the
-# half-ball boundary in the trace seminorms
-_BOUNDARY_RULE = (24, 48)
-
-# Rows of boundary nodes per block of the seminorm double sum.
-_SEMINORM_BLOCK = 512
-
-
-def _boundary_nodes() -> tuple[np.ndarray, np.ndarray, int]:
-    """Quadrature nodes and weights covering the whole half-ball boundary:
-    hemisphere nodes first, then flat-face nodes embedded at x3 = 0.
-    Returns (points (m,3), weights (m,), hemisphere count)."""
-    hem = hemisphere_rule(*_BOUNDARY_RULE)
-    flat = disc_rule(*_BOUNDARY_RULE)
-    z = flat.nodes
-    flat3 = np.stack([z.real, z.imag, np.zeros(z.shape[0])], axis=1)
-    pts = np.concatenate([hem.nodes, flat3], axis=0)
-    wts = np.concatenate([hem.weights, flat.weights])
-    return pts, wts, hem.nodes.shape[0]
-
-
-def _field_values(g: BoundaryField, pts: np.ndarray, n_hem: int) -> np.ndarray:
-    vals = np.empty(pts.shape[0], dtype=complex)
-    vals[:n_hem] = g.eval_sphere(pts[:n_hem])
-    z = pts[n_hem:, 0] + 1j * pts[n_hem:, 1]
-    vals[n_hem:] = g.eval_flat(z)
-    return vals
-
-
-def _seminorm_from_values(vals: np.ndarray, pts: np.ndarray,
-                          wts: np.ndarray) -> float:
-    total = 0.0
-    m = pts.shape[0]
-    for lo in range(0, m, _SEMINORM_BLOCK):
-        hi = min(lo + _SEMINORM_BLOCK, m)
-        diff = pts[lo:hi, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        num = np.abs(vals[lo:hi, None] - vals[None, :]) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = np.where(dist > 1e-12, num / dist ** 3, 0.0)
-        total += float(np.sum(wts[lo:hi, None] * wts[None, :] * ker))
-    return math.sqrt(max(total, 0.0))
-
-
-def trace_seminorm(g: BoundaryField) -> float:
-    """Discrete half-order boundary seminorm of the data: square root of
-    the double quadrature sum of |g(x) - g(y)|^2 / |x - y|^3 over the full
-    half-ball boundary (a 24 x 48 rule on each face) with the diagonal
-    excluded.
-
-    This fixed-rule double sum is the computable stand-in for the trace
-    seminorm; all continuity reports use it consistently.
-    """
-    pts, wts, n_hem = _boundary_nodes()
-    vals = _field_values(g, pts, n_hem)
-    return _seminorm_from_values(vals, pts, wts)
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Observed pairing gap between two boundary data sets, the seminorm
-    product bound, and their ratio (the empirical stability constant)."""
-
-    gap: float
-    bound: float
-    ratio: float
-    seminorm_left: float
-    seminorm_right: float
-    seminorm_diff: float
-    test_name: str
-
-    def __float__(self) -> float:
-        return float(self.gap)
-
-
-def continuity_gap(g1: BoundaryField, g2: BoundaryField,
-                   phi: LipschitzTest) -> ContinuityReport:
-    """Compare the charge pairings of two boundary data sets against the
-    seminorm continuity bound.
-
-    gap = |pairing_surface(g1, phi) - pairing_surface(g2, phi)| and
-    bound = (seminorm(g1) + seminorm(g2)) * seminorm(g1 - g2) * lip(phi),
-    all seminorms taken with the same fixed discrete rule.  The ratio
-    gap/bound is reported, never asserted against a universal constant.
-    """
-    _require_test(phi)
-    p1 = pairing_surface(g1, phi)
-    p2 = pairing_surface(g2, phi)
-    gap = abs(p1 - p2)
-    pts, wts, n_hem = _boundary_nodes()
-    v1 = _field_values(g1, pts, n_hem)
-    v2 = _field_values(g2, pts, n_hem)
-    s1 = _seminorm_from_values(v1, pts, wts)
-    s2 = _seminorm_from_values(v2, pts, wts)
-    sd = _seminorm_from_values(v1 - v2, pts, wts)
-    bound = (s1 + s2) * sd * phi.lip
-    ratio = gap / bound if bound > 0.0 else 0.0
-    return ContinuityReport(gap=gap, bound=bound, ratio=ratio,
-                            seminorm_left=s1, seminorm_right=s2,
-                            seminorm_diff=sd, test_name=phi.name)
-
-
-# ---------------------------------------------------------------------------
 # sharp lower bound for unit-degree data
 # ---------------------------------------------------------------------------
 
 
 def _hemisphere_potential() -> Callable[[Sequence[float]], float]:
-    """V(c_xy) of bcl_potential on the 48 x 96 hemisphere rule, with the
-    weights w / (1 + x3)^2 computed once."""
+    """The convex hemisphere potential V(c) = integral over the upper unit
+    hemisphere of |x - c| / (1 + x3)^2, as a function of c_xy = (Re c, Im c)
+    for c on the flat face, on the 48 x 96 hemisphere rule with the weights
+    w / (1 + x3)^2 computed once.
+
+    V(0) = pi exactly, and 0 is the unique minimizer.
+    """
     rule = hemisphere_rule(*_HEMISPHERE_RULE)
     nodes = rule.nodes
     kernel = rule.weights / (1.0 + nodes[:, 2]) ** 2
@@ -741,16 +617,6 @@ def _hemisphere_potential() -> Callable[[Sequence[float]], float]:
         return float(np.sum(kernel * np.linalg.norm(nodes - anchor[None, :], axis=1)))
 
     return V
-
-
-def bcl_potential(c: complex) -> float:
-    """The convex hemisphere potential V(c) = integral over the upper unit
-    hemisphere of |x - c| / (1 + x3)^2, for c on the flat face.
-
-    V(0) = pi exactly, and 0 is the unique minimizer.
-    """
-    c = complex(c)
-    return _hemisphere_potential()((c.real, c.imag))
 
 
 @dataclass(frozen=True)

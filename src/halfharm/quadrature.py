@@ -104,8 +104,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def circle_rule(n: int) -> QuadRule:
-    """Uniform n-point rule on the circle; nodes are angles 2*pi*k/n."""
-    if n < 2:
+    """Uniform n-point rule on the circle; nodes are angles 2*pi*k/n.
+
+    Raises InvalidArgument unless n is an integer >= 2."""
+    if _check_count(n, "circle_rule's n") < 2:
         raise InvalidArgument("circle_rule needs n >= 2")
     angles = 2.0 * np.pi * np.arange(n) / n
     weights = np.full(n, 2.0 * np.pi / n)
@@ -127,10 +129,12 @@ def disc_rule(n_r: int, n_t: int) -> QuadRule:
     """Tensor polar rule on the unit disc (radial Gauss x uniform angles).
 
     The polar Jacobian r is folded into the weights, so integrate() sums
-    plain integrand values at the complex nodes.
+    plain integrand values at the complex nodes.  Raises InvalidArgument
+    unless n_r is an integer >= 1 and n_t an integer >= 2.
     """
-    if n_r < 1 or n_t < 2:
-        raise InvalidArgument("disc_rule needs n_r >= 1 and n_t >= 2")
+    n_r = _check_count(n_r, "disc_rule's n_r")
+    if _check_count(n_t, "disc_rule's n_t") < 2:
+        raise InvalidArgument("disc_rule needs n_t >= 2")
     r, wr = _panel_rule((0.0, 1.0), n_r)
     angles = 2.0 * np.pi * np.arange(n_t) / n_t
     z = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()

@@ -7,14 +7,13 @@ from halfharm.conformal import (
     INF,
     cayley,
     cayley_inv,
-    cayley_line_density,
     is_inf,
     stereo,
     stereo_density,
     stereo_inv,
 )
 from halfharm.errors import DomainViolation
-from halfharm.quadrature import circle_rule, disc_rule, integrate, integrate_line
+from halfharm.quadrature import disc_rule, integrate
 
 
 def test_stereo_landmarks():
@@ -98,22 +97,5 @@ def test_push_forward_consistency_sphere():
     assert abs(val - np.pi) <= 1e-10
 
 
-def test_push_forward_consistency_circle():
-    # line integral of the density is the circle circumference
-    total, _ = integrate_line(lambda x: cayley_line_density(x))
-    assert abs(total - 2 * np.pi) <= 1e-9
-    # a smooth circle observable integrates equally in both models
-    g = lambda s: np.real(s) ** 2 + 0.5 * np.imag(s) + 2.0
-    circ = integrate(circle_rule(64), lambda t: g(np.exp(1j * t)))
-    line, _ = integrate_line(lambda x: g(cayley(x + 0j)) * cayley_line_density(x))
-    assert abs(line - circ) <= 1e-9
-    # pointwise: the finite-difference speed of the boundary curve matches
-    for x in (0.0, 0.7, -2.3):
-        h = 1e-6 * max(1.0, abs(x))
-        speed = abs(cayley(x + h + 0j) - cayley(x - h + 0j)) / (2 * h)
-        assert abs(speed - cayley_line_density(x)) <= 1e-4 * cayley_line_density(x)
-
-
 def test_infinity_sentinel_density_limits():
     assert stereo_density(INF) == 0.0
-    assert cayley_line_density(INF) == 0.0

@@ -1,5 +1,5 @@
 """Tests for the nonlocal energy machinery: Poisson extension, plane and
-circle energies, the half-ball Dirichlet route, and the decay bounds."""
+circle energies, the half-ball Dirichlet routes, and the half-space oracle."""
 
 import json
 import math
@@ -24,13 +24,12 @@ from halfharm import energy
 from halfharm.energy import (
     GAMMA_1,
     GAMMA_2,
+    MonotoneReport,
     PlaneMap,
     bump_map,
     circle_energy_numeric,
     closed_xstar_ext,
     dirichlet_energy_halfball,
-    disc_extend,
-    extension_l2_bounds_check,
     frac_energy_plane,
     gamma_n,
     half_laplacian_pairing,
@@ -244,37 +243,6 @@ def test_poisson_gradient_matches_difference_quotients():
             assert abs(g[i] - fd) <= 5e-5 * (abs(fd) + 1.0)
 
 
-# ------------------------------------------------------------- disc extension
-
-
-def test_disc_extend_rejects_boundary_and_outside():
-    g = CircleSample(np.exp(1j * 2 * np.pi * np.arange(64) / 64))
-    with pytest.raises(DomainViolation):
-        disc_extend(g, 1.0 + 0.0j)
-    with pytest.raises(DomainViolation):
-        disc_extend(g, 1.2 + 0.1j)
-
-
-def test_disc_extend_recovers_blaschke_interior_values():
-    rng = np.random.default_rng(11)
-    for d in (1, 2, 3):
-        zeros = [complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(d)]
-        B = BlaschkeProduct(theta=float(rng.uniform(0, 2 * np.pi)),
-                            zeros=tuple(zeros))
-        n = 512
-        angles = 2 * np.pi * np.arange(n) / n
-        g = CircleSample(eval_product(B, np.exp(1j * angles)))
-        for z in (0.0 + 0.0j, 0.35 - 0.2j, -0.5 + 0.3j):
-            assert abs(disc_extend(g, z) - eval_product(B, z)) <= 1e-8
-
-
-def test_disc_extend_mean_value_property():
-    rng = np.random.default_rng(13)
-    vals = rng.normal(size=128) + 1j * rng.normal(size=128)
-    g = CircleSample(vals)
-    assert abs(disc_extend(g, 0.0 + 0.0j) - np.mean(vals)) <= 1e-12
-
-
 # ------------------------------------------------------------- circle energy
 
 
@@ -406,6 +374,12 @@ def test_halfball_rejects_bad_radius():
         dirichlet_energy_halfball(B, r=1.5)
 
 
+def test_halfball_rejects_a_nan_radius():
+    B = BlaschkeProduct(theta=0.0, zeros=(0.0 + 0.0j,))
+    with pytest.raises(DomainViolation, match=r"radius must lie in \(0, 1\]"):
+        dirichlet_energy_halfball(B, r=math.nan)
+
+
 def test_halfball_vortex_is_pi():
     got = dirichlet_energy_halfball(closed_xstar_ext, r=1.0)
     assert abs(got - math.pi) <= 1e-8
@@ -443,37 +417,21 @@ def test_monotone_density_is_constant_for_products():
         B = BlaschkeProduct(theta=0.1, zeros=zeros)
         radii = (0.1, 0.25, 0.5, 0.75, 1.0)
         rep = monotone_density(B, radii)
+        assert isinstance(rep, MonotoneReport)
         d = len(zeros)
+        # the shell-by-shell volume route against the hemisphere route
+        hemisphere = dirichlet_energy_halfball(B)
         for dens in rep.densities:
             assert abs(dens - math.pi * d) <= 1e-6 * math.pi * d
+            assert abs(dens - hemisphere) <= 1e-9 * math.pi * d
         assert abs(rep.theta_limit - math.pi * d) <= 1e-6 * math.pi * d
 
 
-# ------------------------------------------------------------- L2 bounds
-
-
-def test_extension_l2_bounds_and_decay():
-    maps = [bump_map(center=0.1 + 0.05j, radius=0.8, amplitude=1.0),
-            bump_map(center=-0.3 + 0.2j, radius=0.5, amplitude=0.6)]
-    heights = (0.05, 0.2, 0.5, 1.0, 2.5, 4.0, 6.0)
-    for u in maps:
-        rep = extension_l2_bounds_check(u, heights)
-        assert rep.l2_bound_ok
-        assert all(s <= rep.u_l2_sq * (1 + 1e-9) for s in rep.slice_l2_sq)
-        # decay constant: theory gives gamma_2^2 * pi / 2 for the far slices
-        assert rep.empirical_c <= 0.05
-        assert abs(rep.loglog_slope + 2.0) <= 0.15
-
-
-def test_extension_l2_rejects_noncompact():
-    with pytest.raises(PreconditionViolation):
-        extension_l2_bounds_check(vortex_map(), (0.5, 1.0))
-
-
-@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
-def test_extension_l2_rejects_heights_that_are_not_finite_and_positive(bad):
-    with pytest.raises(InvalidArgument):
-        extension_l2_bounds_check(bump_map(radius=0.5), (0.5, bad))
+@pytest.mark.parametrize("radii", [(0.5, math.nan), (0.0,), (0.5, 1.5)])
+def test_monotone_density_rejects_radii_outside_the_unit_interval(radii):
+    B = BlaschkeProduct(theta=0.1, zeros=(0.0 + 0.0j,))
+    with pytest.raises(DomainViolation, match=r"radii must lie in \(0, 1\]"):
+        monotone_density(B, radii)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf, -math.inf])

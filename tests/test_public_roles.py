@@ -1,0 +1,196 @@
+"""Every public name of halfharm declares the role it plays for a verdict.
+
+The package's product is its verdicts: the certificate battery, the
+competitor family energies, the nonlocal energy reports, the Jacobian energy
+bound and the decisive margins.  A public name stays only if it has one of
+three roles:
+
+- "verdict": a step of a verdict, or a type, constant or error that a
+  verdict takes, returns or raises;
+- "route": an independent route to a quantity a verdict computes, kept so
+  that a test can compare the two (or a closed form such a test compares
+  with);
+- "lemma": a check of an inequality a verdict's argument rests on.
+
+ROLES lists them all, so a new public name has to declare its role here.  A
+route or lemma that no test mentions is flagged: nothing would compare it
+with anything.  Modules and tests are read with ast and re, not run.
+"""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import halfharm
+
+ROLES = {
+    # blaschke
+    "blaschke.BlaschkeProduct": "verdict",
+    "blaschke.CircleSample": "verdict",
+    "blaschke.eval_product": "verdict",
+    "blaschke.derivative": "verdict",
+    "blaschke.boundary_trace": "route",
+    "blaschke.winding_number": "verdict",
+    "blaschke.degree_of": "route",
+    "blaschke.circle_energy_analytic": "route",
+    "blaschke.homogeneous_extension": "verdict",
+    "blaschke.modulus_bound_margin": "lemma",
+    "blaschke.balance_vector": "lemma",
+    # certificates
+    "certificates.CertificateReport": "verdict",
+    "certificates.F_closed": "verdict",
+    "certificates.I_oracle": "verdict",
+    "certificates.M_closed": "verdict",
+    "certificates.M_oracle": "verdict",
+    "certificates.N_closed": "verdict",
+    "certificates.N_oracle": "verdict",
+    "certificates.A_closed": "verdict",
+    "certificates.A_oracle": "verdict",
+    "certificates.P_closed": "verdict",
+    "certificates.V_closed": "verdict",
+    "certificates.V_oracle": "verdict",
+    "certificates.U_closed": "verdict",
+    "certificates.U_oracle": "verdict",
+    "certificates.ratint_closed": "verdict",
+    "certificates.ratint_oracle": "verdict",
+    "certificates.J_closed": "verdict",
+    "certificates.J_oracle": "verdict",
+    "certificates.delta_certificate": "verdict",
+    "certificates.F1_closed_or_quad": "verdict",
+    "certificates.F2_certificate": "verdict",
+    "certificates.hardy_constant": "verdict",
+    "certificates.sphere_destabilization_margin": "verdict",
+    "certificates.polar_kernel_identity": "verdict",
+    "certificates.standard_certificates": "verdict",
+    "certificates.certificate_tables": "verdict",
+    # competitors
+    "competitors.Profile": "verdict",
+    "competitors.UnwindingFamily": "verdict",
+    "competitors.FamilyReport": "verdict",
+    "competitors.G_of": "verdict",
+    "competitors.optimal_profile": "verdict",
+    "competitors.profile_energy": "verdict",
+    "competitors.zero_pull_family_energy": "verdict",
+    "competitors.unwinding_family_energy": "verdict",
+    "competitors.zero_pull_profile": "verdict",
+    "competitors.unwinding_profile": "verdict",
+    "competitors.radial_kernel_zero_pull": "verdict",
+    "competitors.radial_kernel_unwinding": "verdict",
+    "competitors.zero_pull_grid_energy": "route",
+    "competitors.unwinding_grid_energy": "route",
+    "competitors.epsilon_sweep": "verdict",
+    # conformal
+    "conformal.INF": "verdict",
+    "conformal.is_inf": "verdict",
+    "conformal.stereo": "verdict",
+    "conformal.stereo_inv": "verdict",
+    "conformal.stereo_density": "verdict",
+    "conformal.cayley": "route",
+    "conformal.cayley_inv": "verdict",
+    # energy
+    "energy.gamma_n": "verdict",
+    "energy.GAMMA_1": "verdict",
+    "energy.GAMMA_2": "verdict",
+    "energy.PlaneMap": "verdict",
+    "energy.bump_map": "verdict",
+    "energy.vortex_map": "verdict",
+    "energy.closed_xstar_ext": "route",
+    "energy.poisson_extend": "route",
+    "energy.poisson_extend_gradient": "route",
+    "energy.circle_energy_numeric": "verdict",
+    "energy.FracEnergyReport": "verdict",
+    "energy.frac_energy_plane": "verdict",
+    "energy.half_laplacian_pairing": "route",
+    "energy.dirichlet_energy_halfball": "route",
+    "energy.hemisphere_tangential_energy": "route",
+    "energy.halfspace_dirichlet_oracle": "route",
+    "energy.MonotoneReport": "route",
+    "energy.monotone_density": "route",
+    # errors, re-exported by the package
+    "errors.HalfharmError": "verdict",
+    "errors.InvalidArgument": "verdict",
+    "errors.DomainViolation": "verdict",
+    "errors.PreconditionViolation": "verdict",
+    "errors.NumericalFailure": "verdict",
+    "errors.Undersampled": "verdict",
+    # jacobian
+    "jacobian.AtomMeasure": "verdict",
+    "jacobian.BclReport": "verdict",
+    "jacobian.BoundaryField": "verdict",
+    "jacobian.EnergyBoundReport": "verdict",
+    "jacobian.LipschitzTest": "verdict",
+    "jacobian.bcl_lower_bound": "verdict",
+    "jacobian.coordinate_tests": "verdict",
+    "jacobian.default_test_dictionary": "verdict",
+    "jacobian.distance_test": "verdict",
+    "jacobian.energy_lower_bound_check": "verdict",
+    "jacobian.halfball_energy_fd": "verdict",
+    "jacobian.jacobian_report": "verdict",
+    "jacobian.pairing_surface": "verdict",
+    "jacobian.pairing_volume": "verdict",
+    "jacobian.product_vortex_field": "verdict",
+    # quadrature
+    "quadrature.QuadRule": "verdict",
+    "quadrature.Tolerance": "verdict",
+    "quadrature.IntegrationResult": "verdict",
+    "quadrature.ensure_converged": "verdict",
+    "quadrature.circle_rule": "verdict",
+    "quadrature.disc_rule": "verdict",
+    "quadrature.hemisphere_rule": "verdict",
+    "quadrature.integrate": "verdict",
+    "quadrature.adaptive_integrate": "verdict",
+    "quadrature.adaptive_integrate_many": "verdict",
+    "quadrature.integrate_line": "verdict",
+    "quadrature.integrate_halfline": "verdict",
+}
+
+SRC = Path(halfharm.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules(halfharm.__path__))
+
+
+def _exported() -> set[str]:
+    """module.name for every public name in a module's __all__, and for the
+    package's own __all__ under the module that defines each name."""
+    names = set()
+    for module_name in MODULES:
+        module = importlib.import_module(f"halfharm.{module_name}")
+        names |= {f"{module_name}.{n}" for n in getattr(module, "__all__", ())
+                  if not n.startswith("_")}
+    for n in halfharm.__all__:
+        if not n.startswith("_"):
+            home = getattr(halfharm, n).__module__.removeprefix("halfharm.")
+            names.add(f"{home}.{n}")
+    return names
+
+
+def test_roles_are_known():
+    assert set(ROLES.values()) <= {"verdict", "route", "lemma"}
+
+
+def test_every_exported_name_declares_a_role():
+    exported = _exported()
+    assert not exported - ROLES.keys(), f"exported without a role: {sorted(exported - ROLES.keys())}"
+    assert not ROLES.keys() - exported, f"roles of names nobody exports: {sorted(ROLES.keys() - exported)}"
+
+
+def test_every_public_definition_is_exported():
+    exported = _exported()
+    hidden = []
+    for module_name in MODULES:
+        tree = ast.parse((SRC / f"{module_name}.py").read_text())
+        hidden += [f"{module_name}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and f"{module_name}.{node.name}" not in exported]
+    assert not hidden, f"public definitions outside every __all__: {hidden}"
+
+
+def test_every_route_and_lemma_is_compared_in_a_test():
+    text = "\n".join(p.read_text() for p in sorted(TESTS.glob("*.py"))
+                     if p.resolve() != Path(__file__).resolve())
+    unused = [key for key, role in ROLES.items() if role in ("route", "lemma")
+              and not re.search(rf"\b{re.escape(key.split('.')[1])}\b", text)]
+    assert not unused, f"routes or lemmas that no test mentions: {unused}"

@@ -52,6 +52,31 @@ def test_rules_reject_bad_sizes():
         disc_rule(4, 1)
 
 
+@pytest.mark.parametrize("rule, sizes", [
+    (circle_rule, (3.0,)),
+    (circle_rule, (2.5,)),
+    (circle_rule, (True,)),
+    (circle_rule, (np.float64(8),)),
+    (disc_rule, (2.5, 4)),
+    (disc_rule, (True, 4)),
+    (disc_rule, ("4", 4)),
+    (disc_rule, (4, 2.5)),
+    (disc_rule, (4, True)),
+    (hemisphere_rule, (2.5, 4)),
+    (hemisphere_rule, (4, 8.0)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_rules_reject_sizes_that_are_not_integers(rule, sizes):
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        rule(*sizes)
+
+
+def test_rules_accept_numpy_integer_sizes():
+    for rule, sizes in ((circle_rule, (16,)), (disc_rule, (8, 16)), (hemisphere_rule, (8, 16))):
+        plain, wide = rule(*sizes), rule(*(np.int64(n) for n in sizes))
+        assert np.array_equal(plain.nodes, wide.nodes)
+        assert np.array_equal(plain.weights, wide.weights)
+
+
 def test_disc_rule_polynomial_moments():
     rule = disc_rule(8, 16)
     # frozen moments of the unit disc: area pi, int |z|^2 = pi/2, int x^2 = pi/4
