@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailure,
     Undersampled,
 )
-from .quadrature import disc_rule, integrate
+from .quadrature import _check_count, disc_rule, integrate
 
 __all__ = [
     "BlaschkeProduct",
@@ -92,7 +92,8 @@ class BlaschkeProduct:
 
 @dataclass(frozen=True)
 class CircleSample:
-    """Values of a circle map at n uniform angles 2*pi*k/n."""
+    """Values of a circle map at n uniform angles 2*pi*k/n, each within
+    unit_tolerance >= 0 of the unit circle (inf, the default, skips that check)."""
 
     values: np.ndarray
     unit_tolerance: float = field(default=float("inf"))
@@ -105,7 +106,11 @@ class CircleSample:
             raise InvalidArgument("samples must be finite")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
-        if np.isfinite(self.unit_tolerance):
+        if math.isnan(self.unit_tolerance):
+            raise InvalidArgument("unit_tolerance is NaN; pass inf to skip the unit-modulus check")
+        if self.unit_tolerance < 0:
+            raise InvalidArgument(f"unit_tolerance must be >= 0, got {self.unit_tolerance!r}")
+        if math.isfinite(self.unit_tolerance):
             if np.max(np.abs(np.abs(vals) - 1.0)) > self.unit_tolerance:
                 raise InvalidArgument("samples exceed the declared unit-modulus tolerance")
 
@@ -178,8 +183,9 @@ def derivative(B: BlaschkeProduct, z):
 
 
 def boundary_trace(B: BlaschkeProduct, n: int) -> CircleSample:
-    """Sample the product on the unit circle at n uniform angles."""
-    if n < 8:
+    """Sample the product on the unit circle at n uniform angles, n an
+    integer >= 8."""
+    if _check_count(n, "boundary_trace's n") < 8:
         raise InvalidArgument("boundary_trace needs n >= 8")
     angles = 2.0 * np.pi * np.arange(n) / n
     return CircleSample(eval_product(B, np.exp(1j * angles)), unit_tolerance=1e-12)

@@ -361,8 +361,9 @@ def _pm_one_preimages(product: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]
     """Boundary preimages of +1 and -1 of the (un-conjugated) product.
 
     Solves rotation * prod(z - a_j) = +/- prod(1 - conj(a_j) z) as degree-d
-    polynomial root problems; every root lies on the unit circle.  Returned
-    sorted by angle.
+    polynomial root problems; every root lies on the unit circle, and a root
+    found more than 1e-8 off it raises NumericalFailure.  Returned sorted by
+    angle.
     """
     p = np.array([1.0 + 0.0j])
     q = np.array([1.0 + 0.0j])
@@ -372,6 +373,9 @@ def _pm_one_preimages(product: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]
     p = p * np.exp(1j * product.theta)
     plus = np.roots(p - q)
     minus = np.roots(p + q)
+    drift = float(np.max(np.abs(np.abs(np.concatenate([plus, minus])) - 1.0), initial=0.0))
+    if drift > 1e-8:
+        raise NumericalFailure(f"boundary preimages drifted {drift:.2e} off the unit circle")
     return plus[np.argsort(np.angle(plus))], minus[np.argsort(np.angle(minus))]
 
 
@@ -566,16 +570,12 @@ class UnwindingFamily:
 
     Shell map: hat_w(z, r) = (w(z) + m(r)) / (1 + m(r) w(z)) with mixing
     m = (1 - theta) / (1 + theta); m = 0 leaves w unchanged and m = 1 gives
-    the constant map 1.  f_poles and f_zeros are the boundary preimages of
-    +1 and -1: the points where the upper-half-plane lift of w blows up and
-    vanishes, and the only places a shell map can vary fast as m -> 1.
+    the constant map 1.
     """
 
     w: BlaschkeProduct
     theta: Profile
     eps: float = 0.1
-    f_poles: tuple[complex, ...] = field(init=False)
-    f_zeros: tuple[complex, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.w.conjugated or self.w.zero_count < 2:
@@ -586,12 +586,6 @@ class UnwindingFamily:
         object.__setattr__(self, "eps", float(self.eps))
         if abs(self.theta(1.0) - 1.0) > 1e-9:
             raise PreconditionViolation("unwinding profile must end at theta(1) = 1")
-        plus, minus = _pm_one_preimages(self.w)
-        drift = float(max(np.max(np.abs(np.abs(plus) - 1.0)), np.max(np.abs(np.abs(minus) - 1.0))))
-        if drift > 1e-8:
-            raise NumericalFailure(f"boundary preimages drifted {drift:.2e} off the unit circle")
-        object.__setattr__(self, "f_poles", tuple(complex(r) for r in plus))
-        object.__setattr__(self, "f_zeros", tuple(complex(r) for r in minus))
 
     @property
     def degree(self) -> int:
@@ -1045,13 +1039,13 @@ def epsilon_sweep(product: BlaschkeProduct, family: str = "zero_pull",
     terminal pull value; for "unwinding" the product is the full d-factor map
     and delta is ignored.
     """
+    if family not in ("zero_pull", "unwinding"):
+        raise InvalidArgument("family must be 'zero_pull' or 'unwinding'")
     reports = []
     for eps in eps_values:
         if family == "zero_pull":
             reports.append(zero_pull_family_energy(product, zero_pull_profile(delta, eps), eps))
-        elif family == "unwinding":
+        else:
             reports.append(unwinding_family_energy(
                 UnwindingFamily(product, unwinding_profile(eps), eps)))
-        else:
-            raise InvalidArgument("family must be 'zero_pull' or 'unwinding'")
     return tuple(reports)

@@ -247,26 +247,39 @@ def _ray_values(u: PlaneMap, pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-# complex samples per working block of the half-space routes (_ray_sums and
-# _pair_form).  7,680 samples are 120 KB: every working array of a block
-# stays under glibc's default 128 KB mmap threshold and comes from the heap,
-# and a block's arrays fit a core's L2 cache.  Its real products stay far
-# below the sizes at which OpenBLAS starts worker threads.  On a 2-vCPU
-# Xeon, in fresh processes, ray blocks of 16k samples took 15-20% longer
-# over the benchmark oracle, and the pair form's former blocks of 4 whole
-# outer points (34k samples at the top rung of the benchmark ladder) took
-# 30-40% longer over its calls in the benchmark.
-#
-# The sample points of every block are built in one workspace per call (per
-# ring in _pair_form), and the block's values overwrite them.  glibc hands the top of its heap
-# back to the kernel whenever more than 128 KB lie free there, so arrays
-# made and dropped afresh in every block could be faulted back in block
-# after block: at glibc's default thresholds the benchmark's fields
-# repetition took 46k to 396k minor page faults, depending only on the heap
-# layout left by start-up (the length of the checkout's path was enough to
-# move it).  With the workspace it takes 33k to 61k, as many as when
-# importing scipy had raised those thresholds before the run.
+# complex samples per ray block of _ray_blocks.  7,680 samples are 120 KB:
+# every working array of a block stays under glibc's default 128 KB mmap
+# threshold and comes from the heap, and a block's arrays fit a core's L2
+# cache.  On a 2-vCPU Xeon, blocks of 16k samples took 15-20% longer over the
+# benchmark oracle, and blocks of 34k 30-40% longer over the pair form's
+# calls.  Changing it moves pinned values in their last bits.
 _BLOCK_SAMPLES = 7680
+
+
+def _ray_blocks(origins: np.ndarray, dirs: np.ndarray, offsets: np.ndarray):
+    """The ray samples origins[i] + dirs[i] * offsets[j] in blocks of at most
+    _BLOCK_SAMPLES, the one loop that blocks them: yields (rows, cols, pts),
+    slices of i and j and pts = origins[rows, None] + dirs[rows, None] * offsets[None, cols].
+
+    Whole rows share a block while they fit; a longer row is cut into equal
+    column chunks.  Every pts is a view of one workspace allocated per call,
+    which the caller may overwrite before the next block: glibc hands free
+    memory above 128 KB at the top of its heap back to the kernel, so arrays
+    made afresh in every block were faulted back in block after block.
+    """
+    n_rows, n_cols = origins.size, offsets.size
+    per_block = max(1, _BLOCK_SAMPLES // max(n_cols, 1))
+    chunks = max(1, -(-n_cols // _BLOCK_SAMPLES))
+    cuts = [n_cols * j // chunks for j in range(chunks + 1)]
+    work = np.empty(min(per_block, n_rows) * -(-n_cols // chunks), dtype=complex)
+    for start in range(0, n_rows, per_block):
+        rows = slice(start, min(start + per_block, n_rows))
+        m = rows.stop - start
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pts = work[:m * (hi - lo)].reshape(m, hi - lo)
+            np.multiply(dirs[rows, None], offsets[None, lo:hi], out=pts)
+            pts += origins[rows, None]
+            yield rows, slice(lo, hi), pts
 
 
 def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> np.ndarray:
@@ -274,12 +287,12 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     u(x + h t w) * kernels[t, j] for every plane point x in centers and
     direction w in what, shape (centers, directions, kernels).
 
-    The one contraction of the Poisson rays.  The rays are taken in blocks
-    of at most _BLOCK_SAMPLES samples, in (point, direction) order; each
-    block's samples, viewed as (re, im) pairs of doubles, meet the kernels
-    in one real matrix product whose columns come out as the (re, im) pairs
-    of the sums.  That product runs on the calling thread: no BLAS worker
-    thread starts, and the sums do not depend on the BLAS thread count.
+    The one contraction of the Poisson rays, over the (point, direction)
+    rows of _ray_blocks.  Each block's samples, viewed as (re, im) pairs of
+    doubles, meet the kernels in one real matrix product whose columns come
+    out as the (re, im) pairs of the sums.  That product runs on the calling
+    thread: no BLAS worker thread starts, and the sums do not depend on the
+    BLAS thread count.
     """
     n_t, n_k = kernels.shape
     # sample t_i contributes Re u * kernels[i] to the real column and
@@ -289,18 +302,10 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     pairs[:, 1, :, 1] = kernels
     pairs = pairs.reshape(2 * n_t, 2 * n_k)
     origins = np.repeat(centers, what.size)
-    dirs = np.tile(what, centers.size)
-    out = np.empty((origins.size, n_k), dtype=complex)
-    rows = max(1, _BLOCK_SAMPLES // max(n_t, 1))
-    ht = h * t
-    work = np.empty((min(rows, origins.size), n_t), dtype=complex)
-    for start in range(0, origins.size, rows):
-        block = slice(start, start + rows)
-        pts = work[:origins[block].size]
-        np.multiply.outer(dirs[block], ht, out=pts)
-        pts += origins[block, None]
+    out = np.zeros((origins.size, n_k), dtype=complex)
+    for rows, cols, pts in _ray_blocks(origins, np.tile(what, centers.size), h * t):
         vals = _ray_values(u, pts)
-        out[block] = (vals.view(float) @ pairs).view(complex)
+        out[rows] += (vals.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
     return out.reshape(centers.size, what.size, n_k)
 
 
@@ -390,11 +395,10 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
     its n_x_t outer angles.  The outer point at angle 2 pi k/n and the ray
     direction (k + m) mod n then see the geometry of the point at angle 0 and
     direction m, rotated by e^(2 pi i k/n): each ring builds its ray nodes and
-    weights once, at angle 0.  Its ray samples are then taken in blocks of at
-    most _BLOCK_SAMPLES: whole outer points while their rays fit in a block,
-    else each point's rays in equal column chunks.  Each block is one map
-    call and one real matrix-vector product, run on the calling thread, so no
-    BLAS worker thread starts.
+    weights once, at angle 0, and its outer points are the rows of
+    _ray_blocks.  Each block is one map call and one real matrix-vector
+    product; OpenBLAS runs those of blocks above 4,608 samples on its worker
+    threads, with the same bits.
     """
     sym = phi is None or phi is u
     pmap = u if sym else phi
@@ -444,22 +448,13 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
 
         ux = np.asarray(u(xs), dtype=complex)
         px = ux if sym else np.asarray(pmap(xs), dtype=complex)
-        per_block = max(1, _BLOCK_SAMPLES // offsets.size)
-        chunks = -(-offsets.size // _BLOCK_SAMPLES)
-        cuts = [offsets.size * j // chunks for j in range(chunks + 1)]
         segs = np.zeros(n)
-        work = np.empty(min(per_block, n) * -(-offsets.size // chunks), dtype=complex)
-        for start in range(0, n, per_block):
-            k = slice(start, start + per_block)
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                pts = work[:xs[k].size * (hi - lo)].reshape(xs[k].size, hi - lo)
-                np.multiply(what[k, None], offsets[None, lo:hi], out=pts)
-                pts += xs[k, None]
-                du = np.asarray(u(pts), dtype=complex) - ux[k, None]
-                dp = du if sym else np.asarray(pmap(pts), dtype=complex) - px[k, None]
-                prod = du.view(float)
-                prod *= dp.view(float)
-                segs[k] += prod @ weights[2 * lo:2 * hi]
+        for k, cols, pts in _ray_blocks(xs, what, offsets):
+            du = np.asarray(u(pts), dtype=complex) - ux[k, None]
+            dp = du if sym else np.asarray(pmap(pts), dtype=complex) - px[k, None]
+            prod = du.view(float)
+            prod *= dp.view(float)
+            segs[k] += prod @ weights[2 * cols.start:2 * cols.stop]
 
         dtail_u = ux[:, None] - far_u
         dtail_p = dtail_u if sym else px[:, None] - far_p
@@ -677,10 +672,9 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     n_omega and n_gl are the ray rule of every extension gradient.  Each
     ring's angular rule starts at 16 points and refines by doubling until
     converged, so maps with fine angular detail stay accurate; each level
-    is one _gradient_ring_density call on the new points.  The rays of a
-    level are contracted in cache-sized blocks of at most _BLOCK_SAMPLES
-    samples on the calling thread (see _ray_sums): no BLAS worker thread
-    starts, and the value does not depend on the BLAS thread count.
+    is one _gradient_ring_density call on the new points, whose rays are
+    contracted by _ray_sums in the blocks of _ray_blocks: no BLAS worker
+    thread starts, and the value does not depend on the BLAS thread count.
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")
@@ -777,8 +771,7 @@ def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_g
     compactly supported maps need no tail terms once the rays leave the
     support.  All points share the plane radius, so the radial panels are
     built once and both kernels are summed over the support band in one
-    pass of _ray_sums: blocks of at most _BLOCK_SAMPLES ray samples, each
-    contracted on the calling thread without a BLAS worker thread.
+    pass of _ray_sums.
     """
     t, wt, _, band = _ray_setup(u, centers, h, n_gl)
     t, wt = t[band], wt[band]

@@ -72,17 +72,20 @@ class QuadRule:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request for adaptive integration."""
+    """Accuracy request for adaptive integration: finite tolerances >= 0 with
+    a positive sum, and an integer max_refinements >= 0 (bools refused)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_refinements: int = 40
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
-            raise InvalidArgument("need abs_tol + rel_tol > 0, both nonnegative")
-        if self.max_refinements < 0:
-            raise InvalidArgument("max_refinements must be >= 0")
+        if not (all(math.isfinite(t) and t >= 0 for t in (self.abs_tol, self.rel_tol))
+                and self.abs_tol + self.rel_tol > 0):
+            raise InvalidArgument("need abs_tol + rel_tol > 0, both finite and nonnegative")
+        m = self.max_refinements
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise InvalidArgument(f"max_refinements must be an integer >= 0, got {m!r}")
 
     def target(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))

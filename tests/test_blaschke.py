@@ -74,6 +74,15 @@ def test_circle_sample_rejects_nonfinite_samples(bad, unit_tolerance):
         CircleSample(vals, unit_tolerance=unit_tolerance)
 
 
+@pytest.mark.parametrize("unit_tolerance, message", [(math.nan, "NaN"), (-1e-6, ">= 0"),
+                                                     (-math.inf, ">= 0")])
+def test_circle_sample_rejects_a_tolerance_that_checks_nothing(unit_tolerance, message):
+    # samples of modulus 2: a NaN tolerance used to skip the unit-modulus check
+    vals = 2.0 * np.exp(2j * np.pi * np.arange(16) / 16)
+    with pytest.raises(InvalidArgument, match=message):
+        CircleSample(vals, unit_tolerance=unit_tolerance)
+
+
 def test_json_round_trip():
     B = BlaschkeProduct(theta=1.25, zeros=(0.2 + 0.1j, -0.3j), conjugated=True)
     C = BlaschkeProduct.from_json(B.to_json())
@@ -229,6 +238,21 @@ def test_conjugated_degree_and_winding():
     assert winding_number(boundary_trace(B, 256)) == -2
     assert degree_of(BlaschkeProduct(zeros=(0.2 + 0j, -0.3j))) == 2
     assert degree_of(BlaschkeProduct()) == 0
+
+
+@pytest.mark.parametrize("n", [8.5, 16.0, True])
+def test_boundary_trace_size_is_an_integer(n):
+    # 8.5 used to give 9 samples at angles 2 pi k/8.5, read as 9 uniform ones
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        boundary_trace(BlaschkeProduct(zeros=(0.2j,)), n)
+
+
+def test_boundary_trace_accepts_numpy_integer_sizes():
+    B = BlaschkeProduct(theta=0.3, zeros=(0.2j, -0.5 + 0.1j))
+    for n in (8, 64):
+        assert boundary_trace(B, np.int64(n)).values.tobytes() == boundary_trace(B, n).values.tobytes()
+    with pytest.raises(InvalidArgument, match="n >= 8"):
+        boundary_trace(B, 7)
 
 
 def test_degree_matches_winding_for_random_products():

@@ -37,7 +37,12 @@ from halfharm.competitors import (
     zero_pull_grid_energy,
     zero_pull_profile,
 )
-from halfharm.errors import DomainViolation, InvalidArgument, PreconditionViolation
+from halfharm.errors import (
+    DomainViolation,
+    InvalidArgument,
+    NumericalFailure,
+    PreconditionViolation,
+)
 
 # a one-zero base for the zero-pulling family (degree 2 after the pull) and
 # a two-zero product for the unwinding family
@@ -313,6 +318,16 @@ def test_radial_kernels_reject_arguments_outside_unit_interval(kernel, product, 
 def test_epsilon_sweep_rejects_unknown_family():
     with pytest.raises(InvalidArgument):
         epsilon_sweep(ONE_ZERO, "rewinding")
+    # checked before the loop, so an empty sweep does not hide it
+    with pytest.raises(InvalidArgument):
+        epsilon_sweep(ONE_ZERO, "bogus", eps_values=())
+
+
+def test_boundary_preimages_off_the_circle_raise(monkeypatch):
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: (1.0 + 1e-7) * roots(c))
+    with pytest.raises(NumericalFailure, match="drifted"):
+        competitors._pm_one_preimages(TWO_ZERO)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0 / 3.0, 0.7])

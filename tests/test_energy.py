@@ -1,6 +1,7 @@
 """Tests for the nonlocal energy machinery: Poisson extension, plane and
 circle energies, the half-ball Dirichlet routes, and the half-space oracle."""
 
+import ast
 import json
 import math
 import os
@@ -844,21 +845,80 @@ def test_bump_values_are_bit_identical_to_the_divided_form():
             assert got.tobytes() == want.tobytes()
 
 
+def _counted(pm, samples):
+    """pm, with the size of every call's argument appended to samples."""
+    def f(z):
+        samples.append(np.size(z))
+        return pm.func(z)
+    return PlaneMap(func=f, bound=pm.bound, far_field=pm.far_field, far_radius=pm.far_radius)
+
+
 def test_self_pairing_evaluates_the_map_once_per_sample():
     u1, u2 = _pin_bumps()
     R = _pin_maps()["sum"].far_radius + 0.4
     samples = []
-
-    def counted(pm):
-        def f(z):
-            samples.append(np.size(z))
-            return pm.func(z)
-        return PlaneMap(func=f, bound=pm.bound, far_field=pm.far_field, far_radius=pm.far_radius)
-
-    u, v = counted(u1), counted(u2)
+    u, v = _counted(u1, samples), _counted(u2, samples)
     half_laplacian_pairing(u, v, R=R)
     cross = sum(samples)
     samples.clear()
     pair = half_laplacian_pairing(u, u, R=R)
     assert cross > 0 and 2 * sum(samples) == cross
     assert pair == 2.0 * GAMMA_2 * energy._pair_form(u, None, R, 28, 72, 10)[0]
+
+
+# ------------------------------------------------------------- ray blocks
+
+
+def test_every_map_call_fits_one_ray_block():
+    B = energy._BLOCK_SAMPLES
+    vortex, (bump, _) = vortex_map(), _pin_bumps()
+    calls = {}
+
+    def run(name, route, pm):
+        calls[name] = []
+        route(_counted(pm, calls[name]))
+
+    # 128 rays of 224 radial nodes: blocks of 34 whole rays
+    run("gradient", lambda u: poisson_extend_gradient(u, (0.3, -0.2, 0.05)), vortex)
+    run("oracle", lambda u: halfspace_dirichlet_oracle(u, n_omega=8, n_gl=4), bump)
+    # 131 outer angles and 126 xi nodes per ray: each outer point's 16,506
+    # ray samples are cut into three column chunks
+    run("pair", lambda u: energy._pair_form(u, None, u.far_radius + 0.4, 2, 131, 21), bump)
+    for name, sizes in calls.items():
+        assert max(sizes) <= B, (name, max(sizes))
+    assert calls["gradient"] == [34 * 224] * 3 + [26 * 224]
+    assert max(calls["pair"]) == 16506 // 3
+
+
+def test_an_empty_support_band_gives_exact_zeros():
+    # far_radius = 0 leaves no ray sample in the support band
+    calls = []
+    zero = _counted(PlaneMap(func=lambda z: np.zeros(np.shape(z), dtype=complex), bound=1.0,
+                             far_field="zero", far_radius=0.0), calls)
+    X = (0.3, 0.2, 0.5)
+    assert poisson_extend(zero, X) == 0j
+    assert poisson_extend_gradient(zero, X) == (0j, 0j, 0j)
+    assert calls and set(calls) == {0}
+
+
+def _block_samples_readers(tree: ast.Module) -> set[str | None]:
+    """Top-level definitions of a module whose code reads _BLOCK_SAMPLES,
+    as a name or as an attribute (None for module-level code)."""
+    readers = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "_BLOCK_SAMPLES"
+                 and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute) and node.attr == "_BLOCK_SAMPLES")):
+                readers.add(owner)
+    return readers
+
+
+def test_ray_blocks_is_the_one_block_loop():
+    # every route that blocks ray samples goes through energy._ray_blocks,
+    # so the block size is read there and nowhere else in the package
+    src = Path(halfharm.__file__).resolve().parent
+    readers = {path.stem: r for path in sorted(src.glob("*.py"))
+               if (r := _block_samples_readers(ast.parse(path.read_text())))}
+    assert readers == {"energy": {"_ray_blocks"}}

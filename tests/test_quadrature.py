@@ -182,6 +182,26 @@ def test_tolerance_validation():
         Tolerance(abs_tol=-1e-3)
 
 
+@pytest.mark.parametrize("kwargs", [{"abs_tol": math.nan}, {"rel_tol": math.nan},
+                                    {"abs_tol": math.inf}, {"rel_tol": math.inf},
+                                    {"max_refinements": -1}, {"max_refinements": 2.5},
+                                    {"max_refinements": 40.0}, {"max_refinements": True}],
+                         ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+def test_tolerance_rejects_values_that_switch_checks_off(kwargs):
+    # a NaN abs_tol used to be accepted: no panel then converges, and the
+    # integration spends its whole refinement budget
+    with pytest.raises(InvalidArgument):
+        Tolerance(**kwargs)
+
+
+def test_tolerance_accepts_zero_and_numpy_integer_refinements():
+    assert Tolerance(max_refinements=0).max_refinements == 0
+    tol = Tolerance(abs_tol=1e-6, rel_tol=0.0, max_refinements=np.int64(5))
+    res = adaptive_integrate(lambda x: np.sin(3 * x) ** 2, 0.0, 2.0, tol=tol)
+    assert res == adaptive_integrate(lambda x: np.sin(3 * x) ** 2, 0.0, 2.0,
+                                     tol=Tolerance(abs_tol=1e-6, rel_tol=0.0, max_refinements=5))
+
+
 def test_line_integrals_by_tangent_substitution():
     v, _ = integrate_line(lambda x: 1.0 / (1.0 + x * x))
     assert abs(v - math.pi) <= 1e-10
