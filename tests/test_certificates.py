@@ -4,12 +4,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+import halfharm
 from halfharm import certificates
 from halfharm.errors import DomainViolation, InvalidArgument, NumericalFailure
 from halfharm.certificates import (
@@ -645,14 +650,21 @@ def test_tables_diffs_within_report_tolerances(tables):
 # exactly: a refactor of the battery must not move a single bit.  The deficit
 # row and unwound-kernel digest (inner integrals in s = 1 - r) and the Hardy
 # rows (math.gamma) were re-recorded since, each value moving by <= 2 ulps.
+# When quadrature._leggauss moved from numpy's eigenvalue rule to Newton on
+# the Legendre recurrence, four oracles moved (relative): disc-integral
+# 4.2e-15, adjudication 1.9e-16 (its squared-variant deviation 4.44e-16 ->
+# 0), disc-kernel-mass 5.2e-14 and unwound-kernel-profile 6.4e-15; each gap
+# to its closed form shrank (disc-kernel-mass by 26x), no worst-point name
+# moved, and with them the disc_integral, disc_kernel_mass and
+# unwound_kernel_profile digests.
 BATTERY_SNAPSHOT = (
-    ("disc-integral-closed-form[gamma=0.9]", 4.8711617878940885, 4.871161787894105, 1e-07, "pass",
+    ("disc-integral-closed-form[gamma=0.9]", 4.8711617878940885, 4.871161787894085, 1e-07, "pass",
      "worst point of a 10-point gamma grid"),
-    ("quadratic-power-adjudication", 2.321714029076368, 2.3217140290763685, 1e-07, "pass",
-     "at gamma=0.5 the squared-denominator variant deviates by 4.44e-16 and the first-power "
+    ("quadratic-power-adjudication", 2.321714029076368, 2.321714029076368, 1e-07, "pass",
+     "at gamma=0.5 the squared-denominator variant deviates by 0.00e+00 and the first-power "
      "variant by 3.55e-01; the squared variant is the one matching pi*F_closed(gamma^2) and is "
      "canonical"),
-    ("disc-kernel-mass[gamma=0.9]", 87.02472724625471, 87.02472724625939, 1e-07, "pass", ""),
+    ("disc-kernel-mass[gamma=0.9]", 87.02472724625471, 87.0247272462549, 1e-07, "pass", ""),
     ("angular-moment-flat[a=0.9]", 1658.0500664812741, 1658.0500664812644, 1e-09, "pass", ""),
     ("angular-moment-cos2[a=0.9]", 1641.5153683044857, 1641.5153683044757, 1e-09, "pass", ""),
     ("radial-log-first-power[t=0.4]", 0.12856449089947355, 0.12856449089947347, 1e-09, "pass", ""),
@@ -667,7 +679,7 @@ BATTERY_SNAPSHOT = (
      "lam=1 column; quadrature nodes shifted half a step off the rim pole"),
     ("zero-radius-certificate", 0.9711169156049214, 0.971, 0.005, "pass",
      "value 0.971116916 < 1 certifies that minimizing fields keep interior zeros inside radius 1/3"),
-    ("unwound-kernel-profile[a=0.1]", 0.40847489802561565, 0.40847489802561293, 1e-09, "pass",
+    ("unwound-kernel-profile[a=0.1]", 0.40847489802561565, 0.40847489802561554, 1e-09, "pass",
      "adaptive quadrature cross-checked against a fixed 400-point Gauss rule"),
     ("higher-degree-energy-deficit", 1.9310471438306933, 1.93, 0.03, "pass",
      "upper error bar 1.931047144 stays below 2; substitution cross-check "
@@ -689,8 +701,8 @@ BATTERY_SNAPSHOT = (
 
 # SHA-256 of repr(rows) for each family of certificate_tables()
 TABLE_DIGESTS = {
-    "disc_integral": "a8fa13c6da81b9f29e920903ca78c6125c76779510d0821b58d1caa7737f7227",
-    "disc_kernel_mass": "41ec763fcaa05f02bd14bd0dcf637b97552e4feb8e00b021ed2b2865f43527cc",
+    "disc_integral": "2974b0ee60f24824d6134b2e5bc64f0a0da4ccb4ab8a7fc8388ab8f6f6592825",
+    "disc_kernel_mass": "421764dbf9d8307ef43341468b3a23720af635746c363413cb651e74bd04eab4",
     "angular_moment_flat": "8782745661b0c0765bfc3e0df20e9450c579e0d86871a83106f00d3cd18c0cbe",
     "angular_moment_cos2": "4283a96c2cfd79066cd90d722533b414eed5d14253214a4b4c9f5ec5b704fab3",
     "radial_log_first_power": "2d651f5fdda64cce8298c28423b268c18284d2d63264eba1df5af1080aaed4a4",
@@ -699,7 +711,7 @@ TABLE_DIGESTS = {
     "rational_line_integral": "63ad86f1c5cf3210e01043c6de7782b46663abb6e29f03d03776a4e7084db4e6",
     "mobius_kernel_average": "38d34b5c137f7b42d291b156f096a569d8687ecaba4347f49463263d8c57fbb5",
     "mobius_kernel_rim": "2e68dc8dbffe3d9b8d7672934cd6467cae8d5a9cecd5051893728ee5eee3ffdf",
-    "unwound_kernel_profile": "ea44b069c9d94e27e48ec121734537caa8d97d450cf1c20f9e0ab8ebc598bf3e",
+    "unwound_kernel_profile": "ef69a6c383417b0e6455afda5d0728bbdc8c91926e114456855232d46cc01af3",
     "radial_resolvent_identity": "5fc1ec9b5d903e09d9a93bd83c88627d94eff982791c2ab571b5eef816e0cb2e",
 }
 
@@ -714,3 +726,36 @@ def test_table_digests(tables):
     assert list(tables) == list(TABLE_DIGESTS)
     for family, digest in TABLE_DIGESTS.items():
         assert hashlib.sha256(repr(tables[family]).encode()).hexdigest() == digest, family
+
+
+# OpenBLAS's workers spin for about 0.13 s after numpy loads, whatever runs
+# next; the child lets that pass, so only the battery's own BLAS use is timed.
+_BATTERY_CHILD = """
+import json, time
+from halfharm import certificates
+time.sleep(0.3)
+wall, cpu = time.perf_counter(), time.process_time()
+reports = certificates.standard_certificates()
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+print(json.dumps({"reports": repr(reports), "wall": wall, "cpu": cpu}))
+"""
+
+
+def _battery_child(blas_threads):
+    src = str(Path(halfharm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _BATTERY_CHILD], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    return json.loads(out.stdout)
+
+
+def test_battery_starts_no_blas_thread():
+    # a cold battery in fresh interpreters on 2 and on 1 BLAS threads: with
+    # 2 the process may use no more CPU than wall time (an OpenBLAS worker
+    # woken by a LAPACK-built Gauss rule spun for 0.19 s of it), and the
+    # reports must not depend on the thread count
+    two, one = _battery_child("2"), _battery_child("1")
+    assert two["reports"] == one["reports"]
+    if (os.cpu_count() or 1) >= 2:
+        assert two["cpu"] <= 1.15 * two["wall"] + 0.05, two

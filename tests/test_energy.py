@@ -461,66 +461,74 @@ def test_domain_radius_must_be_finite_and_positive(route, R):
 # "vortex" (<= 1.6e-16) and its value at the origin, which is 0 up to
 # rounding (6.2e-17 absolute), 4 gradient components of "bump" (<= 2.0e-16
 # of the point's largest) and 6 of "sum" (<= 6.2e-16 of it, 1.2e-15
-# relative for 0.964...).
+# relative for 0.964...).  When quadrature._leggauss moved from numpy's
+# eigenvalue rule to Newton on the Legendre recurrence (whose ray-rule
+# weights are the more accurate), all 7 cases moved, each value by at most
+# 8.8e-16 of its point's largest component (1.8e-15 absolute, for 0.964...),
+# and the exact 0j of "bump"'s gradient on the axis became 1.6e-17 in modulus.
 _PIN_POINTS = [(0.0, 0.0, 0.5), (0.3, -0.2, 0.05), (1.4, 0.3, 0.2), (2.5, -1.0, 0.7)]
 _PIN_RING = 2.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 POISSON_PINS = {
     ("poisson_extend", "bump"): [
-        (0.14525240929374364 - 0.054469653485153854j),
+        (0.14525240929374372 - 0.05446965348515388j),
         (0.5315527688417689 - 0.19933228831566335j),
         (0.006001127360626282 - 0.0022504227602348557j),
-        (0.00225090267941375 - 0.0008440885047801562j)],
+        (0.00225090267941375 - 0.0008440885047801563j)],
     ("poisson_extend", "sum"): [
-        (0.21381094009718246 - 0.0801791025364434j),
-        (0.5417389234819494 - 0.20315209630573094j),
-        (0.007408746908089838 - 0.0027782800905336888j),
-        (0.00298200015278899 - 0.0011182500572958708j)],
+        (0.21381094009718254 - 0.08017910253644345j),
+        (0.5417389234819494 - 0.203152096305731j),
+        (0.007408746908089838 - 0.002778280090533689j),
+        (0.002982000152788989 - 0.001118250057295871j)],
     ("poisson_extend", "constant"): [
-        (0.32020815280171305 - 0.11920310216782978j),
-        (0.22924541815066268 + 0.046670119842909474j),
-        (0.36839193167835693 - 0.20706764011935658j),
+        (0.3202081528017132 - 0.1192031021678297j),
+        (0.22924541815066266 + 0.04667011984290949j),
+        (0.3683919316783569 - 0.20706764011935658j),
         (0.3692847881723529 - 0.20869579019664347j)],
     ("poisson_extend", "vortex"): [
         (-2.776009312466598e-17 + 0j),
-        (0.7246293425072878 - 0.4830831719717773j),
-        (0.8507108560783669 + 0.18229337306407167j),
-        (0.7179605695785579 - 0.2871841190296204j)],
+        (0.7246293425072877 - 0.4830831719717772j),
+        (0.8507108560783665 + 0.18229337306407162j),
+        (0.7179605695785579 - 0.28718411902962043j)],
     ("poisson_extend_gradient", "bump"): [
-        ((0.10928738028218385 - 0.04098276760581894j), 0j,
-         (-0.38430567517007463 + 0.144114628188778j)),
-        ((-0.6923575830142764 + 0.2596340936303538j), (0.9231434440481007 - 0.34617879151803727j),
-         (-2.067979747401057 + 0.7754924052753962j)),
-        ((-0.014452636308767643 + 0.0054197386157878655j),
+        ((0.10928738028218388 - 0.040982767605818954j),
+         (1.3877787807814457e-17 + 6.938893903907228e-18j),
+         (-0.3843056751700745 + 0.14411462818877796j)),
+        ((-0.692357583014277 + 0.25963409363035383j), (0.9231434440481012 - 0.34617879151803754j),
+         (-2.067979747401056 + 0.775492405275396j)),
+        ((-0.014452636308767646 + 0.0054197386157878655j),
          (-0.003468911182977368 + 0.0013008416936165128j),
-         (0.02731406763480283 - 0.010242775363051059j)),
-        ((-0.0022976103995240573 + 0.0008616038998215213j),
-         (0.0009783404323269892 - 0.0003668776621226209j),
-         (0.0025063560416483987 - 0.0009398835156181495j))],
+         (0.027314067634802833 - 0.01024277536305106j)),
+        ((-0.002297610399524057 + 0.0008616038998215213j),
+         (0.0009783404323269892 - 0.00036687766212262094j),
+         (0.002506356041648399 - 0.0009398835156181496j))],
     ("poisson_extend_gradient", "sum"): [
-        ((0.027692084114868388 - 0.010384531543075648j), (0.061196472371407046 - 0.022948677139277632j),
-         (-0.5625422287201416 + 0.2109533357700531j)),
-        ((-0.751221658387913 + 0.28170812189546734j), (0.9643482927027974 - 0.36163060976354855j),
-         (-1.8752592198379343 + 0.7032222074392253j)),
-        ((-0.01712639858570845 + 0.006422399469640669j),
-         (-0.003719714317729102 + 0.0013948928691484132j),
+        ((0.027692084114868412 - 0.010384531543075655j),
+         (0.061196472371407046 - 0.022948677139277632j),
+         (-0.5625422287201416 + 0.21095333577005304j)),
+        ((-0.7512216583879133 + 0.2817081218954675j), (0.9643482927027991 - 0.3616306097635491j),
+         (-1.8752592198379336 + 0.7032222074392253j)),
+        ((-0.017126398585708455 + 0.006422399469640669j),
+         (-0.0037197143177291033 + 0.0013948928691484134j),
          (0.03399735504444869 - 0.012749008141668256j)),
-        ((-0.002953175583181836 + 0.0011074408436931883j),
-         (0.0012574493016374502 - 0.00047154348811404386j),
-         (0.0033763407506067146 - 0.0012661277814775178j))],
+        ((-0.0029531755831818367 + 0.0011074408436931883j),
+         (0.0012574493016374504 - 0.00047154348811404386j),
+         (0.003376340750606715 - 0.001266127781477518j))],
     ("_extension_value_ring", "sum"): [
-        (0.003031102249614678 - 0.0011366633436055039j),
-        (0.0030200039120626037 - 0.0011325014670234763j),
-        (0.002980011372022526 - 0.001117504264508447j),
-        (0.002907492979990347 - 0.0010903098674963797j),
-        (0.002750534726250051 - 0.001031450522343769j),
-        (0.0026584151962085784 - 0.0009969056985782165j),
-        (0.002733301436742998 - 0.001024988038778624j),
-        (0.002914412001176749 - 0.0010929045004412809j)],
+        (0.0030311022496146774 - 0.001136663343605504j),
+        (0.003020003912062603 - 0.0011325014670234763j),
+        (0.002980011372022525 - 0.0011175042645084467j),
+        (0.0029074929799903465 - 0.0010903098674963799j),
+        (0.0027505347262500516 - 0.0010314505223437689j),
+        (0.002658415196208578 - 0.0009969056985782165j),
+        (0.0027333014367429986 - 0.0010249880387786243j),
+        (0.002914412001176749 - 0.0010929045004412807j)],
 }
 # The bump value was re-recorded (moved by 3.8e-16 relative) when the oracle's
 # radial and polar rules moved onto quadrature._panel_rule, and again (by
 # 1.3e-16 relative) when the ray contractions moved onto energy._ray_sums.
-ORACLE_PINS = {"bump": 0.438520985639581, "sum": 0.7779657209388295}
+# Both moved (bump 2.8e-15, sum 3.0e-15 relative) when quadrature._leggauss
+# moved onto the Legendre recurrence.
+ORACLE_PINS = {"bump": 0.4385209856395822, "sum": 0.7779657209388319}
 
 
 def _pin_bumps():

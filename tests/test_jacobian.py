@@ -478,64 +478,68 @@ def test_halfball_energy_matches_known_vortex_value():
 THREE_ATOMS = AtomMeasure(((0.5 + 0j, 1), (-0.3 + 0.2j, 1), (0.1 - 0.4j, -1)))
 
 # Recorded at the fixed half-ball rule, with each test's exact gradient and
-# the vortex patches' radii from quadrature._panel_rule.
+# the vortex patches' radii from quadrature._panel_rule.  Re-recorded when
+# quadrature._leggauss moved onto the Legendre recurrence: energies and lower
+# bounds moved by at most 2.8e-16 relative, the 16 pairings by at most
+# 5.1e-15 absolute, pairing_surface by at most 4.0e-15 relative and
+# bcl_bound by 1 ulp.
 HALFBALL_PINS = {
     "vortex": (VORTEX, {
-        "report": dict(energy=3.1415927844896947, lower_bound=3.1415927844892346,
-                       sup_pairing=6.283185568978469, sup_test_name="dist(0,0)",
+        "report": dict(energy=3.1415927844896956, lower_bound=3.1415927844892355,
+                       sup_pairing=6.283185568978471, sup_test_name="dist(0,0)",
                        margin=4.600764214046649e-13, ok=True, tests_evaluated=16),
         "pairings": {
-            "dist(-1,0)": 1.9908893069344265,
-            "dist(-0.5,-0.5)": 2.8188303391123863,
-            "dist(-0.5,0)": 3.6270287196792346,
-            "dist(-0.5,0.5)": 2.8188303391123863,
-            "dist(0,-1)": 1.9908893069344276,
-            "dist(0,-0.5)": 3.627028719679235,
-            "dist(0,0)": 6.283185568978469,
-            "dist(0,0.5)": 3.627028719679233,
-            "dist(0,1)": 1.9908893069344256,
-            "dist(0.5,-0.5)": 2.818830339112388,
-            "dist(0.5,0)": 3.627028719679235,
-            "dist(0.5,0.5)": 2.8188303391123855,
-            "dist(1,0)": 1.9908893069344273,
-            "x1": -4.1691660466038147e-16,
-            "x2": 1.0635574384620754e-15,
-            "x3": 2.4271598394329823,
+            "dist(-1,0)": 1.9908893069344271,
+            "dist(-0.5,-0.5)": 2.8188303391123886,
+            "dist(-0.5,0)": 3.627028719679236,
+            "dist(-0.5,0.5)": 2.8188303391123872,
+            "dist(0,-1)": 1.9908893069344282,
+            "dist(0,-0.5)": 3.627028719679237,
+            "dist(0,0)": 6.283185568978471,
+            "dist(0,0.5)": 3.627028719679235,
+            "dist(0,1)": 1.990889306934426,
+            "dist(0.5,-0.5)": 2.8188303391123894,
+            "dist(0.5,0)": 3.627028719679237,
+            "dist(0.5,0.5)": 2.818830339112387,
+            "dist(1,0)": 1.990889306934428,
+            "x1": -4.063786677635907e-16,
+            "x2": 1.0556309041416696e-15,
+            "x3": 2.427159839432985,
         },
-        "energy": 3.1415927844896947,
-        "jacobian_report": {"pairing_volume": 2.4271598394329823,
-                            "pairing_surface": 2.4271590539138295,
-                            "abs_gap": 7.855191528349792e-07,
-                            "bcl_bound": 3.1415926535897927,
+        "energy": 3.1415927844896956,
+        "jacobian_report": {"pairing_volume": 2.427159839432985,
+                            "pairing_surface": 2.4271590539138392,
+                            "abs_gap": 7.855191457295518e-07,
+                            "bcl_bound": 3.141592653589792,
                             "sup_test_name": "dist(0,0)"},
     }),
     "three_atoms": (THREE_ATOMS, {
-        "report": dict(energy=5.959796121469223, lower_bound=2.2898461056371584,
-                       sup_pairing=4.579692211274317, sup_test_name="dist(0.5,0)",
-                       margin=3.6699500158320646, ok=True, tests_evaluated=16),
+        "report": dict(energy=5.959796121469222, lower_bound=2.289846105637158,
+                       sup_pairing=4.579692211274316, sup_test_name="dist(0.5,0)",
+                       margin=3.669950015832064, ok=True, tests_evaluated=16),
         "pairings": {
-            "dist(-1,0)": 1.5652171931439405,
-            "dist(-0.5,-0.5)": 1.3931181283510254,
-            "dist(-0.5,0)": 3.3160370691241647,
-            "dist(-0.5,0.5)": 3.138559461974448,
-            "dist(0,-1)": 0.7116153954175174,
-            "dist(0,-0.5)": 0.3489511048924183,
-            "dist(0,0)": 3.4667121297427124,
+            "dist(-1,0)": 1.5652171931439387,
+            "dist(-0.5,-0.5)": 1.3931181283510217,
+            "dist(-0.5,0)": 3.316037069124164,
+            "dist(-0.5,0.5)": 3.1385594619744475,
+            "dist(0,-1)": 0.7116153954175128,
+            "dist(0,-0.5)": 0.3489511048924132,
+            "dist(0,0)": 3.4667121297427106,
             "dist(0,0.5)": 3.64858114626591,
-            "dist(0,1)": 1.8662622689276325,
-            "dist(0.5,-0.5)": 1.3568774547729436,
-            "dist(0.5,0)": 4.579692211274317,
-            "dist(0.5,0.5)": 2.865371537563119,
-            "dist(1,0)": 1.7451712433354951,
-            "x1": -0.010296752257001468,
-            "x2": -0.007631298867890268,
-            "x3": 1.0319187322757606,
+            "dist(0,1)": 1.8662622689276334,
+            "dist(0.5,-0.5)": 1.356877454772941,
+            "dist(0.5,0)": 4.579692211274316,
+            "dist(0.5,0.5)": 2.8653715375631177,
+            "dist(1,0)": 1.7451712433354953,
+            "x1": -0.010296752257002509,
+            "x2": -0.0076312988678937654,
+            "x3": 1.031918732275762,
         },
-        "energy": 5.959796121469223,
-        "jacobian_report": {"pairing_volume": 1.0319187322757606,
-                            "pairing_surface": 1.0319260435725564,
-                            "abs_gap": 7.311296795764477e-06,
-                            "bcl_bound": 3.1415926535897927,
+        "energy": 5.959796121469222,
+        "jacobian_report": {"pairing_volume": 1.031918732275762,
+                            "pairing_surface": 1.0319260435725603,
+                            "abs_gap": 7.311296798429012e-06,
+                            "bcl_bound": 3.141592653589792,
                             "sup_test_name": "dist(0.5,0)"},
     }),
 }

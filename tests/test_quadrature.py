@@ -1,8 +1,11 @@
 """Tests for the quadrature core: rules and adaptive integration."""
 
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,12 +40,132 @@ def test_rules_integrate_constant_to_measure():
 
 
 def test_gauss_legendre_exactness_on_monomials():
-    for n in range(1, 11):
+    for n in (*range(1, 11), 128, 400):
         x, w = quadrature._panel_rule((-1.0, 1.0), n)
         for k in range(2 * n):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
             got = x**k @ w
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (n, k)
+
+
+@pytest.mark.parametrize("n", [8.5, True, 0, -3], ids=repr)
+def test_panel_rule_rejects_sizes_that_are_not_counts(n):
+    # 8.5 used to build an 8-point rule, True a 1-point rule; the cached
+    # 1-point rule must not answer for True
+    quadrature._leggauss(1)
+    with pytest.raises(InvalidArgument, match="must be an integer >= 1"):
+        quadrature._panel_rule((0.0, 1.0), n)
+
+
+def test_gauss_legendre_newton_settles_up_to_1000():
+    for n in (*range(1, 65), 96, 255, 256, 400, 511, 512, 999, 1000):
+        x, w = quadrature._leggauss.__wrapped__(n)
+        assert len(x) == n and np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0, n
+        assert np.all(w > 0), n
+
+
+def test_gauss_legendre_newton_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_STEPS", 2)
+    with pytest.raises(NumericalFailure, match="did not settle"):
+        quadrature._leggauss.__wrapped__(48)
+
+
+def _mp_gauss_legendre(n, x):
+    """40-digit nodes and weights of the n-point rule from two Newton steps
+    on the Legendre recurrence, started at the float nodes x (each within
+    1e-15 of a root)."""
+
+    def legendre(t):
+        p0, p1 = mpmath.mpf(1), t
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - t * p1) / (1 - t * t)
+
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for t in map(mpmath.mpf, x):
+            for _ in range(2):
+                p, dp = legendre(t)
+                t -= p / dp
+            _, dp = legendre(t)
+            nodes.append(t)
+            weights.append(2 / ((1 - t * t) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 15, 16, 48, 128, 400])
+def test_gauss_legendre_matches_mpmath(n):
+    # numpy's Golub-Welsch rule misses the weight bound from n = 48 on
+    # (relative errors 1.3e-12, 1.4e-11 and 5.7e-10 at 48, 128 and 400)
+    x, w = quadrature._leggauss(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # the nodes are distinct and P_n has n roots, so each reference node is
+    # the root its float started next to
+    assert np.all(np.diff(x) > 0)
+    half = slice(n // 2, n)
+    nodes, weights = _mp_gauss_legendre(n, x[half])
+    with mpmath.workdps(40):
+        node_err = max(abs(mpmath.mpf(a) - b) for a, b in zip(x[half], nodes))
+        weight_err = max(abs(mpmath.mpf(a) / b - 1) for a, b in zip(w[half], weights))
+    assert node_err <= 1e-16, node_err
+    assert weight_err <= 2e-16 * n * n, weight_err
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 96, 128, 400])
+def test_gauss_legendre_makes_no_lapack_call(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gauss-Legendre rule built through LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    x, w = quadrature._leggauss.__wrapped__(n)
+    cached = quadrature._leggauss(n)
+    assert np.array_equal(x, cached[0]) and np.array_equal(w, cached[1])
+
+
+def _lapack_rule_lines(source: str) -> list[int]:
+    """Lines of source that name leggauss or an eig* routine of a linalg
+    module, as an attribute, a name or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            linalg = (node.module or "").endswith("linalg")
+            if any(a.name == "leggauss" or (linalg and a.name.startswith("eig"))
+                   for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.endswith(".leggauss") for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "leggauss":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(
+                node.value, "id", "")
+            if node.attr == "leggauss" or (owner == "linalg" and node.attr.startswith("eig")):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "x, w = np.polynomial.legendre.leggauss(8)",
+    "from numpy.polynomial.legendre import leggauss",
+    "from numpy.polynomial import legendre\nlegendre.leggauss(8)",
+    "x = np.linalg.eigvalsh(m)",
+    "from numpy.linalg import eigh",
+    "from numpy import linalg\nlinalg.eig(m)",
+])
+def test_lapack_rule_guard_sees_each_form(source):
+    assert _lapack_rule_lines(source)
+
+
+def test_no_module_builds_rules_through_lapack():
+    # every rule comes from quadrature._leggauss's recurrence (or its literal
+    # engine pair); an eigenvalue-built rule wakes an OpenBLAS worker
+    src = Path(quadrature.__file__).resolve().parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _lapack_rule_lines(path.read_text()))}
+    assert not found, f"LAPACK-built rules (file: lines): {found}"
 
 
 def test_rules_reject_bad_sizes():
