@@ -1,12 +1,12 @@
 """halfharm: energies and certificates for half-harmonic maps
 of the circle into the circle and their free-boundary harmonic extensions.
 
-Importing halfharm, or any of its modules, loads only numpy and the
-standard library.  scipy loads on the first call that needs it: building a
-`competitors.Profile` (its cubic spline), a competitor kernel table
-(`competitors._xi_table`, behind the radial kernels and the epsilon sweeps),
-or `jacobian.bcl_lower_bound` (its simplex descent).  The certificate battery
-`certificates.standard_certificates()` never loads it.
+halfharm runs on numpy and the standard library alone; no call loads
+scipy.  The profile and kernel-table splines are the package's own
+not-a-knot cubic spline (`competitors._Spline`, equal bit for bit to scipy's
+CubicSpline on the package's grids), and `jacobian.bcl_lower_bound`
+minimizes by damped Newton with the potential's exact gradient and Hessian.
+The tests use scipy as the independent reference for both.
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from .quadrature import (
     adaptive_integrate,
     ensure_converged,
 )
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Profile",
@@ -79,6 +75,103 @@ _QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_refinements=600)
 
 
 # ---------------------------------------------------------------------------
+# cubic splines
+
+
+class _Spline:
+    """A piecewise polynomial in scipy's PPoly layout: on cell i, between
+    knots x[i] and x[i+1], it is sum_j c[j, i] * (t - x[i])**(k - j) for
+    k + 1 coefficient rows.  Points outside the knots use the end cells.
+
+    Built by not_a_knot on the two uniform grids used here (1,024 profile
+    knots, 128 xi nodes), it equals scipy.interpolate.CubicSpline(x, y) bit
+    for bit, as the tests check: the same slopes, coefficients and
+    derivative coefficients, and values summed in PPoly's order,
+    c[k] + c[k-1]*s + c[k-2]*s**2 + ..., with the powers of s built by
+    repeated multiplication.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray) -> None:
+        self.x = x
+        self.c = c
+        # one row per cell: its left knot, then its coefficients; PPoly starts
+        # its sum from 0.0, so a constant term -0.0 counts as 0.0
+        self._rows = np.column_stack([x[:-1], c.T])
+        self._rows[:, -1] += 0.0
+        self._inner = x[1:-1]
+
+    @classmethod
+    def not_a_knot(cls, x: np.ndarray, y: np.ndarray) -> "_Spline":
+        """The C^2 cubic interpolant of y at the n >= 4 increasing knots x
+        whose third derivative is continuous at x[1] and x[-2].  Its slopes
+        solve CubicSpline's tridiagonal system, set up row by row as there,
+        by one forward and one backward sweep (Thomas) over plain floats."""
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0 = x[2] - x[0]
+        d1 = x[-1] - x[-3]
+        rhs = np.empty(len(x))
+        rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        h = dx.tolist()
+        b = rhs.tolist()
+        n = len(b)
+        diag = [h[1]] + [2 * (h[i - 1] + h[i]) for i in range(1, n - 1)] + [h[-2]]
+        upper = [float(d0)] + h[:-1]
+        lower = [0.0] + h[1:] + [float(d1)]
+        for i in range(1, n):
+            m = lower[i] / diag[i - 1]
+            diag[i] -= m * upper[i - 1]
+            b[i] -= m * b[i - 1]
+        b[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+        s = np.array(b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
+
+    def __call__(self, t):
+        """Values at t (any shape): one gather of the cells' rows, then the
+        sum over the powers of the offset from each cell's left knot."""
+        t = np.asarray(t, dtype=float)
+        rows = self._rows[np.searchsorted(self._inner, t, side="right")]
+        s = t - rows[..., 0]
+        out = rows[..., -2] * s
+        out += rows[..., -1]
+        z = s
+        for j in range(self.c.shape[0] - 3, -1, -1):
+            z = z * s
+            out += rows[..., j + 1] * z
+        return out
+
+    def derivative(self) -> "_Spline":
+        k = self.c.shape[0] - 1
+        return _Spline(self.x, self.c[:-1] * np.arange(k, 0, -1.0)[:, None])
+
+    def roots(self) -> np.ndarray:
+        """Distinct real roots, ascending, of a piecewise quadratic (the
+        derivative of a cubic spline) that lie in their own closed cells.
+
+        Each cell's quadratic a*s^2 + b*s + c is solved in closed form, as
+        q/a and c/q with q = -(b + sign(b)*sqrt(b^2 - 4ac))/2, which does not
+        cancel; a line has its one root, and a cell on which the quadratic
+        vanishes identically has none.
+        """
+        a, b, c = self.c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = b * b - 4.0 * a * c
+            q = -0.5 * (b + np.copysign(np.sqrt(disc), b))  # NaN if disc < 0
+            first = np.where(a == 0, -c / b, q / a)
+            second = np.where(a == 0, np.nan, c / q)
+        cells = np.concatenate([first, second])
+        left = np.tile(self.x[:-1], 2)
+        width = np.tile(np.diff(self.x), 2)
+        inside = (cells >= 0.0) & (cells <= width)  # NaN fails both
+        return np.unique(left[inside] + cells[inside])
+
+
+# ---------------------------------------------------------------------------
 # profiles
 
 
@@ -90,12 +183,13 @@ class Profile:
     exactly).  Between samples the interpolant may overshoot the range by the
     representation tolerance (~1e-8 for the profiles used here); consumers
     that feed the values into divergent kernels clamp accordingly.  The
-    first Profile built imports scipy.interpolate.
+    interpolant is the not-a-knot cubic spline `_Spline`, equal bit for bit
+    to scipy's CubicSpline of the samples.
     """
 
     values: np.ndarray
-    _spline: CubicSpline = field(init=False, repr=False)
-    _spline_d: CubicSpline = field(init=False, repr=False)
+    _spline: _Spline = field(init=False, repr=False)
+    _spline_d: _Spline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -108,9 +202,7 @@ class Profile:
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(_PROFILE_GRID, vals)
+        spline = _Spline.not_a_knot(_PROFILE_GRID, vals)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_spline_d", spline.derivative())
 
@@ -415,7 +507,7 @@ def _xi_table(rule, block):
     every row through the same path; checked bit for bit on 1 to 4 OpenBLAS
     threads, where it equals the full-grid gemv on one thread.
 
-    The first table built imports scipy.interpolate.
+    The spline is the not-a-knot `_Spline` of the node values.
     """
     _, _, rw, _, pw = rule
     n_rows = len(rw)
@@ -430,9 +522,7 @@ def _xi_table(rule, block):
             np.divide(top, q, out=q)
             rows_by_node[k, rows] = q @ pw
     vals = np.array([float(row @ rw) for row in rows_by_node])
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(xi, vals)
+    spline = _Spline.not_a_knot(xi, vals)
     return spline, float(vals[-1]), float(spline.derivative()(_XI_CAP))
 
 
@@ -681,7 +771,7 @@ _COLLAR_SPLINE_TOL = 1e-6
 def _collar_deviation(beta: Profile, eps: float) -> float:
     """max |beta - 1| of the interpolant over [0, eps]: at the grid nodes up
     to eps, at eps itself and at the critical points of the cubics between."""
-    crit = beta._spline_d.roots(discontinuity=False, extrapolate=False)
+    crit = beta._spline_d.roots()
     pts = np.concatenate([_PROFILE_GRID[_PROFILE_GRID <= eps], [eps],
                           crit[(crit >= 0.0) & (crit <= eps)]])
     return float(np.max(np.abs(beta._spline(pts) - 1.0)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -600,23 +600,86 @@ def pairing_surface(g: BoundaryField, phi) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hemisphere_potential() -> Callable[[Sequence[float]], float]:
+def _hemisphere_potential():
     """The convex hemisphere potential V(c) = integral over the upper unit
     hemisphere of |x - c| / (1 + x3)^2, as a function of c_xy = (Re c, Im c)
     for c on the flat face, on the 48 x 96 hemisphere rule with the weights
-    w / (1 + x3)^2 computed once.
+    w / (1 + x3)^2 computed once.  Returns (V, derivatives): derivatives(c_xy)
+    is ((gx, gy), (hxx, hxy, hyy)), the exact gradient and Hessian of the
+    rule's V, sum k (c - x)/r and sum k (I/r - (c - x)(c - x)^T/r^3) over
+    the nodes' xy parts, with r = |x - c| > 0 because every node lies above
+    the flat face.
 
     V(0) = pi exactly, and 0 is the unique minimizer.
     """
     rule = hemisphere_rule(*_HEMISPHERE_RULE)
     nodes = rule.nodes
     kernel = rule.weights / (1.0 + nodes[:, 2]) ** 2
+    height2 = nodes[:, 2] ** 2
 
     def V(c_xy) -> float:
         anchor = np.array([c_xy[0], c_xy[1], 0.0])
         return float(np.sum(kernel * np.linalg.norm(nodes - anchor[None, :], axis=1)))
 
-    return V
+    def derivatives(c_xy) -> tuple[tuple[float, float], tuple[float, float, float]]:
+        dx = c_xy[0] - nodes[:, 0]
+        dy = c_xy[1] - nodes[:, 1]
+        r2 = dx * dx + dy * dy + height2
+        k1 = kernel / np.sqrt(r2)
+        k3 = k1 / r2
+        trace = float(np.sum(k1))
+        return ((float(np.sum(k1 * dx)), float(np.sum(k1 * dy))),
+                (trace - float(np.sum(k3 * dx * dx)), -float(np.sum(k3 * dx * dy)),
+                 trace - float(np.sum(k3 * dy * dy))))
+
+    return V, derivatives
+
+
+# Damped Newton on the BCL potential: at most _NEWTON_STEPS steps, each
+# halved at most _NEWTON_HALVINGS times.  It has settled at the current
+# point once the full step from it is no longer than _NEWTON_SETTLED, so a
+# start at the minimizer is returned as it is.  Steps are damped until they
+# shrink the gradient, not V: within ~1e-8 of the minimizer V changes by
+# less than its own rounding, while the gradient is still resolved to ~1e-15.
+_NEWTON_STEPS = 20
+_NEWTON_HALVINGS = 30
+_NEWTON_SETTLED = 1e-13
+
+
+def _newton_minimum(derivatives, start: tuple[float, float]) -> tuple[float, float]:
+    """Minimizer over the closed unit disc of a strictly convex potential
+    with an interior minimum, by damped Newton from start; derivatives is
+    the second value of _hemisphere_potential().  Each 2 x 2 Newton system
+    is solved by Cramer's rule.  Raises NumericalFailure if the Hessian is
+    not positive definite, if no halving of a step keeps it in the disc and
+    shrinks the gradient, or if the steps do not settle."""
+    cx, cy = start
+    (gx, gy), (hxx, hxy, hyy) = derivatives((cx, cy))
+    for _ in range(_NEWTON_STEPS):
+        det = hxx * hyy - hxy * hxy
+        if not (hxx > 0.0 and det > 0.0):
+            raise NumericalFailure(f"the BCL potential's Hessian is not positive definite at "
+                                   f"({cx:.3g}, {cy:.3g})")
+        sx = (hxy * gy - hyy * gx) / det
+        sy = (hxy * gx - hxx * gy) / det
+        if math.hypot(sx, sy) <= _NEWTON_SETTLED:
+            return cx, cy
+        size = math.hypot(gx, gy)
+        t = 1.0
+        for _ in range(_NEWTON_HALVINGS):
+            nx, ny = cx + t * sx, cy + t * sy
+            if math.hypot(nx, ny) <= 1.0:
+                (ngx, ngy), hess = derivatives((nx, ny))
+                if math.hypot(ngx, ngy) < size:
+                    break
+            t *= 0.5
+        else:
+            raise NumericalFailure(f"no damped Newton step from ({cx:.3g}, {cy:.3g}) shrinks "
+                                   "the BCL potential's gradient")
+        cx, cy, gx, gy = nx, ny, ngx, ngy
+        hxx, hxy, hyy = hess
+    raise NumericalFailure(f"damped Newton on the BCL potential did not settle in "
+                           f"{_NEWTON_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -637,19 +700,20 @@ class BclReport:
 def bcl_lower_bound(nu: AtomMeasure) -> BclReport:
     """Minimize the hemisphere potential V(c) over the closed unit disc for
     an atom measure of total degree one: search of a 9 x 9 grid over
-    [-1, 1]^2 (origin included) refined by simplex descent on the convex
-    potential.
+    [-1, 1]^2 (origin included), then damped Newton on the convex potential
+    from the grid minimum, with V's exact gradient and Hessian on the same
+    rule.
 
     The minimum sits at c = 0 with V(0) = pi, so the returned value is the
     sharp half-pairing bound pi for unit-degree data.  Total degree other
-    than one is rejected.  The first call imports scipy.optimize.
+    than one is rejected; NumericalFailure if the Newton steps do not settle.
     """
     if nu.total_degree != 1:
         raise PreconditionViolation(
             f"the sharp bound applies to total degree 1, got "
             f"{nu.total_degree}"
         )
-    V = _hemisphere_potential()
+    V, derivatives = _hemisphere_potential()
     ticks = np.linspace(-1.0, 1.0, 9)
     spacing = float(ticks[1] - ticks[0])
     best_c = None
@@ -662,17 +726,7 @@ def bcl_lower_bound(nu: AtomMeasure) -> BclReport:
             if val < best_v:
                 best_v = val
                 best_c = (float(cx), float(cy))
-    from scipy.optimize import minimize
-
-    res = minimize(V, np.array(best_c), method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
-    if not res.success and res.fun > best_v:
-        raise NumericalFailure("descent on the convex potential failed to "
-                               "improve on the grid minimum")
-    cx, cy = (res.x if res.fun <= best_v else np.array(best_c))
-    if math.hypot(cx, cy) > 1.0:
-        scale = 1.0 / math.hypot(cx, cy)
-        cx, cy = cx * scale, cy * scale
+    cx, cy = _newton_minimum(derivatives, best_c)
     value = V(np.array([cx, cy]))
     return BclReport(value=value, minimizer=complex(cx, cy),
                      grid_spacing=spacing,

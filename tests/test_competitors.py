@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 import halfharm
 from halfharm import competitors
@@ -482,3 +482,96 @@ def test_zero_pull_collar_is_checked_between_grid_samples():
         zero_pull_family_energy(BlaschkeProduct(), beta, 0.01)
     # the stock eased profile has the same off-grid collar and passes
     zero_pull_family_energy(BlaschkeProduct(), zero_pull_profile(1.0 / 3.0, 0.01), 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the package's not-a-knot spline against scipy's CubicSpline
+
+_XI_GRID = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
+
+
+def _assert_spline_is_scipys(x, y):
+    """Coefficients, derivative coefficients, values and derivative values
+    (at the knots, between them and past both ends, and at a scalar) equal
+    CubicSpline's bit for bit."""
+    spline, ref = competitors._Spline.not_a_knot(x, y), CubicSpline(x, y)
+    assert spline.c.tobytes() == ref.c.tobytes()
+    d, ref_d = spline.derivative(), ref.derivative()
+    assert d.c.tobytes() == ref_d.c.tobytes()
+    t = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), x[:-1] + 0.1 * np.diff(x),
+                        [x[0] - 0.5, x[-1] + 0.5]])
+    assert spline(t).tobytes() == ref(t).tobytes()
+    assert d(t).tobytes() == ref_d(t).tobytes()
+    assert float(spline(t[7])) == float(ref(t[7]))
+
+
+def _profile_samples():
+    return {"optimal": optimal_profile(1.0 / 3.0).values,
+            "zero_pull": zero_pull_profile(1.0 / 3.0, 0.1).values,
+            "steep_pull": _steep_pull(1.0 / 3.0, 0.01).values,
+            "unwinding": unwinding_profile(0.2).values}
+
+
+@pytest.mark.parametrize("name", ["optimal", "zero_pull", "steep_pull", "unwinding"])
+def test_spline_is_scipys_on_the_profile_grid(name):
+    _assert_spline_is_scipys(competitors._PROFILE_GRID, _profile_samples()[name])
+
+
+@pytest.mark.parametrize("family", ["zero_pull", "unwinding"])
+def test_spline_is_scipys_on_the_xi_grid(family):
+    # the node values of a kernel table, splined again by both
+    table = (competitors._zero_pull_kernel_table(ONE_ZERO) if family == "zero_pull"
+             else competitors._unwinding_kernel_table(TWO_ZERO))
+    vals = np.append(table[0].c[-1], table[1])
+    assert table[0].c.tobytes() == CubicSpline(_XI_GRID, vals).c.tobytes()
+    _assert_spline_is_scipys(_XI_GRID, vals)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.sampled_from(["profile", "xi"]), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1e6), walk=st.booleans())
+def test_spline_is_scipys_on_random_samples(grid, seed, scale, walk):
+    x = competitors._PROFILE_GRID if grid == "profile" else _XI_GRID
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(len(x))
+    _assert_spline_is_scipys(x, scale * (np.cumsum(y) if walk else y))
+
+
+def _ppoly_roots(pp):
+    """pp.roots(discontinuity=False, extrapolate=False) without the pairs
+    (left knot, nan) by which PPoly marks a cell where pp vanishes
+    identically: such a cell adds no isolated root."""
+    roots = pp.roots(discontinuity=False, extrapolate=False)
+    marker = np.isnan(roots)
+    marker[:-1] |= marker[1:]
+    return roots[~marker]
+
+
+def _nearest_gaps(a, b):
+    """For each point of a, the distance to the nearest point of b."""
+    return np.min(np.abs(a[:, None] - b[None, :]), axis=1, initial=np.inf)
+
+
+@pytest.mark.parametrize("name", ["optimal", "zero_pull", "steep_pull", "unwinding", "random"])
+def test_spline_critical_points_match_scipy(name):
+    # the closed-form roots of the derivative's quadratics against PPoly's
+    values = (np.random.default_rng(5).uniform(0.0, 1.0, PROFILE_GRID_SIZE) if name == "random"
+              else _profile_samples()[name])
+    ours = Profile(values)._spline_d.roots()
+    ref = _ppoly_roots(CubicSpline(competitors._PROFILE_GRID, values).derivative())
+    assert np.all(np.diff(ours) >= 0.0)
+    assert (len(ours) == 0) == (len(ref) == 0)  # the optimal profile is monotone
+    assert np.all(_nearest_gaps(ours, ref) <= 1e-13)
+    assert np.all(_nearest_gaps(ref, ours) <= 1e-13)
+
+
+def test_spline_roots_of_special_quadratics():
+    # one cell each on [k, k + 1]: a line, a double root, complex roots, the
+    # zero quadratic, a root past the cell, and roots at both cell ends
+    c = np.array([[0.0, 1.0, 1.0, 0.0, 1.0, 1.0],
+                  [1.0, -1.0, 0.0, 0.0, -2.5, -1.0],
+                  [-0.25, 0.25, 1.0, 0.0, 1.0, 0.0]])
+    x = np.arange(7.0)
+    got = competitors._Spline(x, c).roots()
+    assert got.tolist() == [0.25, 1.5, 4.5, 5.0, 6.0]
+    assert got.tolist() == sorted(set(_ppoly_roots(PPoly(c, x))))

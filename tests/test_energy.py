@@ -595,6 +595,7 @@ import numpy as np
 from halfharm import energy
 u = energy.bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
 ring = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+time.sleep(0.3)
 wall, cpu = time.perf_counter(), time.process_time()
 dens = np.concatenate([energy._gradient_ring_density(u, ring, h, 128, 16)
                        for h in np.geomspace(0.002, 0.5, 12)])
@@ -618,7 +619,9 @@ def test_half_space_routes_start_no_blas_thread():
     # a 64-point ring at 12 heights on the default ray rule and the pair
     # form's first rung, in fresh interpreters on 2 and on 1 BLAS threads:
     # with 2 the process may use no more CPU than wall time (a worker thread
-    # would add its own), and the values must not depend on the thread count
+    # would add its own), and the values must not depend on the thread count;
+    # the child sleeps 0.3 s before timing, because numpy's OpenBLAS worker
+    # spins about 0.13 s after load whatever runs next
     two, one = _half_space_child("2"), _half_space_child("1")
     assert two["bits"] == one["bits"]
     if (os.cpu_count() or 1) >= 2:

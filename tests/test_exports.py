@@ -1,6 +1,6 @@
 """Every name a halfharm module exports in __all__ must exist, the
 package's count of defaulted parameters (function and dataclass-field
-defaults) may not grow, and importing halfharm loads no scipy.
+defaults) may not grow, and halfharm neither imports nor loads scipy.
 
 Nothing in the suite imports `*`, so a function deleted from a module but
 left in its __all__ would pass every other test.
@@ -66,68 +66,68 @@ def test_defaulted_parameters_do_not_grow():
         f"{MAX_DEFAULTED_PARAMETERS}")
 
 
-# Importing halfharm loads numpy and the stdlib only: scipy loads inside the
-# three calls that use it (a Profile, a kernel table, a BCL bound), so the
-# certificate battery, which needs none of them, never pays its import.
-_SCIPY_PARTS = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.linalg")
-
-_IMPORT_CHILD = """
+# halfharm runs on numpy and the standard library alone: scipy is a test
+# dependency, the independent reference for the package's own spline and
+# minimizer.  The child runs every part that once loaded scipy (the
+# Profile spline, the kernel tables behind both sweep families and the BCL
+# minimizer) after the certificate battery, and then no scipy module may be
+# loaded.
+_PACKAGE_CHILD = """
 import importlib, json, pkgutil, sys
 import halfharm
 for m in pkgutil.iter_modules(halfharm.__path__):
     importlib.import_module("halfharm." + m.name)
-from halfharm import certificates, competitors
+from halfharm import blaschke, certificates, competitors, jacobian
 certificates.standard_certificates()
-parts = %r
-before = [p for p in parts if p in sys.modules]
-competitors.optimal_profile(0.5)
-print(json.dumps({"before": before, "after": [p for p in parts if p in sys.modules]}))
-""" % (_SCIPY_PARTS,)
+competitors.profile_energy(competitors.optimal_profile(0.5))
+competitors.epsilon_sweep(blaschke.BlaschkeProduct(theta=0.4, zeros=(0.3 + 0.2j,)), "zero_pull")
+competitors.epsilon_sweep(blaschke.BlaschkeProduct(theta=1.1, zeros=(0.25 - 0.1j, -0.4 + 0.35j)),
+                          "unwinding")
+jacobian.bcl_lower_bound(jacobian.AtomMeasure(((0.3 + 0j, 1),)))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
 
 
-def test_certificates_run_without_loading_scipy():
+def test_package_runs_without_loading_scipy():
     src = str(Path(halfharm.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], env=env, capture_output=True,
-                         text=True, timeout=300, check=True)
-    loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded["before"] == []
-    # the guard is live: the first profile does load scipy's splines
-    assert "scipy.interpolate" in loaded["after"]
+    out = subprocess.run([sys.executable, "-c", _PACKAGE_CHILD], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
-            or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"))
-
-
-def _import_time_scipy(body) -> list[int]:
-    """Lines of the statements in body, run when the module is imported,
-    that import scipy: function bodies and `if TYPE_CHECKING:` blocks are
-    skipped, class bodies and other blocks are searched."""
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of every statement in source that imports scipy or a scipy
+    module, wherever it stands: module level, function bodies and
+    `if TYPE_CHECKING:` blocks alike."""
     lines = []
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [node.module or ""]
         else:
-            names = []
+            continue
         if any(n == "scipy" or n.startswith("scipy.") for n in names):
             lines.append(node.lineno)
-        if isinstance(node, ast.If) and _is_type_checking(node.test):
-            lines += _import_time_scipy(node.orelse)
-            continue
-        for name in ("body", "orelse", "finalbody", "handlers"):
-            lines += _import_time_scipy(getattr(node, name, []))
     return lines
 
 
-def test_no_module_imports_scipy_at_import_time():
+def test_no_module_imports_scipy():
     src = Path(halfharm.__file__).resolve().parent
     found = {path.name: lines for path in sorted(src.glob("*.py"))
-             if (lines := _import_time_scipy(ast.parse(path.read_text()).body))}
-    assert not found, f"module-level scipy imports (file: lines): {found}"
+             if (lines := _scipy_imports(path.read_text()))}
+    assert not found, f"scipy imports (file: lines): {found}"
+
+
+@pytest.mark.parametrize("snippet", [
+    "import scipy",
+    "import numpy, scipy.optimize as so",
+    "def f():\n    from scipy.interpolate import CubicSpline",
+    "if TYPE_CHECKING:\n    from scipy import interpolate",
+    "class A:\n    def g(self):\n        import scipy.special",
+])
+def test_scipy_import_guard_sees_each_form(snippet):
+    assert _scipy_imports(snippet)
+    assert not _scipy_imports(snippet.replace("scipy", "scipyx"))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from halfharm import energy, jacobian
-from halfharm.errors import InvalidArgument, PreconditionViolation
+from halfharm.errors import InvalidArgument, NumericalFailure, PreconditionViolation
 from halfharm.jacobian import (
     AtomMeasure,
     BoundaryField,
@@ -361,7 +362,10 @@ def test_bcl_lower_bound_is_pi_for_unit_degree_measures():
     for nu in measures:
         rep = bcl_lower_bound(nu)
         assert abs(rep.value - math.pi) <= 1e-6
-        assert abs(rep.minimizer) <= rep.grid_spacing
+        # the grid holds the minimizer 0, where the Newton steps settle at once
+        assert rep.grid_minimizer == 0j
+        assert abs(rep.minimizer) <= 1e-12
+        assert rep.value == rep.grid_value
         assert float(rep) == rep.value
 
 
@@ -373,13 +377,83 @@ def test_bcl_lower_bound_rejects_other_total_degree():
 
 def test_bcl_potential_is_centered_and_convex_at_zero():
     # the potential bcl_lower_bound minimizes
-    V = jacobian._hemisphere_potential()
+    V, _ = jacobian._hemisphere_potential()
     v0 = V((0.0, 0.0))
     assert abs(v0 - math.pi) <= 1e-9
     rng = np.random.default_rng(3)
     for _ in range(20):
         c = rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform())
         assert V((c.real, c.imag)) > v0
+
+
+# damped Newton from the grid minimum (the origin) and from starts off it,
+# including one near the rim where the full step is damped
+_NEWTON_STARTS = [(0.0, 0.0), (0.25, 0.0), (0.5, 0.5), (-0.7, 0.7), (0.6, -0.75), (0.99, 0.0)]
+
+
+@pytest.mark.parametrize("start", _NEWTON_STARTS)
+def test_bcl_newton_matches_nelder_mead(start):
+    V, derivatives = jacobian._hemisphere_potential()
+    cx, cy = jacobian._newton_minimum(derivatives, start)
+    assert math.hypot(cx, cy) <= 1e-12
+    ref = minimize(V, np.array(start), method="Nelder-Mead",
+                   options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
+    assert ref.success and np.hypot(*ref.x) <= 1e-6
+    assert V((cx, cy)) <= ref.fun + 4.5e-16  # at least as low, to 1 ulp of pi
+
+
+def test_bcl_potential_derivatives_match_central_differences():
+    V, derivatives = jacobian._hemisphere_potential()
+    h = 1e-5
+    steps = (np.array([h, 0.0]), np.array([0.0, h]))
+    rng = np.random.default_rng(11)
+    for c in [np.zeros(2), *rng.uniform(-0.65, 0.65, (6, 2))]:
+        grad, (hxx, hxy, hyy) = derivatives(c)
+        fd_grad = [(V(c + e) - V(c - e)) / (2.0 * h) for e in steps]
+        assert np.allclose(grad, fd_grad, rtol=0.0, atol=1e-9), (c, grad, fd_grad)
+        # the Hessian against central differences of the exact gradient
+        fd_hess = [(np.array(derivatives(c + e)[0]) - derivatives(c - e)[0]) / (2.0 * h)
+                   for e in steps]
+        assert np.allclose(fd_hess, [[hxx, hxy], [hxy, hyy]], rtol=0.0, atol=1e-9), c
+
+
+def test_bcl_newton_that_does_not_settle_raises(monkeypatch):
+    _, derivatives = jacobian._hemisphere_potential()
+    monkeypatch.setattr(jacobian, "_NEWTON_STEPS", 2)
+    with pytest.raises(NumericalFailure, match="did not settle"):
+        jacobian._newton_minimum(derivatives, (0.5, 0.5))
+    monkeypatch.setattr(jacobian, "_NEWTON_STEPS", 20)
+    monkeypatch.setattr(jacobian, "_NEWTON_HALVINGS", 0)
+    with pytest.raises(NumericalFailure, match="shrinks"):
+        jacobian._newton_minimum(derivatives, (0.5, 0.5))
+
+
+def test_bcl_newton_damps_steps_that_overshoot():
+    # one term of the potential, sqrt(0.01 + |c|^2): from (0.9, 0) the full
+    # Newton step lands at -73.8, outside the disc, so it must be halved
+    def one_node(c):
+        r = math.sqrt(0.01 + c[0] ** 2 + c[1] ** 2)
+        return ((c[0] / r, c[1] / r),
+                (1.0 / r - c[0] ** 2 / r ** 3, -c[0] * c[1] / r ** 3, 1.0 / r - c[1] ** 2 / r ** 3))
+
+    assert math.hypot(*jacobian._newton_minimum(one_node, (0.9, 0.0))) <= 1e-12
+
+
+def test_bcl_newton_rejects_an_indefinite_hessian():
+    def saddle(c):
+        return (c[0], -c[1]), (1.0, 0.0, -1.0)
+
+    with pytest.raises(NumericalFailure, match="positive definite"):
+        jacobian._newton_minimum(saddle, (0.5, 0.5))
+
+
+def test_bcl_lower_bound_makes_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("solve", "inv", "lstsq", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert bcl_lower_bound(AtomMeasure(((0j, 1),))).value == pytest.approx(math.pi, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
