@@ -252,7 +252,9 @@ def _ray_values(u: PlaneMap, pts: np.ndarray) -> np.ndarray:
 # threshold and comes from the heap, and a block's arrays fit a core's L2
 # cache.  On a 2-vCPU Xeon, blocks of 16k samples took 15-20% longer over the
 # benchmark oracle, and blocks of 34k 30-40% longer over the pair form's
-# calls.  Changing it moves pinned values in their last bits.
+# calls.  Changing it moves pinned values in their last bits.  It also bounds
+# the leaves of _pairwise_leaf_sum (the half-ball pass) and the node chunks of
+# hemisphere_tangential_energy, whose values it does not move.
 _BLOCK_SAMPLES = 7680
 
 
@@ -280,6 +282,22 @@ def _ray_blocks(origins: np.ndarray, dirs: np.ndarray, offsets: np.ndarray):
             np.multiply(dirs[rows, None], offsets[None, lo:hi], out=pts)
             pts += origins[rows, None]
             yield rows, slice(lo, hi), pts
+
+
+def _pairwise_leaf_sum(leaf, start: int, stop: int):
+    """The sum of leaf(lo, hi) over leaves [lo, hi) of [start, stop) of at
+    most _BLOCK_SAMPLES entries, cut and added up the tree of numpy's
+    pairwise float sum: a run of n > _BLOCK_SAMPLES entries splits after
+    n//2 - (n//2) % 8 of them.  numpy splits every run longer than 128 the
+    same way, so when leaf(lo, hi) is np.sum(a[lo:hi]) of one contiguous
+    float64 array a, the result is np.sum(a[start:stop]) bit for bit; leaf
+    may return an array of such sums, one per output.
+    """
+    n = stop - start
+    if n <= _BLOCK_SAMPLES:
+        return leaf(start, stop)
+    mid = start + n // 2 - (n // 2) % 8
+    return _pairwise_leaf_sum(leaf, start, mid) + _pairwise_leaf_sum(leaf, mid, stop)
 
 
 def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> np.ndarray:
@@ -591,12 +609,20 @@ def _complex_gradient(v, X: np.ndarray, h) -> list[np.ndarray]:
 def hemisphere_tangential_energy(v) -> float:
     """(1/2) * integral over the upper unit hemisphere of |grad_tau v|^2,
     with tangential derivatives by central differences along the sphere,
-    on the 128 x 256 hemisphere rule."""
+    on the 128 x 256 hemisphere rule.
+
+    The density is filled in chunks of _BLOCK_SAMPLES nodes, four calls of
+    v per chunk, and contracted with the weights in one product over all
+    nodes: chunking the product would move its rounding.
+    """
     rule = hemisphere_rule(128, 256)
-    p = rule.nodes
-    t1, t2 = _tangent_frames(p)
-    dens = (np.abs(_sphere_difference(v, p, t1)) ** 2
-            + np.abs(_sphere_difference(v, p, t2)) ** 2)
+    dens = np.empty(rule.weights.size)
+    for lo in range(0, dens.size, _BLOCK_SAMPLES):
+        chunk = slice(lo, lo + _BLOCK_SAMPLES)
+        p = rule.nodes[chunk]
+        t1, t2 = _tangent_frames(p)
+        dens[chunk] = (np.abs(_sphere_difference(v, p, t1)) ** 2
+                       + np.abs(_sphere_difference(v, p, t2)) ** 2)
     return 0.5 * float(dens @ rule.weights)
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import starmap
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .blaschke import CircleSample, winding_number
-from .energy import _complex_gradient, _sphere_difference, _tangent_frames
+from .energy import _complex_gradient, _pairwise_leaf_sum, _sphere_difference, _tangent_frames
 from .errors import (
     InvalidArgument,
     NumericalFailure,
@@ -474,9 +475,10 @@ def _patch_radii(sing: np.ndarray) -> list[tuple[np.ndarray, float]]:
 _HALFBALL_RULE = (24, 24, 48, 48)
 
 
-def _halfball_blocks(sing: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vortex-adapted rule for the upper half unit ball, as (nodes (m, 3),
-    weight * cutoff (m,)) blocks whose weighted sums add up to the integral.
+def _halfball_blocks(sing: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Vortex-adapted rule for the upper half unit ball: yields (nodes (m, 3),
+    weight * cutoff (m,)) blocks, one at a time, whose weighted sums add up
+    to the integral.
 
     A global polar rule covers the bulk; around each flat-face singular
     point farther than 0.05 from the origin a locally centered polar patch
@@ -494,40 +496,53 @@ def _halfball_blocks(sing: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             out += _smooth_step_down(2.0 * s / rho - 1.0)
         return out
 
-    r, wr = _panel_rule((0.0, 1.0), n_r)
     hem = hemisphere_rule(n_hr, n_ht)
-    X = (r[:, None, None] * hem.nodes[None, :, :]).reshape(-1, 3)
-    W = (wr[:, None] * r[:, None] ** 2 * hem.weights[None, :]).ravel()
-    blocks = [(X, W * (1.0 - chi_sum(X)))]
 
-    for a, rho in patches:
+    # each block is built in its own call, so that the generator holds no
+    # array of a block it has yielded
+    def bulk() -> tuple[np.ndarray, np.ndarray]:
+        r, wr = _panel_rule((0.0, 1.0), n_r)
+        X = (r[:, None, None] * hem.nodes[None, :, :]).reshape(-1, 3)
+        W = (wr[:, None] * r[:, None] ** 2 * hem.weights[None, :]).ravel()
+        return X, W * (1.0 - chi_sum(X))
+
+    def patch(a: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         s, ws = _panel_rule((0.0, rho), n_s)
-        Xa = (a[None, None, :] + s[:, None, None] * hem.nodes[None, :, :])
-        Xa = Xa.reshape(-1, 3)
+        Xa = (s[:, None, None] * hem.nodes[None, :, :]).reshape(-1, 3)
+        Xa += a
         Wa = (ws[:, None] * s[:, None] ** 2 * hem.weights[None, :]).ravel()
         sa = np.linalg.norm(Xa - a[None, :], axis=1)
-        blocks.append((Xa, Wa * _smooth_step_down(2.0 * sa / rho - 1.0)))
-    return blocks
+        return Xa, Wa * _smooth_step_down(2.0 * sa / rho - 1.0)
+
+    yield bulk()
+    for a, rho in patches:
+        yield patch(a, rho)
 
 
 def _halfball_pass(v, tests, atoms) -> tuple[float, np.ndarray]:
     """The discrete energy of v and its volume pairing with each test.
 
-    One rule and one difference gradient of v per block serve them all:
+    One rule and one difference gradient of v per leaf serve them all:
     (1/2) sum w |grad v|^2 and sum w H(v) . phi.grad, with each test's
-    exact gradient at the nodes; no test is differenced.  Returns
+    exact gradient at the nodes; no test is differenced.  Each block is cut
+    into the leaves of energy._pairwise_leaf_sum, so every block sum is the
+    one np.sum over the whole block would give, bit for bit.  Returns
     (energy, pairings).
     """
     sing = _singular_positions(atoms)
-    totals = None
-    for X, w in _halfball_blocks(sing):
-        g = _complex_gradient(v, X, _fd_steps(X, sing))
-        H = _wedge(*g)
-        sums = [np.sum(w * sum(np.abs(gi) ** 2 for gi in g))]
-        for phi in tests:
-            sums.append(np.sum(w * np.sum(H * phi.grad(X), axis=1)))
-        # block by block in rule order, as one running float per output
-        totals = np.array(sums) if totals is None else totals + np.array(sums)
+
+    def block_sums(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            Xl, wl = X[lo:hi], w[lo:hi]
+            g = _complex_gradient(v, Xl, _fd_steps(Xl, sing))
+            H = _wedge(*g)
+            return np.array([np.sum(wl * sum(np.abs(gi) ** 2 for gi in g)),
+                             *(np.sum(wl * np.sum(H * phi.grad(Xl), axis=1)) for phi in tests)])
+        return _pairwise_leaf_sum(leaf, 0, w.size)
+
+    # block by block in rule order, as one running float per output; starmap
+    # drops each block before the next one is built
+    totals = sum(starmap(block_sums, _halfball_blocks(sing)))
     return 0.5 * float(totals[0]), totals[1:]
 
 

@@ -7,7 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +399,49 @@ def test_halfball_scales_linearly_in_radius():
     e1 = dirichlet_energy_halfball(B, r=1.0)
     e_half = dirichlet_energy_halfball(B, r=0.5)
     assert abs(e_half - 0.5 * e1) <= 1e-10 * e1
+
+
+# Recorded with the density evaluated over the whole 128 x 256 rule at once;
+# filled in node chunks since, with the same bits.
+HEMISPHERE_PINS = {
+    "vortex": (closed_xstar_ext, 3.141592653433249),
+    "degree_two": (BlaschkeProduct(theta=0.3, zeros=(0.25 + 0.1j, -0.25 - 0.1j)), 6.2831853068673205),
+    "three_zeros": (BlaschkeProduct(theta=1.1, zeros=(0.3 + 0.2j, -0.35 + 0.1j, 0.05 - 0.4j)),
+                    9.424777960299364),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEMISPHERE_PINS))
+def test_hemisphere_pins(case):
+    v, pin = HEMISPHERE_PINS[case]
+    assert dirichlet_energy_halfball(v) == pin
+
+
+def test_hemisphere_energy_calls_the_field_per_node_chunk():
+    # 32,768 nodes: four chunks of energy._BLOCK_SAMPLES = 7,680 and one of
+    # 2,048, each differenced along two tangents, two calls each
+    B, rows = HEMISPHERE_PINS["degree_two"][0], []
+
+    def counted(P):
+        rows.append(P.shape[0])
+        return homogeneous_extension(B, P)
+
+    hemisphere_tangential_energy(counted)
+    assert max(rows) <= energy._BLOCK_SAMPLES
+    assert rows == [7680] * (4 * 4) + [2048] * 4
+
+
+def test_hemisphere_energy_stays_in_node_chunks():
+    # over all 32,768 nodes at once this traced 8.7 MB; in chunks, 3.1 MB,
+    # most of it the rule itself
+    B = HEMISPHERE_PINS["degree_two"][0]
+    tracemalloc.start()
+    try:
+        dirichlet_energy_halfball(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_conformal_tangential_identity():
@@ -928,8 +973,26 @@ def _block_samples_readers(tree: ast.Module) -> set[str | None]:
 
 def test_ray_blocks_is_the_one_block_loop():
     # every route that blocks ray samples goes through energy._ray_blocks,
-    # so the block size is read there and nowhere else in the package
+    # and the half-ball pass cuts its blocks through _pairwise_leaf_sum, so
+    # the block size is read there, by the hemisphere energy's node chunks,
+    # and nowhere else in the package
     src = Path(halfharm.__file__).resolve().parent
     readers = {path.stem: r for path in sorted(src.glob("*.py"))
                if (r := _block_samples_readers(ast.parse(path.read_text())))}
-    assert readers == {"energy": {"_ray_blocks"}}
+    assert readers == {"energy": {"_ray_blocks", "_pairwise_leaf_sum", "hemisphere_tangential_energy"}}
+
+
+# numpy sums a contiguous float64 run of at most 128 entries without
+# splitting it, so any leaf bound from 128 up keeps the tree of its sum
+@pytest.mark.parametrize("leaf", [128, 1000, 4097, energy._BLOCK_SAMPLES])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 200_000), seed=st.integers(0, 2**32 - 1))
+@example(n=27648, seed=0)  # the half-ball pass's bulk block
+@example(n=55296, seed=1)  # and a vortex patch block
+def test_pairwise_leaf_sum_is_numpys_sum_bit_for_bit(leaf, n, seed):
+    rng = np.random.default_rng(seed)
+    # mixed signs and magnitudes, so a different summation tree rounds differently
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    with mock.patch.object(energy, "_BLOCK_SAMPLES", leaf):
+        got = energy._pairwise_leaf_sum(lambda lo, hi: np.sum(a[lo:hi]), 0, n)
+    assert float(got).hex() == float(np.sum(a)).hex()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,6 +651,38 @@ def test_pairings_do_not_amplify_a_one_ulp_node_move(monkeypatch):
     assert np.max(np.abs(moved - base)) <= 1e-14 * scale
 
 
+# At the full rule the bulk block has 24 x 1,152 = 27,648 nodes and each
+# vortex patch 48 x 1,152 = 55,296; cut like numpy's pairwise sum down to at
+# most energy._BLOCK_SAMPLES, they are 4 and 8 leaves of 6,912 nodes.
+@pytest.mark.parametrize("nu, leaves", [(VORTEX, 4), (THREE_ATOMS, 4 + 3 * 8)])
+def test_halfball_pass_differentiates_once_per_leaf_at_the_full_rule(nu, leaves):
+    _, ext = product_vortex_field(nu)
+    rows = []
+
+    def counted(X):
+        rows.append(X.shape[0])
+        return ext(X)
+
+    energy_lower_bound_check(counted, nu)
+    assert max(rows) <= energy._BLOCK_SAMPLES
+    assert rows == [6912] * (6 * leaves)
+
+
+def test_halfball_pass_stays_in_leaves():
+    # whole blocks traced 23.5 MB here: three complex difference gradients,
+    # their wedge and the 16 test gradients of 55,296 patch nodes at once;
+    # leaf by leaf, with each block built and dropped in turn, 5.4 MB
+    _, ext = product_vortex_field(THREE_ATOMS)
+    tests = default_test_dictionary()
+    tracemalloc.start()
+    try:
+        jacobian._halfball_pass(ext, tests, THREE_ATOMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 # the flat-face anchors of the default dictionary's distance tests
 DICTIONARY_ANCHORS = np.array([[cx, cy, 0.0] for cx in np.linspace(-1.0, 1.0, 5)
                                for cy in np.linspace(-1.0, 1.0, 5) if math.hypot(cx, cy) <= 1.0])
@@ -674,9 +707,9 @@ def test_dictionary_gradients_match_central_differences(r, polar, azimuth):
 @pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
 def test_energy_check_differentiates_once_per_block(nu, blocks, monkeypatch):
     # one bulk block, plus one patch block per atom away from the origin;
-    # each block needs the six central-difference evaluations of v, shared
-    # by the energy and all 16 dictionary pairings; the counts do not depend
-    # on the rule, so a small one keeps the test fast
+    # at this small rule each block of 432 nodes is one leaf, and each leaf
+    # needs the six central-difference evaluations of v, shared by the
+    # energy and all 16 dictionary pairings
     monkeypatch.setattr(jacobian, "_HALFBALL_RULE", (6, 6, 12, 6))
     _, ext = product_vortex_field(nu)
     calls = []
@@ -693,7 +726,8 @@ def test_energy_check_differentiates_once_per_block(nu, blocks, monkeypatch):
 @pytest.mark.parametrize("nu, blocks", [(VORTEX, 1), (THREE_ATOMS, 4)])
 def test_jacobian_report_differentiates_once_per_block(nu, blocks, monkeypatch):
     # the volume pairing of phi rides along in the energy check's pass, so
-    # the extension is differenced once per block, not once per route
+    # the extension is differenced once per leaf, not once per route; at
+    # this small rule each block is one leaf
     monkeypatch.setattr(jacobian, "_HALFBALL_RULE", (6, 6, 12, 6))
     field, ext = product_vortex_field(nu)
     calls = []
