@@ -495,9 +495,13 @@ def _xi_table(rule, block):
     The table is built one block of radial rows at a time: block(rows), for
     a slice of rows, returns that block's numerator `top` and a function
     den(p) giving its denominator.  The integrand inputs therefore never
-    exist on the full grid (up to 315 x 4,109 points, 10-21 MB per array);
-    the working set is a few arrays of one block, under 1 MB.  Blocks are
-    _XI_ROW_BLOCK rows, the last one possibly shorter.
+    exist on the full grid (up to 315 x 4,109 points, 10-21 MB per array).
+    Blocks are _XI_ROW_BLOCK rows, the last one possibly shorter, and the
+    working set is a few arrays of one block, 8 rows by the rule's angles
+    (263 KB per real array at 4,109 angles): tracemalloc reads a peak of
+    2.3 MB for the zero-pulling and 4.2 MB for the unwinding build of the
+    `fields` benchmark's seed-3 products, rule included.  The block bounds
+    it, not the grid.
 
     The angular contraction runs per block, over all xi nodes, and each node
     value is one dot of its row sums with the radial weights.  The values do
@@ -535,9 +539,9 @@ def _zero_pull_kernel_table(w_tilde: BlaschkeProduct):
     evaluated through a cancellation-free factorization (exact in s = 1-rho
     and half-angle variables) so it stays accurate as b -> 1.  Returns
     (spline in xi = -log(1-b), end value, end slope) for the linear tail.
-    The integrand is formed per row block of _xi_table, so the build's
-    working set stays under 1 MB; the values equal those of a full-grid
-    build bit for bit.
+    The integrand is formed per row block of _xi_table, which bounds the
+    build's working set; the values equal those of a full-grid build bit
+    for bit.
     """
     rule = _disc_rule_graded(_zero_pull_rule_angles(w_tilde))
     rho, s, _, phi, _ = rule
@@ -578,8 +582,8 @@ def _unwinding_kernel_table(w: BlaschkeProduct):
     |1 - w(z)^2|^2 / (|1 + m w(z)|^4 (1+|z|^2)^2); the mesh is graded toward
     the boundary preimages of +/-1 where the integrand peaks as m -> 1.
     Returns (spline in xi = -log(1-m), end value, end slope).  w(z) and the
-    numerator are formed per row block of _xi_table, so the build's working
-    set stays under 1 MB; the values equal those of a full-grid build bit
+    numerator are formed per row block of _xi_table, which bounds the
+    build's working set; the values equal those of a full-grid build bit
     for bit.
     """
     rule = _disc_rule_graded(_unwinding_rule_angles(w))

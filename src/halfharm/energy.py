@@ -74,6 +74,12 @@ class PlaneMap:
     declares what the map looks like outside the disc of radius
     `far_radius`: identically zero, a constant, or 0-homogeneous (so tails
     of nonlocal integrals close analytically).
+
+    Both half-space routes take far_field == "zero" at its word: the map
+    counts as 0 outside that disc, so the Poisson rays never evaluate it
+    there, and neither route builds the samples of a ray that misses the
+    disc.  A map that is not identically zero there gets a wrong value,
+    with no error.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -233,6 +239,22 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
     return t, wt, t_stop, band
 
 
+def _meets_disc(x, w, radius: float) -> np.ndarray:
+    """Whether the ray x + s w, s >= 0, from plane points x along unit
+    directions w can meet the disc |y| <= radius.
+
+    With z = conj(w) x the ray is |z + s| from the origin: from outside the
+    disc it comes closest at s = -Re z, |Im z| away, when Re z < 0, and
+    otherwise at its start.  The margin of 1e-9 |x| sits far above the
+    rounding of z and of the samples x + s w, so a dropped ray has no
+    sample that rounds into the disc.
+    """
+    z = np.conj(w) * x
+    margin = 1e-9 * np.abs(x)
+    return (np.abs(x) <= radius + margin) | (
+        (z.real < margin) & (np.abs(z.imag) <= radius + margin))
+
+
 def _ray_values(u: PlaneMap, pts: np.ndarray) -> np.ndarray:
     """u at the complex ray samples pts, written over pts and returned.  A
     far_field == "zero" map is called only on the samples inside its support
@@ -311,6 +333,12 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     out as the (re, im) pairs of the sums.  That product runs on the calling
     thread: no BLAS worker thread starts, and the sums do not depend on the
     BLAS thread count.
+
+    For a far_field == "zero" map only the rows whose ray can meet the
+    support disc (_meets_disc) go to _ray_blocks; the sums of the others
+    are exact zeros, and none of their samples is built.  The kept rows
+    share blocks differently, and a row left alone in its block takes
+    numpy's matrix-vector path, which can move that row's last bit.
     """
     n_t, n_k = kernels.shape
     # sample t_i contributes Re u * kernels[i] to the real column and
@@ -319,11 +347,17 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     pairs[:, 0, :, 0] = kernels
     pairs[:, 1, :, 1] = kernels
     pairs = pairs.reshape(2 * n_t, 2 * n_k)
-    origins = np.repeat(centers, what.size)
-    out = np.zeros((origins.size, n_k), dtype=complex)
-    for rows, cols, pts in _ray_blocks(origins, np.tile(what, centers.size), h * t):
+    origins, dirs = np.repeat(centers, what.size), np.tile(what, centers.size)
+    meets = slice(None)
+    if u.far_field == "zero":
+        meets = _meets_disc(origins, dirs, u.far_radius)
+        origins, dirs = origins[meets], dirs[meets]
+    sums = np.zeros((origins.size, n_k), dtype=complex)
+    for rows, cols, pts in _ray_blocks(origins, dirs, h * t):
         vals = _ray_values(u, pts)
-        out[rows] += (vals.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
+        sums[rows] += (vals.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
+    out = np.zeros((centers.size * what.size, n_k), dtype=complex)
+    out[meets] = sums
     return out.reshape(centers.size, what.size, n_k)
 
 
@@ -417,6 +451,13 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
     _ray_blocks.  Each block is one map call and one real matrix-vector
     product; OpenBLAS runs those of blocks above 4,608 samples on its worker
     threads, with the same bits.
+
+    When both maps are far_field == "zero" and R reaches past both support
+    discs (no second leg), a ring outside the larger disc keeps only the
+    relative directions whose ray from the angle-0 point meets that disc:
+    the others add 0 at every sample, so neither their samples nor their
+    map values are formed.  Their zero columns are then missing from each
+    outer point's dot product, which can move its last bit.
     """
     sym = phi is None or phi is u
     pmap = u if sym else phi
@@ -427,6 +468,8 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
         # |x|/rho, so the analytic closure must start far out: integrate
         # the middle leg numerically and correct the tail to first order
         R_big = max(R_big, 12.0 * R)
+    support = max(u.far_radius, pmap.far_radius)
+    compact = u.far_field == pmap.far_field == "zero" and R_big == R
     n = n_x_t
     outer = disc_rule(n_x_r, n)
     rings = (R * outer.nodes).reshape(n_x_r, n)
@@ -451,9 +494,13 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
         # rays from x0 along what: q(rho) = <du, dphi>/rho^2 integrated over
         # [0, exit] and, twice, over [exit, exit2]; one weight per sample
         exit1 = _ray_exit(x0, what, R)
-        rho = exit1 * xi[:, None]
-        offsets, weights = [rho * what], [wxi[:, None] / (rho * rho) * exit1]
         rho_far = exit1
+        # a ray that misses the larger support disc starts outside it, so
+        # both maps are 0 at the ray's start and at each of its samples; by
+        # the rotation the test at x0 serves every point of the ring
+        keep = _meets_disc(x0, what, support) if compact else slice(None)
+        rho = exit1[keep] * xi[:, None]
+        offsets, weights = [rho * what[keep]], [wxi[:, None] / (rho * rho) * exit1[keep]]
         if R_big > R + 1e-15:
             rho_far = _ray_exit(x0, what, R_big)
             span = rho_far - exit1
@@ -701,6 +748,8 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     is one _gradient_ring_density call on the new points, whose rays are
     contracted by _ray_sums in the blocks of _ray_blocks: no BLAS worker
     thread starts, and the value does not depend on the BLAS thread count.
+    Rays that cannot meet the support disc are never sampled; their sums
+    are exact zeros.
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")

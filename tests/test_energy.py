@@ -730,7 +730,8 @@ def test_ring_density_skips_only_zero_samples(center, radius, ring, phase, h,
                  far_radius=bump.far_radius)
     centers = ring * np.exp(1j * (phase + 2.0 * np.pi * np.arange(n_centers) / n_centers))
     got = energy._gradient_ring_density(u, centers, h, n_omega, n_gl)
-    evaluated = np.concatenate([z.ravel() for z in seen])
+    # no ray of the ring may meet the support, and then u is never called
+    evaluated = np.concatenate([np.empty(0, dtype=complex)] + [z.ravel() for z in seen])
     want, pts, support = _full_grid_ring_density(bump, centers, h, n_omega, n_gl)
     # u is called on the support samples only, and every other sample is 0
     np.testing.assert_array_equal(evaluated, pts[support])
@@ -947,14 +948,96 @@ def test_every_map_call_fits_one_ray_block():
 
 
 def test_an_empty_support_band_gives_exact_zeros():
-    # far_radius = 0 leaves no ray sample in the support band
+    # far_radius = 0 leaves no ray sample in the support band, and no ray
+    # from X's foot meets the support disc
     calls = []
     zero = _counted(PlaneMap(func=lambda z: np.zeros(np.shape(z), dtype=complex), bound=1.0,
                              far_field="zero", far_radius=0.0), calls)
     X = (0.3, 0.2, 0.5)
     assert poisson_extend(zero, X) == 0j
     assert poisson_extend_gradient(zero, X) == (0j, 0j, 0j)
-    assert calls and set(calls) == {0}
+    assert not any(calls)
+
+
+# ------------------------------------------------------- support disc test
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    F=st.floats(0.0, 4.0),
+    scale=st.one_of(st.floats(0.0, 3.0), st.floats(1.0, 1.05)),
+    gap=st.floats(0.0, 4.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    turn=st.floats(0.0, 2.0 * math.pi / 256),
+    h=st.floats(0.005, 3.0),
+    n_gl=st.integers(1, 12),
+)
+# a ray from (2, 1) along w = -1 grazes the unit circle: |Im(conj(w) x)| = F
+@example(F=1.0, scale=0.0, gap=math.sqrt(5.0), phi=math.atan2(1.0, 2.0), turn=0.0, h=0.5,
+         n_gl=4)
+@example(F=1.5, scale=1.0, gap=0.0, phi=0.0, turn=0.0, h=0.2, n_gl=3)  # x on the circle
+@example(F=1.0, scale=1.01, gap=0.0, phi=0.3, turn=0.0, h=0.05, n_gl=6)  # x just outside
+@example(F=0.0, scale=0.0, gap=1.0, phi=math.pi, turn=0.0, h=0.1, n_gl=5)  # F = 0
+@example(F=0.0, scale=0.0, gap=0.0, phi=0.0, turn=0.0, h=1.0, n_gl=2)  # x = 0, F = 0
+def test_support_test_keeps_every_ray_that_meets_the_disc(F, scale, gap, phi, turn, h, n_gl):
+    # x at distance F * scale + gap from the origin, often just outside
+    # the disc, where the kept arc is widest, and a fan of 256 directions;
+    # the samples are those of the Poisson rays, built as _ray_blocks does
+    x = complex((F * scale + gap) * np.exp(1j * phi))
+    w = np.exp(1j * (turn + 2.0 * np.pi * np.arange(256) / 256))
+    t, _ = energy._kernel_panels((abs(x) + F) / h + 3.0, [], n_gl)
+    pts = np.multiply(w[:, None], h * t[None, :])
+    pts += x
+    keep = energy._meets_disc(x, w, F)
+    assert not np.any(~keep & np.any(np.abs(pts) <= F, axis=1))
+    assert abs(x) > F or np.all(keep)
+    # every ray that enters the disc is kept, and every ray that clears it
+    # is dropped, up to 1e-6 |x| from the closest point of the ray
+    closest = np.abs(x + np.maximum(0.0, -np.real(np.conj(w) * x)) * w)
+    assert np.all(keep | (closest > F - 1e-6 * abs(x)))
+    assert np.all(~keep | (closest <= F + 1e-6 * abs(x)))
+
+
+def _keep_every_ray(x, w, radius):
+    return np.ones(np.broadcast(x, w).shape, dtype=bool)
+
+
+def _kept_directions(x0: float, n: int, F: float) -> int:
+    """Directions exp(2 pi i m/n) whose ray from x0 comes within F of the
+    origin, from the closest point of each ray."""
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    closest = np.abs(x0 + np.maximum(0.0, -np.real(np.conj(w) * x0)) * w)
+    # no ray grazes the disc: those are the property test's
+    assert np.all(np.abs(closest - F) > 1e-6)
+    return int(np.sum(closest <= F))
+
+
+@pytest.mark.parametrize("case", ["bump", "sum", "u1-u2"])
+def test_pair_form_builds_no_sample_on_a_ray_that_misses_the_support(case):
+    # an off-centre bump, a sum of two bumps and an asymmetric pairing, on
+    # a small rule with R past the support: the maps see only the samples
+    # of (ring, direction) rays that meet the larger support disc, and the
+    # value is that of every ray.  Dropping zero columns shifts the rest
+    # within the BLAS dot of each outer point, which can move its last bit
+    # (5 of 150 random configurations), so the bound is set from float64
+    u1, u2 = _pin_bumps()
+    u, phi = {"bump": (u1, None), "sum": (_pin_maps()["sum"], None), "u1-u2": (u1, u2)}[case]
+    F = max(u.far_radius, (phi or u).far_radius)
+    R, n_x_r, n, n_gl = F + 0.4, 6, 20, 4
+    samples = []
+    cu = _counted(u, samples)
+    cphi = None if phi is None else _counted(phi, samples)
+    got = energy._pair_form(cu, cphi, R, n_x_r, n, n_gl)
+    with mock.patch.object(energy, "_meets_disc", _keep_every_ray):
+        want = energy._pair_form(u, phi, R, n_x_r, n, n_gl)
+    n_xi = 6 * n_gl
+    x0 = R * disc_rule(n_x_r, n).nodes[::n].real
+    rays = sum(n if x <= F else _kept_directions(x, n, F) for x in x0)
+    calls = 1 if phi is None else 2
+    assert sum(samples) == calls * (n_x_r * n + n * n_xi * rays)
+    assert rays < n_x_r * n
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w), (got, want)
 
 
 def _block_samples_readers(tree: ast.Module) -> set[str | None]:
