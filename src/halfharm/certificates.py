@@ -447,9 +447,7 @@ def delta_certificate(delta: float) -> float:
     delta = _check_range(delta, "delta", 0.0, 1.0, open_hi=False)
     if delta == 1.0:
         return 0.0
-    res = adaptive_integrate(
-        lambda s: np.sqrt(_F_arr(s * s)), delta, 1.0, singular=(1.0,), grade_levels=40
-    )
+    res = adaptive_integrate(lambda s: np.sqrt(_F_arr(s * s)), delta, 1.0, singular=(1.0,))
     return math.sqrt(2.0) * ensure_converged(res, f"rewinding budget at delta={delta!r}")
 
 
@@ -509,14 +507,14 @@ def _f2_many(ts) -> list[IntegrationResult]:
     """The F2 inner integral at every t of ts, batched."""
     return adaptive_integrate_many(lambda s, v: _f1_integrand(s, 1.0, v),
                                    [(1.0 - t) * (1.0 + t) for t in ts], 0.0, 1.0,
-                                   _INNER_TOL, singular=(0.0,), grade_levels=40)
+                                   _INNER_TOL, singular=(0.0,))
 
 
 def _f1_many(avals) -> list[IntegrationResult]:
     """The F1 radial integral at every a of avals in (0, 1], batched."""
     return adaptive_integrate_many(lambda s, p: _f1_integrand(s, p[:, 0], p[:, 1]),
                                    [_J_params(a) for a in avals], 0.0, 1.0,
-                                   _INNER_TOL, singular=(0.0,), grade_levels=40)
+                                   _INNER_TOL, singular=(0.0,))
 
 
 class _InnerIntegrals:
@@ -562,16 +560,15 @@ def _f2_block() -> _F2Block:
     """
     f2 = _InnerIntegrals(_f2_many, "F2 inner integral at t")
     f1 = _InnerIntegrals(_f1_many, "F1 radial integral at a")
-    main = adaptive_integrate(f2, 0.0, 1.0, _OUTER_TOL, singular=(1.0,), grade_levels=40)
+    main = adaptive_integrate(f2, 0.0, 1.0, _OUTER_TOL, singular=(1.0,))
     sqrt_f2 = adaptive_integrate(lambda t: np.sqrt(f2(t)), 0.0, 1.0, _OUTER_TOL,
-                                 singular=(1.0,), grade_levels=40)
+                                 singular=(1.0,))
     sqrt_f1 = adaptive_integrate(lambda a: np.sqrt(f1(a)), 0.0, 1.0, _OUTER_TOL,
-                                 singular=(0.0,), grade_levels=40)
+                                 singular=(0.0,))
     # the outer rule on its seed panels, applied to the inner error estimates;
     # these are main's weights as long as main converged without bisecting
     nested = adaptive_integrate_many(lambda t, _: f2.errors(t), [0.0], 0.0, 1.0,
-                                     Tolerance(max_refinements=0), singular=(1.0,),
-                                     grade_levels=40)[0]
+                                     Tolerance(max_refinements=0), singular=(1.0,))[0]
     if nested.panels != main.panels:
         raise NumericalFailure("int F2 bisected its seed panels, so the inner error "
                                "estimates cannot be weighted into its error bar")

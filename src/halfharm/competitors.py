@@ -25,6 +25,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, CircleSample, eval_product, winding_number
 from .certificates import _check_range, _F_arr
+from .energy import circle_energy_numeric
 from .errors import (
     DomainViolation,
     InvalidArgument,
@@ -241,19 +242,22 @@ def _smoothstep(x):
     return x * x * (3.0 - 2.0 * x)
 
 
-def zero_pull_profile(delta: float, eps: float = 0.1, ramp_fraction: float = 0.8) -> Profile:
+# the share of (eps, 1] over which zero_pull_profile descends to delta
+_RAMP_FRACTION = 0.8
+
+
+def zero_pull_profile(delta: float, eps: float = 0.1) -> Profile:
     """Admissible zero-pulling profile: 1 on [0, eps], easing down to delta.
 
-    The descent occupies the first `ramp_fraction` of (eps, 1] and the value
+    The descent occupies the first _RAMP_FRACTION of (eps, 1] and the value
     stays at delta afterwards, so the profile is constant near both ends.
     """
     delta = _check_range(delta, "delta", 0.0, 1.0, open_hi=False)
     eps = _check_range(eps, "eps", 0.0, 1.0, open_lo=True)
-    ramp_fraction = _check_range(ramp_fraction, "ramp_fraction", 0.0, 1.0, open_lo=True, open_hi=False)
 
     def f(r):
         u = np.clip((np.asarray(r, float) - eps) / (1.0 - eps), 0.0, 1.0)
-        return delta + (1.0 - delta) * (1.0 - _smoothstep(u / ramp_fraction))
+        return delta + (1.0 - delta) * (1.0 - _smoothstep(u / _RAMP_FRACTION))
 
     return Profile.from_function(f)
 
@@ -958,8 +962,6 @@ def unwinding_family_energy(U: UnwindingFamily) -> FamilyReport:
         if theta.values[idx] >= q:
             radii.append(float(_PROFILE_GRID[idx]))
     if radii:
-        from .energy import circle_energy_numeric
-
         worst = 0.0
         for r in radii:
             trace = U.shell_map(r)

@@ -75,10 +75,11 @@ class PlaneMap:
     `far_radius`: identically zero, a constant, or 0-homogeneous (so tails
     of nonlocal integrals close analytically).
 
-    Both half-space routes take far_field == "zero" at its word: the map
-    counts as 0 outside that disc, so the Poisson rays never evaluate it
-    there, and neither route builds the samples of a ray that misses the
-    disc.  A map that is not identically zero there gets a wrong value,
+    Both half-space routes take far_field == "zero" at its word: neither
+    builds the samples of a ray that misses that disc, and the Poisson rays
+    skip the samples outside the radial band where they can meet it.  Every
+    other sample is evaluated, so the map decides its own zeros there.  A
+    map that is not identically zero outside the disc gets a wrong value,
     with no error.
     """
 
@@ -217,7 +218,8 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
     points of one radius at height h, and the slice `band` of t whose rays
     can meet the support disc: max(0, rad - far_radius)/h <= t <=
     (rad + far_radius)/h.  Outside it a far_field == "zero" map is exactly
-    zero; for the other far fields the band is all of t.
+    zero, so its samples there are never built; inside it every sample is
+    evaluated.  For the other far fields the band is all of t.
     """
     rad = float(abs(centers.flat[0])) if centers.size else 0.0
     compact = u.far_field in ("zero", "constant")
@@ -247,26 +249,14 @@ def _meets_disc(x, w, radius: float) -> np.ndarray:
     disc it comes closest at s = -Re z, |Im z| away, when Re z < 0, and
     otherwise at its start.  The margin of 1e-9 |x| sits far above the
     rounding of z and of the samples x + s w, so a dropped ray has no
-    sample that rounds into the disc.
+    sample that rounds into the disc.  This whole-ray test is the only
+    support test of the pair form; the Poisson rays also keep only the
+    radial band of _ray_setup.  Neither tests single samples.
     """
     z = np.conj(w) * x
     margin = 1e-9 * np.abs(x)
     return (np.abs(x) <= radius + margin) | (
         (z.real < margin) & (np.abs(z.imag) <= radius + margin))
-
-
-def _ray_values(u: PlaneMap, pts: np.ndarray) -> np.ndarray:
-    """u at the complex ray samples pts, written over pts and returned.  A
-    far_field == "zero" map is called only on the samples inside its support
-    disc; the others are set to exact zeros."""
-    if u.far_field != "zero":
-        pts[...] = u(pts)
-        return pts
-    inside = np.abs(pts) <= u.far_radius
-    support = pts[inside]
-    pts.fill(0.0)
-    pts[inside] = u(support)
-    return pts
 
 
 # complex samples per ray block of _ray_blocks.  7,680 samples are 120 KB:
@@ -336,9 +326,11 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
 
     For a far_field == "zero" map only the rows whose ray can meet the
     support disc (_meets_disc) go to _ray_blocks; the sums of the others
-    are exact zeros, and none of their samples is built.  The kept rows
-    share blocks differently, and a row left alone in its block takes
-    numpy's matrix-vector path, which can move that row's last bit.
+    are exact zeros, and none of their samples is built.  Every sample of a
+    kept row goes to u, which returns its own zeros outside its support, as
+    in _pair_form; u's values are written over the block's samples.  The
+    kept rows share blocks differently, and a row left alone in its block
+    takes numpy's matrix-vector path, which can move that row's last bit.
     """
     n_t, n_k = kernels.shape
     # sample t_i contributes Re u * kernels[i] to the real column and
@@ -354,8 +346,8 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
         origins, dirs = origins[meets], dirs[meets]
     sums = np.zeros((origins.size, n_k), dtype=complex)
     for rows, cols, pts in _ray_blocks(origins, dirs, h * t):
-        vals = _ray_values(u, pts)
-        sums[rows] += (vals.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
+        pts[...] = u(pts)
+        sums[rows] += (pts.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
     out = np.zeros((centers.size * what.size, n_k), dtype=complex)
     out[meets] = sums
     return out.reshape(centers.size, what.size, n_k)
@@ -748,8 +740,9 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     is one _gradient_ring_density call on the new points, whose rays are
     contracted by _ray_sums in the blocks of _ray_blocks: no BLAS worker
     thread starts, and the value does not depend on the BLAS thread count.
-    Rays that cannot meet the support disc are never sampled; their sums
-    are exact zeros.
+    Rays that cannot meet the support disc are never sampled, nor are the
+    t outside the radial band where a ray can meet it; their sums are exact
+    zeros.  Every other sample is evaluated by u itself.
     """
     if u.far_field != "zero":
         raise PreconditionViolation("the truncated oracle needs compact support")

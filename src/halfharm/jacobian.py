@@ -103,14 +103,12 @@ class AtomMeasure:
             if d != degree:
                 raise InvalidArgument(f"atom degree {d!r} is not an integer")
             cleaned.append((a, degree))
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                if abs(cleaned[i][0] - cleaned[j][0]) <= MIN_ATOM_SEPARATION:
-                    raise InvalidArgument(
-                        "atom positions must be pairwise distinct "
-                        f"(separation above {MIN_ATOM_SEPARATION})"
-                    )
         object.__setattr__(self, "atoms", tuple(cleaned))
+        if self.min_separation() <= MIN_ATOM_SEPARATION:
+            raise InvalidArgument(
+                "atom positions must be pairwise distinct "
+                f"(separation above {MIN_ATOM_SEPARATION})"
+            )
 
     @property
     def total_degree(self) -> int:
@@ -406,15 +404,12 @@ def product_vortex_field(
             out = np.multiply(out, w ** d if d > 0 else np.conj(w) ** (-d))
         return out
 
-    def sphere(pts: np.ndarray) -> np.ndarray:
-        return extension(pts)
-
     def flat(z: np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.stack([z.real, z.imag, np.zeros(z.shape[0])], axis=1)
         return extension(pts)
 
-    return BoundaryField(sphere=sphere, flat=flat, atoms=atoms), extension
+    return BoundaryField(sphere=extension, flat=flat, atoms=atoms), extension
 
 
 # ---------------------------------------------------------------------------

@@ -698,8 +698,12 @@ def _full_grid_ring_density(u, centers, h, n_omega, n_gl):
     gh2 = np.mean(proj_h * np.imag(what)[None, :], axis=1)
     gv = np.mean(sums[:, :, 1], axis=1)
     dens = (np.abs(gh) ** 2 + np.abs(gh2) ** 2 + np.abs(gv) ** 2) / (h * h)
-    support = ((t >= breaks[0]) & (t <= breaks[1]))[None, None, :] & (np.abs(pts) <= R)
-    return dens, pts, support
+    band = (t >= breaks[0]) & (t <= breaks[1])
+    support = band[None, None, :] & (np.abs(pts) <= R)
+    # the samples energy._ray_sums builds: the band of every ray that can
+    # meet the support disc
+    built = energy._meets_disc(centers[:, None], what[None, :], R)[:, :, None] & band
+    return dens, pts, support, built
 
 
 @settings(max_examples=60, deadline=None)
@@ -732,13 +736,50 @@ def test_ring_density_skips_only_zero_samples(center, radius, ring, phase, h,
     got = energy._gradient_ring_density(u, centers, h, n_omega, n_gl)
     # no ray of the ring may meet the support, and then u is never called
     evaluated = np.concatenate([np.empty(0, dtype=complex)] + [z.ravel() for z in seen])
-    want, pts, support = _full_grid_ring_density(bump, centers, h, n_omega, n_gl)
-    # u is called on the support samples only, and every other sample is 0
-    np.testing.assert_array_equal(evaluated, pts[support])
+    want, pts, support, built = _full_grid_ring_density(bump, centers, h, n_omega, n_gl)
+    # u is called on every sample it builds, and every sample outside the
+    # support is 0
+    np.testing.assert_array_equal(evaluated, pts[built])
     assert np.all(bump(pts[~support]) == 0)
     # the reference adds the same products plus exact zeros; BLAS may group
     # the partial sums differently when the band starts mid-vector
     assert np.all(np.abs(got - want) <= 1e-14 * np.max(want, initial=0.0))
+
+
+def _compact_map(center, radius):
+    """A bump at center, or for radius 0 the bump shrunk to a point: the
+    zero map with far_radius 0."""
+    if radius == 0.0:
+        return PlaneMap(func=lambda z: np.zeros(np.shape(z), dtype=complex), bound=1.0,
+                        far_field="zero", far_radius=0.0)
+    return bump_map(center=center, radius=radius, amplitude=0.6 + 0.8j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    center=st.complex_numbers(max_magnitude=0.6),
+    radius=st.floats(0.05, 1.0),
+    ring=st.floats(0.0, 4.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    h=st.floats(0.005, 3.0),
+    n_omega=st.integers(3, 40),
+    n_gl=st.integers(2, 20),
+)
+# the ring outside the support disc, and a support disc of radius 0
+@example(center=0.3 + 0.1j, radius=0.4, ring=2.5, phase=0.2, h=0.05, n_omega=24, n_gl=6)
+@example(center=0j, radius=0.0, ring=0.0, phase=0.0, h=0.5, n_omega=8, n_gl=4)
+def test_the_map_alone_decides_its_zeros(center, radius, ring, phase, h, n_omega, n_gl):
+    # the half-space routes evaluate every sample they build; a map that
+    # masks the samples outside its disc itself gives equal results
+    u = _compact_map(center, radius)
+    masked = PlaneMap(func=lambda z: np.where(np.abs(z) <= u.far_radius, u(z), 0),
+                      bound=u.bound, far_field="zero", far_radius=u.far_radius)
+    centers = ring * np.exp(1j * (phase + 2.0 * np.pi * np.arange(5) / 5))
+    X = (centers[0].real, centers[0].imag, h)
+    for route in (lambda m: energy._gradient_ring_density(m, centers, h, n_omega, n_gl),
+                  lambda m: poisson_extend(m, X, n_omega, n_gl),
+                  lambda m: poisson_extend_gradient(m, X, n_omega, n_gl)):
+        np.testing.assert_array_equal(route(masked), route(u))
 
 
 
