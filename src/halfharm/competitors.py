@@ -34,7 +34,6 @@ from .errors import (
 )
 from .quadrature import (
     Tolerance,
-    _check_count,
     _leggauss,
     _panel_rule,
     adaptive_integrate,
@@ -1070,25 +1069,23 @@ _GRID_R_MIN_STEP = 2.5e-3
 _GRID_ANG_MIN_STEP = 3e-6
 
 
-def _grid_nodes(eps: float, phi_angles: tuple[float, ...], resolution: int):
-    resolution = _check_count(resolution, "resolution")
-    n_u = 64 * resolution
-    r_nodes = _graded_1d(1e-3, 1.0, 96 * resolution, (eps,), _GRID_R_MIN_STEP)
-    th_nodes = _graded_1d(1e-3, math.pi / 2.0, n_u, (math.pi / 2.0,), _GRID_ANG_MIN_STEP)
-    ph_nodes = _graded_periodic(2 * n_u, phi_angles, _GRID_ANG_MIN_STEP)
+def _grid_nodes(eps: float, phi_angles: tuple[float, ...]):
+    """The grid of both grid energies: 96 radii, 64 polar angles, 128 azimuths."""
+    r_nodes = _graded_1d(1e-3, 1.0, 96, (eps,), _GRID_R_MIN_STEP)
+    th_nodes = _graded_1d(1e-3, math.pi / 2.0, 64, (math.pi / 2.0,), _GRID_ANG_MIN_STEP)
+    ph_nodes = _graded_periodic(128, phi_angles, _GRID_ANG_MIN_STEP)
     return r_nodes, th_nodes, ph_nodes
 
 
-def zero_pull_grid_energy(w_tilde: BlaschkeProduct, beta: Profile, eps: float = 0.1,
-                          resolution: int = 1) -> float:
+def zero_pull_grid_energy(w_tilde: BlaschkeProduct, beta: Profile, eps: float = 0.1) -> float:
     """Direct grid Dirichlet energy of the zero-pulling map on the half-ball.
 
     Independent of the tangential/radial decomposition: the map is sampled on
-    a graded spherical grid and differentiated numerically.  Pull values
-    within 1e-6 of 1 snap to the collapsed factor -1; the representation
-    wiggle below that threshold would otherwise fake features narrower than
-    the grid.  At resolution 1 the stock profiles agree with the decomposed
-    total to well under 2%.
+    a graded spherical grid (_grid_nodes) and differentiated numerically.
+    Pull values within 1e-6 of 1 snap to the collapsed factor -1; the
+    representation wiggle below that threshold would otherwise fake features
+    narrower than the grid.  On that grid the stock profiles agree with the
+    decomposed total to well under 2%.
     """
     eps = _check_range(eps, "eps", 0.0, 1.0, open_lo=True)
 
@@ -1100,12 +1097,13 @@ def zero_pull_grid_energy(w_tilde: BlaschkeProduct, beta: Profile, eps: float = 
                        (z[None, :, :] - b) / (1.0 - b * z[None, :, :]))
         return mob * base
 
-    nodes = _grid_nodes(eps, _zero_pull_rule_angles(w_tilde), resolution)
+    nodes = _grid_nodes(eps, _zero_pull_rule_angles(w_tilde))
     return _fd_energy(value, *nodes)
 
 
-def unwinding_grid_energy(U: UnwindingFamily, resolution: int = 1) -> float:
-    """Direct grid Dirichlet energy of the unwinding map on the half-ball.
+def unwinding_grid_energy(U: UnwindingFamily) -> float:
+    """Direct grid Dirichlet energy of the unwinding map on the half-ball,
+    on the grid of zero_pull_grid_energy.
 
     Mixing values within 1e-6 of 1 snap to the constant map 1 (see
     zero_pull_grid_energy for why); the azimuth grid is graded toward the
@@ -1118,7 +1116,7 @@ def unwinding_grid_energy(U: UnwindingFamily, resolution: int = 1) -> float:
         wv = eval_product(U.w, z)[None, :, :]
         return np.where(m >= 1.0, np.ones_like(wv), (wv + m) / (1.0 + m * wv))
 
-    nodes = _grid_nodes(U.eps, _unwinding_rule_angles(U.w), resolution)
+    nodes = _grid_nodes(U.eps, _unwinding_rule_angles(U.w))
     return _fd_energy(value, *nodes)
 
 

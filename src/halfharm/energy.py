@@ -68,12 +68,16 @@ GAMMA_2 = gamma_n(2)
 class PlaneMap:
     """A bounded map of the plane, evaluable away from a finite singular set.
 
-    `func` is vectorized over complex arrays and returns real or complex
-    values; it must not keep its argument, because the half-space routes
-    reuse their sample arrays from block to block.  The far-field class
-    declares what the map looks like outside the disc of radius
-    `far_radius`: identically zero, a constant, or 0-homogeneous (so tails
-    of nonlocal integrals close analytically).
+    `func` is vectorized over complex arrays and must not keep its argument,
+    because the half-space routes reuse their sample arrays from block to
+    block.  Calling the map returns func's output as the complex, C-ordered
+    array of z's shape that both routes read; only a scalar, a real or a
+    not C-ordered output is converted.  Outside the disc of radius
+    `far_radius` the map is identically zero (far_field "zero") or
+    0-homogeneous, so tails of nonlocal integrals close analytically.  A map
+    that tends to a constant c is c plus a compact map; pass the compact
+    map: the energies see only u(x) - u(y), and the Poisson extension of
+    c + u is c plus that of u.
 
     Both half-space routes take far_field == "zero" at its word: neither
     builds the samples of a ray that misses that disc, and the Poisson rays
@@ -86,30 +90,28 @@ class PlaneMap:
     func: Callable[[np.ndarray], np.ndarray]
     bound: float
     singular_points: tuple[complex, ...] = ()
-    singular_degrees: tuple[int, ...] = ()
     far_field: str = "zero"
-    far_constant: complex = 0.0 + 0.0j
     far_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.far_field not in ("zero", "constant", "homogeneous"):
-            raise InvalidArgument("far_field must be zero|constant|homogeneous")
+        if self.far_field not in ("zero", "homogeneous"):
+            raise InvalidArgument("far_field must be zero|homogeneous")
         if not (math.isfinite(self.bound) and self.bound > 0):
             raise InvalidArgument("declare a finite positive bound")
         if not (math.isfinite(self.far_radius) and self.far_radius >= 0):
             raise InvalidArgument("far_radius must be finite and non-negative")
 
     def __call__(self, z):
-        return self.func(np.asarray(z, dtype=complex))
+        z = np.asarray(z, dtype=complex)
+        out = np.asarray(self.func(z), dtype=complex, order="C")
+        return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()
 
     def far_value(self, direction):
-        """Limit value along rays with the given unit direction(s)."""
+        """Complex limit values along rays with the given unit direction(s)."""
         if self.far_field == "zero":
-            return np.zeros(np.shape(direction))
-        if self.far_field == "constant":
-            return np.full(np.shape(direction), self.far_constant)
+            return np.zeros(np.shape(direction), dtype=complex)
         big = 1e8 * max(1.0, self.far_radius)
-        return self.func(np.asarray(direction, dtype=complex) * big)
+        return self(np.asarray(direction, dtype=complex) * big)
 
 
 def bump_map(center: complex = 0.0j, radius: float = 1.0, amplitude=1.0 + 0.0j) -> PlaneMap:
@@ -155,7 +157,7 @@ def vortex_map() -> PlaneMap:
         return np.where(az > 0, z / np.where(az > 0, az, 1.0), 1.0 + 0.0j)
 
     return PlaneMap(func=f, bound=1.0, singular_points=(0.0 + 0.0j,),
-                    singular_degrees=(1,), far_field="homogeneous", far_radius=0.0)
+                    far_field="homogeneous", far_radius=0.0)
 
 
 def closed_xstar_ext(X):
@@ -219,10 +221,10 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
     can meet the support disc: max(0, rad - far_radius)/h <= t <=
     (rad + far_radius)/h.  Outside it a far_field == "zero" map is exactly
     zero, so its samples there are never built; inside it every sample is
-    evaluated.  For the other far fields the band is all of t.
+    evaluated.  For a 0-homogeneous map the band is all of t.
     """
     rad = float(abs(centers.flat[0])) if centers.size else 0.0
-    compact = u.far_field in ("zero", "constant")
+    compact = u.far_field == "zero"
     if compact:
         t_stop = (rad + u.far_radius) / h + 3.0
     else:
@@ -236,7 +238,7 @@ def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
         breaks += [t_in, t_out, math.hypot(rad, u.far_radius) / h]
     t, wt = _kernel_panels(t_stop, extra_breaks=breaks, n_gl=n_gl)
     band = slice(None)
-    if u.far_field == "zero":
+    if compact:
         band = slice(np.searchsorted(t, t_in), np.searchsorted(t, t_out, "right"))
     return t, wt, t_stop, band
 
@@ -469,8 +471,8 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
     what = np.exp(2j * np.pi * np.arange(n) / n)
     xi, wxi = _xi_nodes(n_gl)
 
-    far_u = np.asarray(u.far_value(what), dtype=complex)
-    far_p = far_u if sym else np.asarray(pmap.far_value(what), dtype=complex)
+    far_u = u.far_value(what)
+    far_p = far_u if sym else pmap.far_value(what)
     # the tails of outer point k run along the absolute directions (k + m) mod n
     absolute = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     if hom:
@@ -503,12 +505,12 @@ def _pair_form(u: PlaneMap, phi: PlaneMap | None, R: float,
         # the samples are contracted as (re, im) pairs of doubles
         weights = np.repeat(np.concatenate(weights, axis=None), 2)
 
-        ux = np.asarray(u(xs), dtype=complex)
-        px = ux if sym else np.asarray(pmap(xs), dtype=complex)
+        ux = u(xs)
+        px = ux if sym else pmap(xs)
         segs = np.zeros(n)
         for k, cols, pts in _ray_blocks(xs, what, offsets):
-            du = np.asarray(u(pts), dtype=complex) - ux[k, None]
-            dp = du if sym else np.asarray(pmap(pts), dtype=complex) - px[k, None]
+            du = u(pts) - ux[k, None]
+            dp = du if sym else pmap(pts) - px[k, None]
             prod = du.view(float)
             prod *= dp.view(float)
             segs[k] += prod @ weights[2 * cols.start:2 * cols.stop]
@@ -553,13 +555,11 @@ def frac_energy_plane(u: PlaneMap, R: float = 1.0) -> FracEnergyReport:
     Gauss nodes per ray panel (8) grow by ~1.4 per level, and the ladder stops
     once two levels agree to 2e-4 relative.  If the increments between levels
     fail to contract, the value is growing without bound under refinement and
-    the report is flagged divergent rather than trusted.
+    the report is flagged divergent rather than trusted.  u's singular
+    points are not read: the ladder resolves one inside D_R, such as the
+    vortex's centre, or flags its growth.
     """
     _check_domain_radius(R)
-    if u.singular_points and len(u.singular_degrees) != len(u.singular_points):
-        if any(abs(s) < R for s in u.singular_points):
-            raise PreconditionViolation(
-                "singular points inside the domain need local degree data")
     ladder = []
     tail_last = 0.0
     for lev in range(4):
@@ -794,8 +794,7 @@ def _extension_value_ring(u: PlaneMap, centers, h: float, n_omega: int, n_gl: in
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
     sums = _ray_sums(u, centers, h, t[band], what, kern_w[band, None])[:, :, 0]
     tail_mass = _poisson_tail_mass(t_stop)
-    far = np.asarray(u.far_value(what), dtype=complex)
-    num = np.mean(sums, axis=1) + tail_mass * np.mean(far)
+    num = np.mean(sums, axis=1) + tail_mass * np.mean(u.far_value(what))
     total_mass = float(np.sum(kern_w)) + tail_mass
     return num / total_mass
 

@@ -25,7 +25,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .blaschke import CircleSample, winding_number
-from .energy import _complex_gradient, _pairwise_leaf_sum, _sphere_difference, _tangent_frames
+from .energy import (
+    _complex_gradient,
+    _pairwise_leaf_sum,
+    _sphere_difference,
+    _tangent_frames,
+    closed_xstar_ext,
+)
 from .errors import (
     InvalidArgument,
     NumericalFailure,
@@ -374,21 +380,16 @@ def _ball_moebius(a2: complex) -> Callable[[np.ndarray], np.ndarray]:
     return T
 
 
-def _unit_vortex(X: np.ndarray) -> np.ndarray:
-    """The canonical degree-one extension (x1 + i x2) / (|X| + x3)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return (X[:, 0] + 1j * X[:, 1]) / (np.linalg.norm(X, axis=1) + X[:, 2])
-
-
 def product_vortex_field(
     atoms: AtomMeasure,
 ) -> tuple[BoundaryField, Callable[[np.ndarray], np.ndarray]]:
     """Boundary data with the prescribed atoms plus a finite-energy
     closed-form extension realizing it.
 
-    Each atom contributes one factor: the canonical unit vortex composed
-    with the ball self-map that centers the atom, raised to the atom's
-    degree (conjugated for negative degrees so the factor stays bounded).
+    Each atom contributes one factor: the canonical unit vortex
+    (energy.closed_xstar_ext) composed with the ball self-map that centers
+    the atom, raised to the atom's degree (conjugated for negative degrees
+    so the factor stays bounded).
     Returns the boundary field and the extension callable; the extension
     is smooth on the closed half-ball except at the atom positions.
     """
@@ -398,7 +399,7 @@ def product_vortex_field(
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.ones(X.shape[0], dtype=complex)
         for T, d in factors:
-            w = _unit_vortex(T(X))
+            w = closed_xstar_ext(T(X))
             # not `out *=`: an in-place multiply of one value takes numpy's
             # scalar loop, which rounds differently from a batched call
             out = np.multiply(out, w ** d if d > 0 else np.conj(w) ** (-d))

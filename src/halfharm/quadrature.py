@@ -286,6 +286,9 @@ _MAX_IN_FLIGHT = 32
 
 _UNIT_ROUNDOFF = 2.0**-53
 
+# seed panels halve this many times toward a declared singular point
+_GRADE_LEVELS = 40
+
 
 def _sample(f, x: np.ndarray, p) -> np.ndarray:
     """f at the nodes x (one row per panel); p holds each panel's parameters."""
@@ -498,7 +501,7 @@ def adaptive_integrate(
     b: float,
     tol: Tolerance | None = None,
     singular: tuple[float, ...] = (),
-    grade_levels: int = 40,
+    grade_levels: int = _GRADE_LEVELS,
 ) -> IntegrationResult:
     """Integrate a vectorized f over [a,b] with deterministic adaptive bisection.
 
@@ -529,7 +532,6 @@ def adaptive_integrate_many(
     b: float,
     tol: Tolerance | None = None,
     singular: tuple[float, ...] = (),
-    grade_levels: int = 40,
 ) -> list[IntegrationResult]:
     """Integrate f(x, p) over [a,b] for every row p of params, in lockstep.
 
@@ -539,9 +541,9 @@ def adaptive_integrate_many(
     in one call of f; at most a fixed number of integrals is in flight.
     The weights are contracted one integral at a time, so for an f that
     acts elementwise each result equals adaptive_integrate on
-    ``lambda x: f(x, p)`` bit for bit.
+    ``lambda x: f(x, p)``, at its default grading, bit for bit.
     """
-    return _integrate(f, np.asarray(params, dtype=float), a, b, tol, singular, grade_levels)
+    return _integrate(f, np.asarray(params, dtype=float), a, b, tol, singular, _GRADE_LEVELS)
 
 
 def _tan_substituted(f):
@@ -554,23 +556,20 @@ def _tan_substituted(f):
     return g
 
 
-def integrate_line(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
+def integrate_line(f) -> IntegrationResult:
     """Integrate f over the whole real line via x = tan(s), s in (-pi/2, pi/2),
     to the default Tolerance.
 
-    Suitable for integrands decaying at least like x^-2; the substituted
-    integrand is bounded near the endpoints, which are graded anyway.
+    Suitable for integrands bounded on the line and decaying at least like
+    x^-2; the substituted integrand is bounded near the graded endpoints.
     """
-    sing = tuple(math.atan(p) for p in singular) + (-math.pi / 2, math.pi / 2)
     return adaptive_integrate(_tan_substituted(f), -math.pi / 2, math.pi / 2,
-                              singular=sing, grade_levels=44)
+                              singular=(-math.pi / 2, math.pi / 2), grade_levels=44)
 
 
-def integrate_halfline(f, singular: tuple[float, ...] = ()) -> IntegrationResult:
+def integrate_halfline(f) -> IntegrationResult:
     """Integrate f over (0, infinity) via x = tan(s), s in (0, pi/2), to the
-    default Tolerance."""
-    sing = tuple(math.atan(p) for p in singular if p > 0)
-    if any(p == 0 for p in singular):
-        sing = sing + (0.0,)
+    default Tolerance, graded 44 levels toward s = pi/2 only: f should be
+    bounded near 0, where no seed panel is graded."""
     return adaptive_integrate(_tan_substituted(f), 0.0, math.pi / 2,
-                              singular=sing + (math.pi / 2,), grade_levels=44)
+                              singular=(math.pi / 2,), grade_levels=44)

@@ -406,16 +406,6 @@ def test_grid_energy_pins():
     assert unwinding_grid_energy(UnwindingFamily(TWO_ZERO, unwinding_profile(0.1), 0.1)) == UNWINDING_GRID
 
 
-@pytest.mark.parametrize("resolution", [0, -1, 1.0, 2.5, True, "2", None])
-def test_grid_energies_reject_bad_resolution(resolution):
-    beta = zero_pull_profile(1.0 / 3.0, 0.1)
-    with pytest.raises(InvalidArgument):
-        zero_pull_grid_energy(ONE_ZERO, beta, 0.1, resolution=resolution)
-    with pytest.raises(InvalidArgument):
-        unwinding_grid_energy(UnwindingFamily(TWO_ZERO, unwinding_profile(0.1), 0.1),
-                              resolution=resolution)
-
-
 @pytest.mark.parametrize("values", [
     np.zeros(PROFILE_GRID_SIZE - 1),
     np.full(PROFILE_GRID_SIZE, math.nan),

@@ -43,7 +43,7 @@ from halfharm.energy import (
     poisson_extend_gradient,
     vortex_map,
 )
-from halfharm.errors import DomainViolation, InvalidArgument, PreconditionViolation, Undersampled
+from halfharm.errors import DomainViolation, InvalidArgument, Undersampled
 from halfharm.quadrature import disc_rule
 
 
@@ -150,14 +150,6 @@ def test_plane_map_rejects_bad_bound_or_far_radius(kwargs):
 
 def test_plane_map_accepts_zero_far_radius():
     assert vortex_map().far_radius == 0.0
-
-
-def test_poisson_extend_constant_is_exact():
-    c = 0.37 - 0.21j
-    u = PlaneMap(func=lambda z: np.full_like(np.asarray(z, complex), c),
-                 bound=1.0, far_field="constant", far_constant=c)
-    for X in [(0.0, 0.0, 0.5), (2.0, -1.0, 0.01), (0.3, 0.4, 7.0)]:
-        assert abs(poisson_extend(u, X) - c) <= 1e-13
 
 
 def test_poisson_extend_sup_bound_holds_exactly():
@@ -287,14 +279,6 @@ def test_frac_energy_matches_halfspace_dirichlet_on_a_bump():
     orc = halfspace_dirichlet_oracle(b)
     assert rep.converged and not rep.divergent
     assert abs(float(rep.value) - orc) <= 1e-3 * abs(orc)
-
-
-def test_frac_energy_requires_degree_data_for_interior_singularities():
-    bad = PlaneMap(func=lambda z: np.asarray(z) / np.maximum(np.abs(z), 1e-300),
-                   bound=1.0, singular_points=(0.0 + 0.0j,),
-                   far_field="homogeneous")
-    with pytest.raises(PreconditionViolation):
-        frac_energy_plane(bad, R=1.0)
 
 
 def test_frac_energy_flags_jump_divergence():
@@ -511,6 +495,8 @@ def test_domain_radius_must_be_finite_and_positive(route, R):
 # weights are the more accurate), all 7 cases moved, each value by at most
 # 8.8e-16 of its point's largest component (1.8e-15 absolute, for 0.964...),
 # and the exact 0j of "bump"'s gradient on the axis became 1.6e-17 in modulus.
+# The "constant" case went with PlaneMap's far field "constant" (a map that
+# tends to c is written as c plus a compact map); the 6 left did not move.
 _PIN_POINTS = [(0.0, 0.0, 0.5), (0.3, -0.2, 0.05), (1.4, 0.3, 0.2), (2.5, -1.0, 0.7)]
 _PIN_RING = 2.7 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
 POISSON_PINS = {
@@ -524,11 +510,6 @@ POISSON_PINS = {
         (0.5417389234819494 - 0.203152096305731j),
         (0.007408746908089838 - 0.002778280090533689j),
         (0.002982000152788989 - 0.001118250057295871j)],
-    ("poisson_extend", "constant"): [
-        (0.3202081528017132 - 0.1192031021678297j),
-        (0.22924541815066266 + 0.04667011984290949j),
-        (0.3683919316783569 - 0.20706764011935658j),
-        (0.3692847881723529 - 0.20869579019664347j)],
     ("poisson_extend", "vortex"): [
         (-2.776009312466598e-17 + 0j),
         (0.7246293425072877 - 0.4830831719717772j),
@@ -583,10 +564,7 @@ def _pin_bumps():
 
 def _pin_maps():
     u1, u2 = _pin_bumps()
-    c = 0.37 - 0.21j
-    constant = PlaneMap(func=lambda z: np.where(np.abs(z) < 0.5, 0.2 + 0.1j, c),
-                        bound=1.0, far_field="constant", far_constant=c, far_radius=0.5)
-    return {"bump": u1, "sum": _sum_map(u1, u2), "constant": constant, "vortex": vortex_map()}
+    return {"bump": u1, "sum": _sum_map(u1, u2), "vortex": vortex_map()}
 
 
 @pytest.mark.parametrize("case", sorted(POISSON_PINS), ids="-".join)
@@ -909,13 +887,38 @@ def test_pair_form_matches_the_per_point_loop(center, radius, amplitude, R_scale
     _assert_matches_reference(u, phi, R, n_x_r, n_x_t, n_gl, 1e-15 * scale)
 
 
-@pytest.mark.parametrize("name", ["vortex", "constant"])
+@pytest.mark.parametrize("name", ["vortex"])
 @pytest.mark.parametrize("R", [0.4, 1.0])
 def test_pair_form_matches_the_per_point_loop_on_tails(name, R):
-    # the vortex closes a homogeneous tail past a second segment out to 12 R;
-    # the constant map has a constant tail and, at R = 0.4, a second segment
+    # the vortex closes a homogeneous tail past a second segment out to 12 R
     u = _pin_maps()[name]
     _assert_matches_reference(u, None, R, 6, 20, 6, 1e-15)
+
+
+def test_a_map_returning_a_scalar_is_a_constant_map():
+    # PlaneMap broadcasts a scalar output over z's shape: a constant has no
+    # nonlocal energy and is its own Poisson extension
+    c = PlaneMap(func=lambda z: 0.5 + 0j, bound=1.0, far_field="homogeneous")
+    rep = frac_energy_plane(c, R=1.0)
+    assert rep.converged and abs(rep.value) <= 1e-15
+    assert abs(poisson_extend(c, (0.3, -0.2, 0.4)) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("wrap, amplitude", [(np.asfortranarray, 0.8 - 0.3j), (np.real, 0.8)],
+                         ids=["fortran", "real"])
+def test_a_map_in_any_output_form_gives_the_bits_of_the_plain_map(wrap, amplitude):
+    # PlaneMap converts a Fortran-ordered or real output to the C-ordered
+    # complex form both half-space routes read, which moves no value
+    b = bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=amplitude)
+    w = PlaneMap(func=lambda z: wrap(b.func(z)), bound=b.bound, far_radius=b.far_radius)
+    other = bump_map(center=-0.2 + 0.15j, radius=0.5, amplitude=0.56 - 0.21j)
+    X = (0.3, -0.2, 0.05)
+    for run in (lambda u: energy._pair_form(u, None, 1.2, 6, 20, 6),
+                lambda u: half_laplacian_pairing(u, other, R=1.2),
+                lambda u: poisson_extend(u, X),
+                lambda u: poisson_extend_gradient(u, X),
+                lambda u: halfspace_dirichlet_oracle(u, n_omega=8, n_gl=4)):
+        assert run(w) == run(b)
 
 
 def _old_bump_values(z, c, r, amplitude):

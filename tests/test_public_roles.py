@@ -14,11 +14,19 @@ three roles:
 
 ROLES lists them all, so a new public name has to declare its role here.  A
 route or lemma that no test mentions is flagged: nothing would compare it
-with anything.  Modules and tests are read with ast and re, not run.
+with anything.
+
+The same holds for options.  A defaulted parameter of an exported callable
+that no call in the package or the benchmark passes has one setting in use,
+so it is a constant; UNSET_DEFAULTS lists each one that stays settable,
+with the reason.  Modules, the benchmark and tests are read with ast, re
+and inspect, not run.
 """
 
 import ast
 import importlib
+import inspect
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -146,8 +154,32 @@ ROLES = {
     "quadrature.integrate_halfline": "verdict",
 }
 
+# "module.name(parameter)": why a default that no call in src/halfharm or
+# bench/ (bench's own tests aside) sets is still a parameter
+UNSET_DEFAULTS = {
+    "competitors.epsilon_sweep(delta)":
+        "ROADMAP item 2's epsilon scan sets the terminal pull value",
+    "competitors.epsilon_sweep(eps_values)":
+        "ROADMAP item 2's epsilon scan sets the collar widths",
+    "competitors.zero_pull_grid_energy(eps)":
+        "the collar width of beta, a datum of the map; the grid route runs only in tests",
+    "energy.dirichlet_energy_halfball(r)":
+        "a route; tests check the scaling E(B_r+) = r E(B_1+) and the refused radii",
+    "energy.poisson_extend(n_omega)": "a route's ray rule; tests set it to compare rules",
+    "energy.poisson_extend(n_gl)": "a route's ray rule; tests set it to compare rules",
+    "energy.poisson_extend_gradient(n_omega)": "a route's ray rule; tests set it to compare rules",
+    "energy.poisson_extend_gradient(n_gl)": "a route's ray rule; tests set it to compare rules",
+    "jacobian.energy_lower_bound_check(atoms)":
+        "None is a smooth extension, with no vortex patch; tests pass such fields",
+    "jacobian.halfball_energy_fd(atoms)":
+        "None is a smooth extension, with no vortex patch; tests pass such fields",
+    "jacobian.pairing_volume(atoms)":
+        "None is a smooth extension, with no vortex patch; tests pass such fields",
+}
+
 SRC = Path(halfharm.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(halfharm.__path__))
 
 
@@ -194,3 +226,62 @@ def test_every_route_and_lemma_is_compared_in_a_test():
     unused = [key for key, role in ROLES.items() if role in ("route", "lemma")
               and not re.search(rf"\b{re.escape(key.split('.')[1])}\b", text)]
     assert not unused, f"routes or lemmas that no test mentions: {unused}"
+
+
+class _Calls(ast.NodeVisitor):
+    """name -> (most positional arguments of a call, keywords passed) over
+    the calls of one or more modules.  A *args counts as every position, a
+    **mapping as the keyword None, and a call of `cls` in a class body as a
+    call of that class."""
+
+    def __init__(self) -> None:
+        self.passed: dict[str, tuple[float, set]] = {}
+        self.classes: list[str] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "cls" and self.classes:
+            name = self.classes[-1]
+        if name:
+            n_pos, keywords = self.passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            self.passed[name] = (max(n_pos, math.inf if starred else len(node.args)),
+                                 keywords | {k.arg for k in node.keywords})
+        self.generic_visit(node)
+
+
+def _unset_defaults() -> set[str]:
+    """module.name(parameter) for every defaulted parameter of an exported
+    callable that no call in src/halfharm or bench/ passes."""
+    calls = _Calls()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if path.name != "test_bench.py":
+            calls.visit(ast.parse(path.read_text()))
+    unset = set()
+    for key in _exported():
+        module_name, name = key.split(".")
+        obj = getattr(importlib.import_module(f"halfharm.{module_name}"), name)
+        # errors take only the message, and builtin types give no signature
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        n_pos, keywords = calls.passed.get(name, (0, set()))
+        for i, p in enumerate(inspect.signature(obj).parameters.values()):
+            if p.default is p.empty or None in keywords or p.name in keywords:
+                continue
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and i < n_pos:
+                continue
+            unset.add(f"{key}({p.name})")
+    return unset
+
+
+def test_every_default_is_set_by_a_call_or_says_why_not():
+    unset = _unset_defaults()
+    assert not unset - UNSET_DEFAULTS.keys(), \
+        f"defaults that no call sets (make them constants): {sorted(unset - UNSET_DEFAULTS.keys())}"
+    assert not UNSET_DEFAULTS.keys() - unset, \
+        f"UNSET_DEFAULTS entries that a call sets or that are gone: {sorted(UNSET_DEFAULTS.keys() - unset)}"

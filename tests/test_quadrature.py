@@ -355,9 +355,7 @@ ENGINE_PINS = {
     "frozen": (0.6666666666666629, 1.0390073853139286e-14, False, 208),
     "tie": (1.0, 1.1102230246251565e-16, False, 20),
     "line": (1.7724538509055159, 1.3610429873404456e-10, True, 95),
-    "line_singular": (3.216272635826094, 2.131285888094624e-08, False, 220),
     "halfline": (1.3293403881788628, 9.304636068477424e-11, True, 53),
-    "halfline_zero": (1.7724538507743701, 1.529093491014599e-10, True, 103),
 }
 
 ENGINE_CASES = {
@@ -381,11 +379,7 @@ ENGINE_CASES = {
         lambda x: np.ones_like(x), 0.0, 1.0, Tolerance(abs_tol=1e-30, rel_tol=1e-30, max_refinements=12)
     ),
     "line": lambda: integrate_line(lambda x: np.exp(-(x**2))),
-    "line_singular": lambda: integrate_line(
-        lambda x: np.exp(-(x**2)) / np.sqrt(np.abs(x - 0.5)), singular=(0.5,)
-    ),
     "halfline": lambda: integrate_halfline(lambda x: x**1.5 * np.exp(-x)),
-    "halfline_zero": lambda: integrate_halfline(lambda x: np.exp(-x) / np.sqrt(x), singular=(0.0,)),
 }
 
 
