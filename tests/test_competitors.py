@@ -55,22 +55,28 @@ TWO_ZERO = BlaschkeProduct(theta=1.1, zeros=(0.25 - 0.1j, -0.4 + 0.35j))
 # UNWINDING_KERNEL[4] was re-recorded (-1.5e-14 relative) when the kernel
 # tables were row-blocked: the old full-grid gemv rounded differently on 1
 # and on 2 BLAS threads, and the new value is the thread-independent one
-# (equal to the old single-thread value).
+# (equal to the old single-thread value).  All of them were re-recorded when
+# the tables moved from 128 uniform to 48 graded xi knots: the family totals
+# moved by at most 2.8e-7 relative, the radial totals and chain values by
+# 1.3e-6 and the kernel values by 1.9e-6.  Against direct evaluations of
+# the same disc rule the kernel values at m = 0.3 came closer (errors 1.4e-6
+# and 3.2e-7 fell to 8.1e-8 and 1.9e-8) and those at m >= 0.9 moved away
+# (up to 4.1e-6 at m = 1 - 1e-9, from 2.2e-6).
 ZERO_PULL_SWEEP = (
-    (6.47808047842157, 0.35197480392147396, None),
-    (6.394043723509553, 0.4250176816889457, None),
-    (6.271541831868564, 0.6166750554069363, None),
+    (6.478080601231518, 0.3519749267314219, None),
+    (6.394043861927111, 0.42501782010650413, None),
+    (6.271542009299118, 0.6166752328374908, None),
 )
 UNWINDING_SWEEP = (
-    (7.165742719653108, 1.1958079826006072, 2.989519956351729),
-    (7.113329331127667, 1.4566574347073937, 1.8208217932152564),
-    (7.177466402034233, 2.151445740403087, 1.3446535893312561),
+    (7.165741110480189, 1.1958063734276885, 2.9895159334256887),
+    (7.113327619205144, 1.4566557227848709, 1.8208196532917766),
+    (7.177464447875149, 2.151443786244003, 1.3446523680450013),
 )
 KERNEL_ARGS = (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-9)
-ZERO_PULL_KERNEL = (0.9685988440267799, 0.9671947133330494, 2.4198379268482424,
-                    13.583074812825663, 56.844874841089954)
-UNWINDING_KERNEL = (1.7153895862639723, 2.0521370249210507, 5.289220231289972,
-                    17.244916466593207, 56.41951056747794)
+ZERO_PULL_KERNEL = (0.9685988440267799, 0.9671932364568255, 2.419838047777716,
+                    13.583072428163483, 56.844769583086716)
+UNWINDING_KERNEL = (1.7153895862639723, 2.052136338862994, 5.289220232709876,
+                    17.244915743054953, 56.41948584034199)
 
 # SHA-256 of repr(report) for every report of the two pinned sweeps (shells,
 # windings and notes included), and the exact grid energies of the 2% tests;
@@ -79,14 +85,15 @@ UNWINDING_KERNEL = (1.7153895862639723, 2.0521370249210507, 5.289220231289972,
 # shell-check value printed in each report's notes moved.  The first one was
 # re-recorded again when eval_product fixed its operand order: the 4,096-point
 # shell map now rounds like large calls, and the printed shell-check value
-# moved from 3.197e-13 to 8.624e-13; every numeric field is unchanged.
+# moved from 3.197e-13 to 8.624e-13; every numeric field is unchanged.  All
+# six were re-recorded with the sweep pins above, for the graded xi knots.
 SWEEP_DIGESTS = {
-    "zero_pull": ("7e7e37d616810150a94ab7245169cf682037f8fa654e0c487802220a66d39dc7",
-                  "a4d9ea9e35952a307d31a48ef06593463b1e40669f02e523ade43679b69d7e02",
-                  "0047908259ec7b8975c505d303c83761d9edd6c300f4ddad789d53eb1a75c6c1"),
-    "unwinding": ("dfc78da0c7a138abd52a930e7e55863cd84b0fc8488e23e0d8dfd703ecba22b5",
-                  "37494a9b48d6102182d21014eb49dadace1feb4de7cc793f47bdb56e79a24b4c",
-                  "35563e0c453b51342eccb5452ea19e2ff6371d90c4d156629d9cc3f75e8337dc"),
+    "zero_pull": ("ca53cfee62b3466a347f50ae079924ad69927c303d70dabfb2c44e5b5b5cbfbc",
+                  "35eefff5dba8f59ba84a116518a29f5f2e809918eb6931b641bb96cc4114bbe9",
+                  "292cc7a276ea4018ad1a1f894436d36412583ce860a943e37a7c7edc4ecefd12"),
+    "unwinding": ("ebb743a8f1b11f78ffc9db21106782d7141f9cc00cc85da909cd3bfe283cc4e8",
+                  "740dfe3cf98013690801adcf5bf1c149abf99a4b0f071ba5f645b441cbd9279f",
+                  "52d2b9e36449c442719cabb60a4364a8e21c9977406025214adc6574c5d6f92b"),
 }
 ZERO_PULL_GRID = 6.434027537776869
 UNWINDING_GRID = 7.200863668002073
@@ -131,7 +138,7 @@ def _table_bits(blas_threads):
 
 
 def test_kernel_tables_independent_of_blas_threads():
-    # the 128 node values, end value and end slope of both tables, built in
+    # the 48 knot values, end value and end slope of both tables, built in
     # fresh interpreters on 1 and on 2 BLAS threads (a one-core host runs
     # both on one thread, and the test then checks only determinism)
     one = _table_bits("1")
@@ -143,9 +150,9 @@ def _xi_table_reference(rule, top, den):
     """_xi_table on integrand inputs formed on the full grid: top is the
     whole numerator array, den(p, rows) the denominator on a row slice."""
     _, _, rw, _, pw = rule
-    xi = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
+    xi = competitors._XI_KNOTS
     ps = [-math.expm1(-x) for x in xi]
-    rows_by_node = np.empty((competitors._XI_NODES, len(rw)))
+    rows_by_node = np.empty((len(xi), len(rw)))
     for start in range(0, len(rw), competitors._XI_ROW_BLOCK):
         rows = slice(start, start + competitors._XI_ROW_BLOCK)
         for k, p in enumerate(ps):
@@ -245,7 +252,8 @@ ROTATION = BlaschkeProduct(theta=0.7)
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-9])
 def test_zero_pull_kernel_closed_form_for_rotation(b):
     # |w~| = 1 on the disc, so the kernel is the disc integral behind F:
-    # pi * F(b^2); 2e-6 covers the spline (worst 9.2e-7, at b = 0.3)
+    # pi * F(b^2); 2e-6 covers the spline (worst 1.0e-6, at b = 1 - 1e-9 in
+    # the linear tail; 5.2e-8 at b = 0.3)
     exact = math.pi * F_closed(b * b)
     assert abs(radial_kernel_zero_pull(ROTATION, b) - exact) <= 2e-6 * exact
 
@@ -263,9 +271,10 @@ def test_zero_pull_kernel_below_rotation_bound(theta, zero):
     assert np.all(kernel <= bound)
 
 
-def _zero_pull_integrand(w, rule, b):
-    # |w|^2 |1 - z|^2 |1 + z|^2 / (|1 - b z|^4 (1 + rho^2)^2) * rho, every
-    # factor formed from s = 1 - rho and half-angles so that nothing cancels
+def _zero_pull_integrand(w, rule):
+    # b -> |w|^2 |1 - z|^2 |1 + z|^2 / (|1 - b z|^4 (1 + rho^2)^2) * rho on the
+    # rule's nodes, every factor formed from s = 1 - rho and half-angles so
+    # that nothing cancels; w is evaluated once
     rho, s, _, phi, _ = rule
     z = rho[:, None] * np.exp(1j * phi[None, :])
     half_sin2 = np.sin(phi / 2.0)[None, :] ** 2
@@ -273,37 +282,83 @@ def _zero_pull_integrand(w, rule, b):
     r, s = rho[:, None], s[:, None]
     one_minus_z_sq = s * s + 4.0 * r * half_sin2
     one_plus_z_sq = s * s + 4.0 * r * half_cos2
-    one_minus_bz_sq = ((1.0 - b) + b * s) ** 2 + 4.0 * b * r * half_sin2
-    return (np.abs(eval_product(w, z)) ** 2 * one_minus_z_sq * one_plus_z_sq
-            / (one_minus_bz_sq ** 2 * (1.0 + r * r) ** 2) * r)
+    top = np.abs(eval_product(w, z)) ** 2 * one_minus_z_sq * one_plus_z_sq / (1.0 + r * r) ** 2 * r
+
+    def at(b):
+        return top / (((1.0 - b) + b * s) ** 2 + 4.0 * b * r * half_sin2) ** 2
+
+    return at
 
 
-def _unwinding_integrand(w, rule, m):
-    # |1 - w^2|^2 / (|1 + m w|^4 (1 + rho^2)^2) * rho in complex arithmetic
+def _unwinding_integrand(w, rule):
+    # m -> |1 - w^2|^2 / (|1 + m w|^4 (1 + rho^2)^2) * rho on the rule's nodes,
+    # in complex arithmetic; w is evaluated once
     rho, _, _, phi, _ = rule
     r = rho[:, None]
     wv = eval_product(w, r * np.exp(1j * phi[None, :]))
-    return np.abs(1.0 - wv * wv) ** 2 / (np.abs(1.0 + m * wv) ** 4 * (1.0 + r * r) ** 2) * r
+    top = np.abs(1.0 - wv * wv) ** 2 / (1.0 + r * r) ** 2 * r
+
+    def at(m):
+        return top / np.abs(1.0 + m * wv) ** 4
+
+    return at
+
+
+# per family: the table, the angles its disc rule is graded toward, and the
+# integrand formed independently of the table build
+DIRECT_ROUTES = {
+    "zero_pull": (competitors._zero_pull_kernel_table, competitors._zero_pull_rule_angles,
+                  _zero_pull_integrand),
+    "unwinding": (competitors._unwinding_kernel_table, competitors._unwinding_rule_angles,
+                  _unwinding_integrand),
+}
+
+
+def _direct_route(family, w):
+    """The family's table of w, and the integrand and weights of its rule."""
+    table, angles, integrand = DIRECT_ROUTES[family]
+    rule = competitors._disc_rule_graded(angles(w))
+    return table(w), integrand(w, rule), rule[2][:, None] * rule[4][None, :]
 
 
 @pytest.mark.parametrize("family", ["zero_pull", "unwinding"])
 def test_kernel_table_nodes_match_fsum(family):
-    # the blocked contraction of a table node against a correctly rounded
+    # the blocked contraction of a table knot against a correctly rounded
     # sum of the same disc rule applied to the integrand formed independently
-    if family == "zero_pull":
-        w, table = ONE_ZERO, competitors._zero_pull_kernel_table(ONE_ZERO)
-        angles, integrand = competitors._zero_pull_rule_angles(w), _zero_pull_integrand
-    else:
-        w, table = TWO_ZERO, competitors._unwinding_kernel_table(TWO_ZERO)
-        angles, integrand = competitors._unwinding_rule_angles(w), _unwinding_integrand
-    rule = competitors._disc_rule_graded(angles)
-    spline, end_value, _ = table
+    w = ONE_ZERO if family == "zero_pull" else TWO_ZERO
+    (spline, end_value, _), integrand, weights = _direct_route(family, w)
     nodes = np.append(spline.c[-1], end_value)
-    xi = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
-    weights = rule[2][:, None] * rule[4][None, :]
-    for k in (0, 45, 90, competitors._XI_NODES - 1):
-        exact = math.fsum((integrand(w, rule, -math.expm1(-xi[k])) * weights).ravel())
+    xi = competitors._XI_KNOTS
+    for k in (0, 16, 32, len(xi) - 1):
+        exact = math.fsum((integrand(-math.expm1(-xi[k])) * weights).ravel())
         assert abs(nodes[k] - exact) <= 1e-13 * exact, k
+
+
+NEAR_RIM = BlaschkeProduct(zeros=(0.85j, -0.8 + 0.3j, 0.5))
+
+
+# the unwinding family needs degree >= 2, so its table is taken of two products
+@pytest.mark.parametrize("family, w", [("zero_pull", ONE_ZERO), ("zero_pull", TWO_ZERO),
+                                       ("zero_pull", NEAR_RIM), ("unwinding", TWO_ZERO),
+                                       ("unwinding", NEAR_RIM)],
+                         ids=["zero_pull-one_zero", "zero_pull-two_zero", "zero_pull-near_rim",
+                              "unwinding-two_zero", "unwinding-near_rim"])
+def test_kernel_tables_match_direct_evaluation_between_knots(family, w):
+    # Each table against its disc integral evaluated directly on the same
+    # rule: this measures the interpolation error only, not the disc rule's.
+    # At the midpoint of every knot interval the worst measured error is
+    # 1.5e-6 (zero-pulling, ONE_ZERO, at xi = 0.019); 128 uniform knots
+    # missed by 2.2e-5 to 9.9e-5.  In the linear tail (xi = 18 and 20.7, that
+    # is m = 1 - 1e-9) the rule's own sum is not affine: its slope still
+    # rises past the cap, so even the line with the rule's exact slope at the
+    # cap misses it by up to 3.9e-6.  The worst tail error measured is 7.0e-6
+    # (zero-pulling, NEAR_RIM, xi = 20.7); uniform knots missed by 3.9e-6.
+    table, integrand, weights = _direct_route(family, w)
+    xi = competitors._XI_KNOTS
+    for x, bound in [(x, 2e-6) for x in 0.5 * (xi[:-1] + xi[1:])] + [(18.0, 1e-5), (20.7, 1e-5)]:
+        m = -math.expm1(-x)
+        direct = float(np.sum(integrand(m) * weights))
+        assert abs(competitors._table_eval(table, m) - direct) <= bound * direct, x
 
 
 @pytest.mark.parametrize("kernel, product", [(radial_kernel_zero_pull, ONE_ZERO),
@@ -477,7 +532,7 @@ def test_zero_pull_collar_is_checked_between_grid_samples():
 # ---------------------------------------------------------------------------
 # the package's not-a-knot spline against scipy's CubicSpline
 
-_XI_GRID = np.linspace(0.0, competitors._XI_CAP, competitors._XI_NODES)
+_XI_GRID = competitors._XI_KNOTS
 
 
 def _assert_spline_is_scipys(x, y):

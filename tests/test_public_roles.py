@@ -133,11 +133,11 @@ ROLES = {
     "jacobian.coordinate_tests": "verdict",
     "jacobian.default_test_dictionary": "verdict",
     "jacobian.distance_test": "verdict",
-    "jacobian.energy_lower_bound_check": "verdict",
-    "jacobian.halfball_energy_fd": "verdict",
+    "jacobian.energy_lower_bound_check": "route",
+    "jacobian.halfball_energy_fd": "route",
     "jacobian.jacobian_report": "verdict",
     "jacobian.pairing_surface": "verdict",
-    "jacobian.pairing_volume": "verdict",
+    "jacobian.pairing_volume": "route",
     "jacobian.product_vortex_field": "verdict",
     # quadrature
     "quadrature.QuadRule": "verdict",
