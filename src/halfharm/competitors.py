@@ -425,9 +425,10 @@ def profile_energy(gamma: Profile) -> float:
 # graded polar quadrature on the unit disc and the two radial kernels
 
 
-# Gauss nodes per panel and dyadic grading levels of the graded disc rule.
+# Gauss nodes per panel and dyadic grading levels of the graded disc rule
+# (the depth is argued in _disc_rule_graded).
 _GRADED_GL = 7
-_GRADED_LEVELS = 41
+_GRADED_LEVELS = 35
 
 
 def _graded_edges(a: float, b: float) -> list[float]:
@@ -449,6 +450,18 @@ def _disc_rule_graded(crit_angles: tuple[float, ...]):
     Radial panels are built in s = 1 - rho (kept exact near the rim, graded
     geometrically toward s = 0); angular panels cover the segments between
     consecutive critical angles, graded toward each.  Gauss(7) per panel.
+
+    The grading stops _GRADED_LEVELS = 35 halvings deep: at 0.01 * 2^-35
+    (3e-13) rad and 2^-35 (3e-11) in s.  The narrowest feature a kernel
+    table reaches is about 1 - m = 1e-7 wide, at its cap, so the innermost
+    panels sit more than three decades below it and deeper ones add only
+    rounding.  Against tables built 41 levels deep (measured on the
+    one-zero, two-zero and near-rim products of the tests, both families),
+    the knot values, end values and end slopes drift by at most 1.5e-13
+    relative at 35 levels, and the kernel and sweep values the tests pin by
+    at most 6.7e-15.  Shallower depths drift more: the near-rim unwinding
+    table's end slope by 1.4e-12 at 32 levels and 9e-12 at 28, and the
+    pinned unwinding kernel at m = 1 - 1e-9 by 2.6e-14 at 33 and 34.
     """
     angs = sorted(a % (2.0 * math.pi) for a in crit_angles) or [0.0]
     segs = []
@@ -515,11 +528,11 @@ def _xi_table(rule, block):
     The table is built one block of radial rows at a time: block(rows), for
     a slice of rows, returns that block's numerator `top` and a function
     den(p) giving its denominator.  The integrand inputs therefore never
-    exist on the full grid (up to 315 x 4,109 points, 10-21 MB per array).
+    exist on the full grid (up to 273 x 3,773 points, 8-16 MB per array).
     Blocks are _XI_ROW_BLOCK rows, the last one possibly shorter, and the
     working set is a few arrays of one block, 8 rows by the rule's angles
-    (263 KB per real array at 4,109 angles): tracemalloc reads a peak of
-    2.1 MB for the zero-pulling and 4.0 MB for the unwinding build of the
+    (241 KB per real array at 3,773 angles): tracemalloc reads a peak of
+    2.0 MB for the zero-pulling and 3.6 MB for the unwinding build of the
     `fields` benchmark's seed-3 products, rule included.  The block bounds
     it, not the grid.
 
@@ -667,8 +680,12 @@ def radial_kernel_unwinding(w: BlaschkeProduct, m):
     Multiplies m'(r)^2 in the radial energy density.  Vectorized in m over
     [0, 1]; diverges logarithmically in -log(1-m) as m -> 1, which the
     linear tail of the cached table reproduces.  Raises InvalidArgument for
-    NaN or m outside [0, 1].
+    NaN or m outside [0, 1], and for a product UnwindingFamily refuses:
+    conjugated, or of degree below 2 (a degree-1 table was measured about
+    26 times less accurate than any degree >= 2 one).
     """
+    if w.conjugated or w.zero_count < 2:
+        raise InvalidArgument("the unwinding kernel needs an un-conjugated product with d >= 2")
     m = _kernel_argument(m, "mixing parameter m")
     return _table_eval(_unwinding_kernel_table(w), m)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -215,27 +216,36 @@ def _check_domain_radius(R) -> None:
         raise InvalidArgument(f"the domain radius R must be finite and > 0, got {R!r}")
 
 
-def _ray_setup(u: PlaneMap, centers: np.ndarray, h: float, n_gl: int):
-    """Radial panels (t, wt, t_stop) shared by the Poisson rays from plane
-    points of one radius at height h, and the slice `band` of t whose rays
-    can meet the support disc: max(0, rad - far_radius)/h <= t <=
-    (rad + far_radius)/h.  Outside it a far_field == "zero" map is exactly
-    zero, so its samples there are never built; inside it every sample is
-    evaluated.  For a 0-homogeneous map the band is all of t.
-    """
+def _ray_inputs(u: PlaneMap, centers: np.ndarray, h: float) -> tuple:
+    """Every input of _ray_setup for the Poisson rays from plane points of
+    one radius at height h: (point radius, whether u is compact, u's
+    far_radius, the radii of u's singular points seen from each point,
+    scaled by 1/h)."""
     rad = float(abs(centers.flat[0])) if centers.size else 0.0
-    compact = u.far_field == "zero"
+    breaks = tuple(abs(s_pt - c) / h for s_pt in u.singular_points for c in centers.flat)
+    return rad, u.far_field == "zero", u.far_radius, breaks
+
+
+def _ray_setup(rad: float, compact: bool, far_radius: float, breaks, h: float, n_gl: int):
+    """Radial panels (t, wt, t_stop) shared by the Poisson rays from plane
+    points of radius rad at height h, and the slice `band` of t whose rays
+    can meet the support disc: max(0, rad - far_radius)/h <= t <=
+    (rad + far_radius)/h.  Outside it a compact map is exactly zero, so its
+    samples there are never built; inside it every sample is evaluated.
+    For a 0-homogeneous map the band is all of t.  The arguments before h
+    are those of _ray_inputs.
+    """
     if compact:
-        t_stop = (rad + u.far_radius) / h + 3.0
+        t_stop = (rad + far_radius) / h + 3.0
     else:
         t_stop = max(3.0 * 2.0**12, 16.0 * (rad / h + 1.0))
-    breaks = [abs(s_pt - c) / h for s_pt in u.singular_points for c in centers.flat]
-    t_in = max(0.0, rad - u.far_radius) / h
-    t_out = (rad + u.far_radius) / h
-    if compact and u.far_radius > 0:
+    breaks = list(breaks)
+    t_in = max(0.0, rad - far_radius) / h
+    t_out = (rad + far_radius) / h
+    if compact and far_radius > 0:
         # rays enter/leave the far-field disc in this radial band; panel
         # edges there keep the Gauss panels clear of the support boundary
-        breaks += [t_in, t_out, math.hypot(rad, u.far_radius) / h]
+        breaks += [t_in, t_out, math.hypot(rad, far_radius) / h]
     t, wt = _kernel_panels(t_stop, extra_breaks=breaks, n_gl=n_gl)
     band = slice(None)
     if compact:
@@ -314,14 +324,27 @@ def _pairwise_leaf_sum(leaf, start: int, stop: int):
     return _pairwise_leaf_sum(leaf, start, mid) + _pairwise_leaf_sum(leaf, mid, stop)
 
 
-def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> np.ndarray:
+def _kernel_pairs(kernels: np.ndarray) -> np.ndarray:
+    """The kernels (t, k) as the real matrix that _ray_sums contracts with
+    the (re, im) pairs of the samples: sample t contributes Re u *
+    kernels[t, k] to the real column and Im u * kernels[t, k] to the
+    imaginary column of kernel k."""
+    n_t, n_k = kernels.shape
+    pairs = np.zeros((n_t, 2, n_k, 2))
+    pairs[:, 0, :, 0] = kernels
+    pairs[:, 1, :, 1] = kernels
+    return pairs.reshape(2 * n_t, 2 * n_k)
+
+
+def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, pairs) -> np.ndarray:
     """Kernel sums along the Poisson rays: sum over the nodes t of
     u(x + h t w) * kernels[t, j] for every plane point x in centers and
-    direction w in what, shape (centers, directions, kernels).
+    direction w in what, shape (centers, directions, kernels), with the
+    kernels given as _kernel_pairs(kernels).
 
     The one contraction of the Poisson rays, over the (point, direction)
     rows of _ray_blocks.  Each block's samples, viewed as (re, im) pairs of
-    doubles, meet the kernels in one real matrix product whose columns come
+    doubles, meet the pairs in one real matrix product whose columns come
     out as the (re, im) pairs of the sums.  That product runs on the calling
     thread: no BLAS worker thread starts, and the sums do not depend on the
     BLAS thread count.
@@ -334,18 +357,12 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, kernels) -> n
     kept rows share blocks differently, and a row left alone in its block
     takes numpy's matrix-vector path, which can move that row's last bit.
     """
-    n_t, n_k = kernels.shape
-    # sample t_i contributes Re u * kernels[i] to the real column and
-    # Im u * kernels[i] to the imaginary column of each kernel
-    pairs = np.zeros((n_t, 2, n_k, 2))
-    pairs[:, 0, :, 0] = kernels
-    pairs[:, 1, :, 1] = kernels
-    pairs = pairs.reshape(2 * n_t, 2 * n_k)
     origins, dirs = np.repeat(centers, what.size), np.tile(what, centers.size)
     meets = slice(None)
     if u.far_field == "zero":
         meets = _meets_disc(origins, dirs, u.far_radius)
         origins, dirs = origins[meets], dirs[meets]
+    n_k = pairs.shape[1] // 2
     sums = np.zeros((origins.size, n_k), dtype=complex)
     for rows, cols, pts in _ray_blocks(origins, dirs, h * t):
         pts[...] = u(pts)
@@ -651,8 +668,10 @@ def hemisphere_tangential_energy(v) -> float:
     on the 128 x 256 hemisphere rule.
 
     The density is filled in chunks of _BLOCK_SAMPLES nodes, four calls of
-    v per chunk, and contracted with the weights in one product over all
-    nodes: chunking the product would move its rounding.
+    v per chunk.  It is then weighted node by node and added in node order
+    by numpy's pairwise sum over all nodes, on the calling thread: no BLAS
+    worker thread starts, the value does not depend on the BLAS thread
+    count, and chunking the sum would move its rounding.
     """
     rule = hemisphere_rule(128, 256)
     dens = np.empty(rule.weights.size)
@@ -662,7 +681,8 @@ def hemisphere_tangential_energy(v) -> float:
         t1, t2 = _tangent_frames(p)
         dens[chunk] = (np.abs(_sphere_difference(v, p, t1)) ** 2
                        + np.abs(_sphere_difference(v, p, t2)) ** 2)
-    return 0.5 * float(dens @ rule.weights)
+    dens *= rule.weights
+    return 0.5 * float(np.sum(dens))
 
 
 def dirichlet_energy_halfball(v, r: float = 1.0) -> float:
@@ -789,10 +809,10 @@ def _extension_value_ring(u: PlaneMap, centers, h: float, n_omega: int, n_gl: in
     summed over the support band only, by _ray_sums.
     """
     centers = np.asarray(centers, dtype=complex)
-    t, wt, t_stop, band = _ray_setup(u, centers, h, n_gl)
+    t, wt, t_stop, band = _ray_setup(*_ray_inputs(u, centers, h), h, n_gl)
     kern_w = t * (1.0 + t * t) ** -1.5 * wt
     what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    sums = _ray_sums(u, centers, h, t[band], what, kern_w[band, None])[:, :, 0]
+    sums = _ray_sums(u, centers, h, t[band], what, _kernel_pairs(kern_w[band, None]))[:, :, 0]
     tail_mass = _poisson_tail_mass(t_stop)
     num = np.mean(sums, axis=1) + tail_mass * np.mean(u.far_value(what))
     total_mass = float(np.sum(kern_w)) + tail_mass
@@ -828,6 +848,31 @@ def _ring_mean_density(u: PlaneMap, r_plane: float, h: float,
     return mean
 
 
+@lru_cache(maxsize=4)
+def _gradient_rule(rad: float, compact: bool, far_radius: float, breaks: tuple,
+                   h: float, n_omega: int, n_gl: int):
+    """The radial nodes of the support band, the ray directions and the
+    _kernel_pairs of both gradient kernels, for the rays of _gradient_ring:
+    read-only arrays (t, what, pairs).
+
+    The first four arguments are _ray_inputs, so a rule is reused only
+    when every input of _ray_setup is equal, and then it is the same rule
+    bit for bit: on these keys == is bit equality, but for a far_radius of
+    -0.0, which builds the rule of 0.0, and a NaN, which never matches.
+    The levels of one oracle ring reuse its rule; a level whose first
+    point's radius rounds an ulp away builds its own.
+    """
+    t, wt, _, band = _ray_setup(rad, compact, far_radius, breaks, h, n_gl)
+    t, wt = t[band], wt[band]
+    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
+    base = (1.0 + t * t) ** -2.5
+    pairs = _kernel_pairs(np.stack([(3.0 * t * t * base) * wt,
+                                    ((t * t - 2.0) * t * base) * wt], axis=1))
+    for a in (t, what, pairs):
+        a.setflags(write=False)
+    return t, what, pairs
+
+
 def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_gl: int):
     """x3 times the gradient (d1, d2, d3) of the extension at plane points of
     one radius and height h, as three arrays over the points.
@@ -837,15 +882,11 @@ def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_g
     (t^2 - 2) t (1+t^2)^(-5/2) vertically; both have zero total mass, so
     compactly supported maps need no tail terms once the rays leave the
     support.  All points share the plane radius, so the radial panels are
-    built once and both kernels are summed over the support band in one
-    pass of _ray_sums.
+    built once (_gradient_rule) and both kernels are summed over the
+    support band in one pass of _ray_sums.
     """
-    t, wt, _, band = _ray_setup(u, centers, h, n_gl)
-    t, wt = t[band], wt[band]
-    what = np.exp(2j * np.pi * np.arange(n_omega) / n_omega)
-    base = (1.0 + t * t) ** -2.5
-    kernels = np.stack([(3.0 * t * t * base) * wt, ((t * t - 2.0) * t * base) * wt], axis=1)
-    sums = _ray_sums(u, centers, h, t, what, kernels)
+    t, what, pairs = _gradient_rule(*_ray_inputs(u, centers, h), h, n_omega, n_gl)
+    sums = _ray_sums(u, centers, h, t, what, pairs)
     proj_h = sums[:, :, 0]
     return (np.mean(proj_h * np.real(what)[None, :], axis=1),
             np.mean(proj_h * np.imag(what)[None, :], axis=1),

@@ -241,8 +241,14 @@ def hemisphere_rule(n_r: int, n_t: int) -> QuadRule:
 
 def integrate(rule: QuadRule, f) -> float | complex:
     """Apply a rule to a vectorized integrand: f(rule.nodes) returns one
-    real or complex value per node, and the weighted sum is returned."""
-    return np.asarray(f(rule.nodes)) @ rule.weights
+    real or complex value per node, and the weighted sum is returned.
+
+    The products value * weight are added in node order by numpy's pairwise
+    sum (np.sum), on the calling thread: no BLAS worker thread starts, and
+    the sum does not depend on the BLAS thread count.  A BLAS dot of tens
+    of thousands of nodes would wake worker threads, and its rounding would
+    depend on their count."""
+    return np.sum(np.asarray(f(rule.nodes)) * rule.weights)
 
 
 # --------------------------------------------------------------------------- adaptive

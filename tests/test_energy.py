@@ -386,12 +386,14 @@ def test_halfball_scales_linearly_in_radius():
 
 
 # Recorded with the density evaluated over the whole 128 x 256 rule at once;
-# filled in node chunks since, with the same bits.
+# filled in node chunks since, with the same bits.  "vortex" and
+# "three_zeros" moved by 1 ulp when the weighted density came to be summed
+# by np.sum, not a BLAS dot.
 HEMISPHERE_PINS = {
-    "vortex": (closed_xstar_ext, 3.141592653433249),
+    "vortex": (closed_xstar_ext, 3.1415926534332494),
     "degree_two": (BlaschkeProduct(theta=0.3, zeros=(0.25 + 0.1j, -0.25 - 0.1j)), 6.2831853068673205),
     "three_zeros": (BlaschkeProduct(theta=1.1, zeros=(0.3 + 0.2j, -0.35 + 0.1j, 0.05 - 0.4j)),
-                    9.424777960299364),
+                    9.424777960299366),
 }
 
 
@@ -584,6 +586,34 @@ def test_halfspace_oracle_pins(map_name):
     assert halfspace_dirichlet_oracle(u, n_omega=32, n_gl=8) == ORACLE_PINS[map_name]
 
 
+def test_oracle_reuses_a_ring_rule_only_when_exact(monkeypatch):
+    # the oracle with its ring-rule cache cleared before every level must
+    # equal the cached oracle bit for bit: on the pinned bumps, whose levels
+    # reuse their ring's rule, and on a compact map with a singular point,
+    # whose panel breaks depend on every point of a level (the coarse rules
+    # keep the many panels of its breaks cheap)
+    u1, u2 = _pin_bumps()
+    c = 0.1 - 0.05j
+    twisted = PlaneMap(func=lambda z: u1(z) * np.exp(1j * np.angle(z - c)), bound=u1.bound,
+                       singular_points=(c,), far_radius=u1.far_radius)
+    cases = {"u1": (u1, 8, 4), "u2": (u2, 8, 4), "twisted": (twisted, 4, 2)}
+    cached = {}
+    for name, (u, n_omega, n_gl) in cases.items():
+        energy._gradient_rule.cache_clear()
+        cached[name] = halfspace_dirichlet_oracle(u, n_omega, n_gl)
+        if not u.singular_points:
+            assert energy._gradient_rule.cache_info().hits > 0, name
+    density = energy._gradient_ring_density
+
+    def uncached(*args):
+        energy._gradient_rule.cache_clear()
+        return density(*args)
+
+    monkeypatch.setattr(energy, "_gradient_ring_density", uncached)
+    for name, (u, n_omega, n_gl) in cases.items():
+        assert halfspace_dirichlet_oracle(u, n_omega, n_gl) == cached[name], name
+
+
 def test_oracle_refines_each_ring_by_whole_levels(monkeypatch):
     # every doubling level of a ring is one _gradient_ring_density call on
     # the new points only (16, 16, 32, 64): the benchmark's per-ring figures
@@ -612,43 +642,70 @@ def test_oracle_refines_each_ring_by_whole_levels(monkeypatch):
     assert len(calls) == sum(levels)
 
 
-_THREADS_CHILD = """
+# A fresh interpreter runs `setup`, sleeps 0.3 s (numpy's OpenBLAS worker
+# spins about 0.13 s after load whatever runs next), then times `timed`,
+# which sets `bits` to a list of hex strings of the values.
+_TIMED_CHILD = """
 import json, time
 import numpy as np
-from halfharm import energy
-u = energy.bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
-ring = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+{setup}
 time.sleep(0.3)
 wall, cpu = time.perf_counter(), time.process_time()
-dens = np.concatenate([energy._gradient_ring_density(u, ring, h, 128, 16)
-                       for h in np.geomspace(0.002, 0.5, 12)])
-pair = energy._pair_form(u, None, u.far_radius + 0.4, 16, 48, 8)
+{timed}
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-print(json.dumps({"bits": [dens.tobytes().hex(), pair[0].hex(), pair[1].hex()],
-                  "wall": wall, "cpu": cpu}))
+print(json.dumps({{"bits": bits, "wall": wall, "cpu": cpu}}))
 """
 
 
-def _half_space_child(blas_threads):
+def _timed_child(setup, timed, blas_threads):
     src = str(Path(halfharm.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env, capture_output=True,
+    code = _TIMED_CHILD.format(setup=setup, timed=timed)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=600, check=True)
     return json.loads(out.stdout)
 
 
-def test_half_space_routes_start_no_blas_thread():
-    # a 64-point ring at 12 heights on the default ray rule and the pair
-    # form's first rung, in fresh interpreters on 2 and on 1 BLAS threads:
-    # with 2 the process may use no more CPU than wall time (a worker thread
-    # would add its own), and the values must not depend on the thread count;
-    # the child sleeps 0.3 s before timing, because numpy's OpenBLAS worker
-    # spins about 0.13 s after load whatever runs next
-    two, one = _half_space_child("2"), _half_space_child("1")
+def _assert_starts_no_blas_thread(setup, timed):
+    """The timed calls in fresh interpreters on 2 and on 1 BLAS threads:
+    with 2 the process may use no more CPU than wall time (a worker thread
+    would add its own), and the values must not depend on the thread count."""
+    two, one = _timed_child(setup, timed, "2"), _timed_child(setup, timed, "1")
     assert two["bits"] == one["bits"]
     if (os.cpu_count() or 1) >= 2:
         assert two["cpu"] <= 1.15 * two["wall"] + 0.05, two
+
+
+def test_half_space_routes_start_no_blas_thread():
+    # a 64-point ring at 12 heights on the default ray rule and the pair
+    # form's first rung
+    _assert_starts_no_blas_thread("""
+from halfharm import energy
+u = energy.bump_map(center=0.15 + 0.0j, radius=0.6, amplitude=0.8 - 0.3j)
+ring = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+""", """
+dens = np.concatenate([energy._gradient_ring_density(u, ring, h, 128, 16)
+                       for h in np.geomspace(0.002, 0.5, 12)])
+pair = energy._pair_form(u, None, u.far_radius + 0.4, 16, 48, 8)
+bits = [dens.tobytes().hex(), pair[0].hex(), pair[1].hex()]
+""")
+
+
+def test_rule_sums_start_no_blas_thread():
+    # the 24,576-node balance integral and the 32,768-node hemisphere energy
+    # of the fields benchmark's seed-3 two-zero product: summed by a BLAS
+    # dot, both woke its worker threads, and each read one ulp apart on 1
+    # and on 2 threads
+    _assert_starts_no_blas_thread("""
+from halfharm.blaschke import BlaschkeProduct, balance_vector
+from halfharm.energy import dirichlet_energy_halfball
+B = BlaschkeProduct(theta=1.0036692014325062, zeros=(0.24207485970556256 + 0.20985403166631791j,
+                                                     -0.21616717169036417 - 0.02282104394181498j))
+""", """
+b = balance_vector(B)
+bits = [b.real.hex(), b.imag.hex(), dirichlet_energy_halfball(B).hex()]
+""")
 
 
 def _full_grid_ring_density(u, centers, h, n_omega, n_gl):
