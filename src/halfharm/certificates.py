@@ -71,7 +71,6 @@ __all__ = [
     "F2_certificate",
     "hardy_constant",
     "sphere_destabilization_margin",
-    "polar_kernel_identity",
     "standard_certificates",
     "certificate_tables",
 ]
@@ -647,16 +646,6 @@ def _polar_oracle(c: float) -> float:
     """Half-line quadrature of int_0^inf rho (1 - 2 rho c + rho^2)^(-3/2) drho."""
     res = integrate_halfline(lambda rho: rho * (1.0 - 2.0 * rho * c + rho * rho) ** -1.5)
     return ensure_converged(res, f"polar resolvent integral at c={c!r}")
-
-
-def polar_kernel_identity(c: float) -> CertificateReport:
-    """Certify int_0^inf rho (1 - 2 rho c + rho^2)^(-3/2) drho = 1/(1-c) on (-1, 1)."""
-    c = float(c)
-    if not (math.isfinite(c) and -1.0 < c < 1.0):
-        raise DomainViolation(f"c must lie in (-1, 1), got {c!r}")
-    return CertificateReport.from_values(
-        f"radial-resolvent-identity[c={c:g}]", 1.0 / (1.0 - c), _polar_oracle(c), 1e-8
-    )
 
 
 # ---------------------------------------------------------------------------

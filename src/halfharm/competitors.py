@@ -149,7 +149,15 @@ class _Spline:
         """Values at t (any shape): one gather of the cells' rows, then the
         sum over the powers of the offset from each cell's left knot."""
         t = np.asarray(t, dtype=float)
-        rows = self._rows[np.searchsorted(self._inner, t, side="right")]
+        return self._at(t, self._cells(t))
+
+    def _cells(self, t: np.ndarray) -> np.ndarray:
+        """The cell of each float t; splines on the same knots share them."""
+        return np.searchsorted(self._inner, t, side="right")
+
+    def _at(self, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Values at the float t, whose cells are given."""
+        rows = self._rows[cells]
         s = t - rows[..., 0]
         out = rows[..., -2] * s
         out += rows[..., -1]
@@ -375,15 +383,22 @@ def optimal_profile(delta: float) -> Profile:
     # In the one grid interval touching 1 the integrand has divergent
     # derivatives and the vectorized two-point remainder is too coarse, so
     # rows landing there are polished against the adaptive scalar budget.
+    # A row stops at a Newton fixed point, where its G value is already known.
     hard = np.where(x >= s_grid[-2])[0]
+    hard_resid = []
     for i in hard:
         xi = float(x[i])
+        g = G_of(xi)
         for _ in range(4):
-            xi = min(max(xi - (G_of(xi) - y[i]) / float(_rewind_speed(xi)), 0.0), 1.0)
+            step = min(max(xi - (g - y[i]) / float(_rewind_speed(xi)), 0.0), 1.0)
+            if step == xi:
+                break
+            xi = step
+            g = G_of(xi)
         x[i] = xi
+        hard_resid.append(abs(g - y[i]))
     resid = np.abs(_budget_partial_vec(x) - y)
-    for i in hard:
-        resid[i] = abs(G_of(float(x[i])) - y[i])
+    resid[hard] = hard_resid
     worst = float(np.max(resid))
     if worst > 1e-7 * max(1.0, g1):
         raise NumericalFailure(f"budget inversion residual {worst:.3e} exceeds target")
@@ -412,9 +427,13 @@ def profile_energy(gamma: Profile) -> float:
             "slope; the transition-energy integrand diverges there"
         )
 
+    spline, slope = gamma._spline, gamma._spline_d
+
     def f(t):
-        g = np.clip(gamma(t), 0.0, 1.0 - 1e-16)
-        gp = gamma.derivative(t)
+        tt = gamma._check_domain(t)
+        cells = spline._cells(tt)
+        g = np.clip(spline._at(tt, cells), 0.0, 1.0 - 1e-16)
+        gp = slope._at(tt, cells)
         return 2.0 * _F_arr(g * g) * gp * gp
 
     res = adaptive_integrate(f, 0.0, 1.0, _QUAD_TOL, singular=(0.0, 1.0))

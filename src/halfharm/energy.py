@@ -357,19 +357,21 @@ def _ray_sums(u: PlaneMap, centers: np.ndarray, h: float, t, what, pairs) -> np.
     kept rows share blocks differently, and a row left alone in its block
     takes numpy's matrix-vector path, which can move that row's last bit.
     """
-    origins, dirs = np.repeat(centers, what.size), np.tile(what, centers.size)
-    meets = slice(None)
+    centers = centers.ravel()
     if u.far_field == "zero":
-        meets = _meets_disc(origins, dirs, u.far_radius)
-        origins, dirs = origins[meets], dirs[meets]
+        meets = _meets_disc(centers[:, None], what[None, :], u.far_radius)
+    else:
+        meets = np.ones((centers.size, what.size), dtype=bool)
+    kept_points, kept_dirs = np.nonzero(meets)
+    origins, dirs = centers[kept_points], what[kept_dirs]
     n_k = pairs.shape[1] // 2
     sums = np.zeros((origins.size, n_k), dtype=complex)
     for rows, cols, pts in _ray_blocks(origins, dirs, h * t):
         pts[...] = u(pts)
         sums[rows] += (pts.view(float) @ pairs[2 * cols.start:2 * cols.stop]).view(complex)
-    out = np.zeros((centers.size * what.size, n_k), dtype=complex)
+    out = np.zeros((centers.size, what.size, n_k), dtype=complex)
     out[meets] = sums
-    return out.reshape(centers.size, what.size, n_k)
+    return out
 
 
 def poisson_extend(u: PlaneMap, X, n_omega: int = 256, n_gl: int = 24):
@@ -756,10 +758,12 @@ def halfspace_dirichlet_oracle(u: PlaneMap, n_omega: int = 128, n_gl: int = 16) 
     derivatives, so this is an independent route to the nonlocal energy.
     n_omega and n_gl are the ray rule of every extension gradient.  Each
     ring's angular rule starts at 16 points and refines by doubling until
-    converged, so maps with fine angular detail stay accurate; each level
-    is one _gradient_ring_density call on the new points, whose rays are
-    contracted by _ray_sums in the blocks of _ray_blocks: no BLAS worker
-    thread starts, and the value does not depend on the BLAS thread count.
+    converged, so maps with fine angular detail stay accurate.  The first
+    two levels, which every ring runs, are one _gradient_ring_density call
+    of 32 points, and each later level is one call on its new points.
+    Their rays are contracted by _ray_sums in the blocks of _ray_blocks: no
+    BLAS worker thread starts, and the value does not depend on the BLAS
+    thread count.
     Rays that cannot meet the support disc are never sampled, nor are the
     t outside the radial band where a ray can meet it; their sums are exact
     zeros.  Every other sample is evaluated by u itself.
@@ -819,6 +823,17 @@ def _extension_value_ring(u: PlaneMap, centers, h: float, n_omega: int, n_gl: in
     return num / total_mass
 
 
+# The unit points of the oracle's ring levels: 16 uniform points and the 16
+# odd points 2 pi (k + 1/2)/16 between them, sampled together; then the odd
+# points that refine a rule of n points to 2n, for n = 32 and 64.
+_RING_FIRST = np.concatenate([np.exp(1j * (2.0 * np.pi * np.arange(16) / 16)),
+                              np.exp(1j * (2.0 * np.pi * (np.arange(16) + 0.5) / 16))])
+_RING_LATER = tuple(np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.5) / n)) for n in (32, 64))
+for _unit in (_RING_FIRST, *_RING_LATER):
+    _unit.setflags(write=False)
+del _unit
+
+
 def _ring_mean_density(u: PlaneMap, r_plane: float, h: float,
                        n_omega: int, n_gl: int) -> float:
     """Angular mean of |grad extension|^2 on one ring, refined by doubling.
@@ -826,26 +841,23 @@ def _ring_mean_density(u: PlaneMap, r_plane: float, h: float,
     Uniform angular rules interleave under doubling, so every sample is
     reused; rings whose angular structure is finer than the starting rule
     of 16 points escalate until two consecutive levels agree to 2e-5
-    relative, or the rule reaches 128 points.
+    relative, or the rule reaches 128 points.  Consecutive levels can agree
+    by aliasing accident while both are still wrong, so the stop test only
+    counts from 32 points on: every ring runs the first two levels, and
+    they are one _gradient_ring_density call of 32 points, the 16 of the
+    first level then its 16 odd points.  Each later level is one call on
+    its new points only.
     """
-    n = 16
-    phis = 2.0 * np.pi * np.arange(n) / n
-    dens = _gradient_ring_density(u, r_plane * np.exp(1j * phis), h,
-                                  n_omega, n_gl)
-    mean = float(np.mean(dens))
-    while n < 128:
-        odd = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        dens_odd = _gradient_ring_density(u, r_plane * np.exp(1j * odd), h,
-                                          n_omega, n_gl)
-        mean2 = 0.5 * (mean + float(np.mean(dens_odd)))
-        n *= 2
-        # consecutive levels can agree by aliasing accident while both are
-        # still wrong, so the stop test only counts once the rule is dense
-        done = n >= 32 and abs(mean2 - mean) <= 2e-5 * max(abs(mean2), 1e-30)
+    dens = _gradient_ring_density(u, r_plane * _RING_FIRST, h, n_omega, n_gl)
+    mean, new = float(np.mean(dens[:16])), dens[16:]
+    for unit in _RING_LATER:
+        mean2 = 0.5 * (mean + float(np.mean(new)))
+        done = abs(mean2 - mean) <= 2e-5 * max(abs(mean2), 1e-30)
         mean = mean2
         if done:
-            break
-    return mean
+            return mean
+        new = _gradient_ring_density(u, r_plane * unit, h, n_omega, n_gl)
+    return 0.5 * (mean + float(np.mean(new)))
 
 
 @lru_cache(maxsize=4)
@@ -859,8 +871,9 @@ def _gradient_rule(rad: float, compact: bool, far_radius: float, breaks: tuple,
     when every input of _ray_setup is equal, and then it is the same rule
     bit for bit: on these keys == is bit equality, but for a far_radius of
     -0.0, which builds the rule of 0.0, and a NaN, which never matches.
-    The levels of one oracle ring reuse its rule; a level whose first
-    point's radius rounds an ulp away builds its own.
+    The later levels of one oracle ring reuse the rule of its first call
+    (its first two levels); a level whose first point's radius rounds an
+    ulp away builds its own.
     """
     t, wt, _, band = _ray_setup(rad, compact, far_radius, breaks, h, n_gl)
     t, wt = t[band], wt[band]
@@ -888,9 +901,10 @@ def _gradient_ring(u: PlaneMap, centers: np.ndarray, h: float, n_omega: int, n_g
     t, what, pairs = _gradient_rule(*_ray_inputs(u, centers, h), h, n_omega, n_gl)
     sums = _ray_sums(u, centers, h, t, what, pairs)
     proj_h = sums[:, :, 0]
-    return (np.mean(proj_h * np.real(what)[None, :], axis=1),
-            np.mean(proj_h * np.imag(what)[None, :], axis=1),
-            np.mean(sums[:, :, 1], axis=1))
+    # np.mean's own sum and division, without its Python wrapper
+    return ((proj_h * what.real).sum(axis=1) / n_omega,
+            (proj_h * what.imag).sum(axis=1) / n_omega,
+            sums[:, :, 1].sum(axis=1) / n_omega)
 
 
 def _gradient_ring_density(u: PlaneMap, centers, h: float, n_omega: int, n_gl: int):

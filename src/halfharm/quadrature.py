@@ -296,30 +296,32 @@ _UNIT_ROUNDOFF = 2.0**-53
 _GRADE_LEVELS = 40
 
 
-def _sample(f, x: np.ndarray, p) -> np.ndarray:
-    """f at the nodes x (one row per panel); p holds each panel's parameters."""
-    if p is None:
-        return np.asarray(f(x.ravel()), dtype=float)
-    return np.asarray(f(x.ravel(), np.repeat(p, x.shape[1], axis=0)), dtype=float)
-
-
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, p, blocks) -> tuple[np.ndarray, np.ndarray]:
     """15-point value and |15-point - 7-point| discrepancy per panel.
 
-    All panels are sampled in one integrand call per rule.  The contraction
-    with the weights runs separately on each (start, stop) row block, one
-    block per integral, because a BLAS matrix-vector product may round a row
+    All panels are sampled in one integrand call: the 15-point nodes of
+    every panel (one row per panel), then its 7-point nodes, each block
+    contiguous, with p's rows repeated alongside.  The contraction with the
+    weights runs separately on each (start, stop) row block, one block per
+    integral, because a BLAS matrix-vector product may round a row
     differently depending on where it sits in a larger matrix: contracted
     alone, an integral's rows round as they do when it is integrated alone.
     """
     x7, w7 = _leggauss(7)
     x15, w15 = _leggauss(15)
+    n = len(lo)
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    y15 = _sample(f, mid + half * x15[None, :], p).reshape(len(lo), 15)
-    y7 = _sample(f, mid + half * x7[None, :], p).reshape(len(lo), 7)
-    s15 = np.empty(len(lo))
-    s7 = np.empty(len(lo))
+    x = np.concatenate([(mid + half * x15[None, :]).ravel(), (mid + half * x7[None, :]).ravel()])
+    if p is None:
+        y = np.asarray(f(x), dtype=float)
+    else:
+        y = np.asarray(f(x, np.concatenate([np.repeat(p, 15, axis=0), np.repeat(p, 7, axis=0)])),
+                       dtype=float)
+    y15 = y[:15 * n].reshape(n, 15)
+    y7 = y[15 * n:].reshape(n, 7)
+    s15 = np.empty(n)
+    s7 = np.empty(n)
     for start, stop in blocks:
         np.matmul(y15[start:stop], w15, out=s15[start:stop])
         np.matmul(y7[start:stop], w7, out=s7[start:stop])
@@ -472,8 +474,11 @@ def _integrate(f, params, a: float, b: float, tol: Tolerance | None, singular, g
             _, lo, mid, hi, _ = work.pending
             split_lo += (lo, mid)
             split_hi += (mid, hi)
-        lo = np.concatenate([np.tile(seed_lo, len(fresh)), split_lo])
-        hi = np.concatenate([np.tile(seed_hi, len(fresh)), split_hi])
+        if fresh:
+            lo = np.concatenate([np.tile(seed_lo, len(fresh)), split_lo])
+            hi = np.concatenate([np.tile(seed_hi, len(fresh)), split_hi])
+        else:
+            lo, hi = np.array(split_lo), np.array(split_hi)
         base = n_seed * len(fresh)
         blocks = [(n_seed * i, n_seed * (i + 1)) for i in range(len(fresh))]
         blocks += [(base + 2 * j, base + 2 * j + 2) for j in range(len(active))]
@@ -544,7 +549,8 @@ def adaptive_integrate_many(
     f receives the nodes and, aligned with them, the parameter row of the
     integral each node belongs to.  Each round samples the panels that every
     integral in flight bisects, or its seed panels if it was just admitted,
-    in one call of f; at most a fixed number of integrals is in flight.
+    at the nodes of both Gauss rules in one call of f; at most a fixed
+    number of integrals is in flight.
     The weights are contracted one integral at a time, so for an f that
     acts elementwise each result equals adaptive_integrate on
     ``lambda x: f(x, p)``, at its default grading, bit for bit.

@@ -39,7 +39,6 @@ from halfharm.certificates import (
     certificate_tables,
     delta_certificate,
     hardy_constant,
-    polar_kernel_identity,
     ratint_closed,
     ratint_oracle,
     sphere_destabilization_margin,
@@ -513,17 +512,9 @@ def test_destabilization_margin_domain():
 
 
 def test_polar_kernel_identity_values():
-    for c, expected in ((0.0, 1.0), (0.5, 2.0), (-0.9, 1.0 / 1.9)):
-        report = polar_kernel_identity(c)
-        assert report.verdict == "pass"
-        assert math.isclose(report.closed_value, expected, rel_tol=1e-14)
-        assert report.abs_diff <= 1e-8
-
-
-def test_polar_kernel_identity_domain():
-    for bad in (1.0, -1.0, 2.0, math.nan):
-        with pytest.raises(DomainViolation):
-            polar_kernel_identity(bad)
+    # the battery's radial-resolvent rows compare this oracle with 1/(1 - c)
+    for c in (0.0, 0.5, -0.9):
+        assert abs(certificates._polar_oracle(c) - 1.0 / (1.0 - c)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

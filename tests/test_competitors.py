@@ -421,6 +421,26 @@ def test_optimal_profile_energy_matches_budget(delta):
     assert abs(energy - 2.0 * (G_of(1.0) - G_of(delta)) ** 2) <= 1e-5
 
 
+# sha256 of optimal_profile(delta).values and the hex of its profile_energy,
+# recorded before the hard-row polish stopped at its Newton fixed point and
+# the energy integrand shared one cell search between value and slope.  Every
+# delta here has rows in the last budget interval, which the polish handles.
+OPTIMAL_PROFILE_PINS = {
+    0.05: ("3a8ba810096f2f718d1569cfa20759afd90c86688b904d9d6778b3c11830b63c", "0x1.a9d53e9a692dap+0"),
+    1.0 / 3.0: ("f64c1673599b52f77c29d91d67b96e3039c954b85d596b64b90690ea9f9228ac",
+                "0x1.e2d9e8cecde3ap-1"),
+    0.9: ("62491ed45a32c72441ed29e8e64606cd620a3e25fb1d22781b51140bbaa8b5cc", "0x1.75e4bebca58d5p-5"),
+    0.99: ("da439efb4a115e398719ed45a6cd8583393e7a8af6509e45a6eeba1e9429f9c2", "0x1.c930be2f2e7f3p-11"),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(OPTIMAL_PROFILE_PINS))
+def test_optimal_profile_pins(delta):
+    profile = optimal_profile(delta)
+    got = (hashlib.sha256(profile.values.tobytes()).hexdigest(), profile_energy(profile).hex())
+    assert got == OPTIMAL_PROFILE_PINS[delta]
+
+
 def test_optimal_profile_at_one_is_constant():
     assert profile_energy(optimal_profile(1.0)) == 0.0
 

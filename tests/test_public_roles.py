@@ -70,7 +70,6 @@ ROLES = {
     "certificates.F2_certificate": "verdict",
     "certificates.hardy_constant": "verdict",
     "certificates.sphere_destabilization_margin": "verdict",
-    "certificates.polar_kernel_identity": "verdict",
     "certificates.standard_certificates": "verdict",
     "certificates.certificate_tables": "verdict",
     # competitors

@@ -432,6 +432,70 @@ def test_batched_results_equal_single_runs(params, in_flight, max_refinements):
         assert got == alone
 
 
+def _two_call_panel_estimates(f, lo, hi, p, blocks):
+    """_panel_estimates as it was with one integrand call per rule: the
+    reference for the single call that samples both rules."""
+    x7, w7 = quadrature._leggauss(7)
+    x15, w15 = quadrature._leggauss(15)
+
+    def sample(x):
+        if p is None:
+            return np.asarray(f(x.ravel()), dtype=float)
+        return np.asarray(f(x.ravel(), np.repeat(p, x.shape[1], axis=0)), dtype=float)
+
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    y15 = sample(mid + half * x15[None, :]).reshape(len(lo), 15)
+    y7 = sample(mid + half * x7[None, :]).reshape(len(lo), 7)
+    s15 = np.empty(len(lo))
+    s7 = np.empty(len(lo))
+    for start, stop in blocks:
+        np.matmul(y15[start:stop], w15, out=s15[start:stop])
+        np.matmul(y7[start:stop], w7, out=s7[start:stop])
+    half = half[:, 0]
+    v15 = s15 * half
+    return v15, np.abs(v15 - s7 * half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 20.0), st.floats(-3.0, 3.0),
+                     st.floats(-3.0, 3.0), st.floats(0.0, 5.0), st.floats(-2.0, 2.0)),
+    a=st.floats(-5.0, 5.0),
+    width=st.floats(1e-3, 10.0),
+    ends=st.sampled_from(["none", "lo", "hi", "both"]),
+    max_refinements=st.integers(0, 80),
+)
+def test_one_integrand_call_per_round_keeps_every_bit(coeffs, a, width, ends, max_refinements):
+    # sampling both rules of a round in one call gives every node the value
+    # it had in the call of its own rule, so each result keeps its bits
+    c0, c1, c2, c3, c4, c5 = coeffs
+    b = a + width
+    singular = {"none": (), "lo": (a,), "hi": (b,), "both": (a, b)}[ends]
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        out = c0 * np.sin(c1 * x + c2) + c3 * np.exp(-c4 * x * x)
+        for e in singular:
+            out = out + c5 * np.sqrt(np.abs(x - e))
+        return out
+
+    tol = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_refinements=max_refinements)
+    estimates, rounds = quadrature._panel_estimates, []
+
+    def counted(*args):
+        rounds.append(1)
+        return estimates(*args)
+
+    with mock.patch.object(quadrature, "_panel_estimates", counted):
+        got = adaptive_integrate(f, a, b, tol, singular=singular)
+    assert len(calls) == len(rounds)
+    with mock.patch.object(quadrature, "_panel_estimates", _two_call_panel_estimates):
+        want = adaptive_integrate(f, a, b, tol, singular=singular)
+    assert got == want
+
+
 def test_ensure_converged_allows_only_a_near_miss():
     assert quadrature.ensure_converged(IntegrationResult(2.5, 1.0, True), "x") == 2.5
     # unconverged, but within 1e-6 of max(1, |value|): accepted
